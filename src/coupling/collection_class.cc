@@ -156,9 +156,12 @@ Status Collection::IndexObjects(const std::string& spec_query, int text_mode) {
 }
 
 bool Collection::IsSpecCandidate(Oid oid) const {
-  if (!parsed_spec_.has_value()) return false;
   auto cls_or = coupling_->db().ClassOf(oid);
-  if (!cls_or.ok()) return false;
+  return cls_or.ok() && RepresentsClass(*cls_or);
+}
+
+bool Collection::RepresentsClass(const std::string& cls) const {
+  if (!parsed_spec_.has_value()) return false;
   // Find the binding of the selected variable (spec queries select a
   // single range variable or an expression over one).
   const ParsedQuery& q = *parsed_spec_;
@@ -168,7 +171,7 @@ bool Collection::IsSpecCandidate(Oid oid) const {
   }
   for (const auto& b : q.bindings) {
     if (var.empty() || b.var == var) {
-      if (coupling_->db().schema().IsSubclassOf(*cls_or, b.class_name)) {
+      if (coupling_->db().schema().IsSubclassOf(cls, b.class_name)) {
         return true;
       }
     }

@@ -246,6 +246,11 @@ class Collection {
   /// class (candidate for representation on insert).
   bool IsSpecCandidate(Oid oid) const;
 
+  /// True if objects of class `cls` are the kind this collection
+  /// represents: `cls` is the specification query's range class or a
+  /// subclass of it. Objects of any other class get derived IRS values.
+  bool RepresentsClass(const std::string& cls) const;
+
   /// Persists buffer contents (the paper's buffer is persistent).
   std::string SerializeBuffer() const { return buffer_.Serialize(); }
   Status RestoreBuffer(std::string_view data) {

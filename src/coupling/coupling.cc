@@ -948,22 +948,22 @@ Status Coupling::RegisterIrsObjectMethods() {
       [](const MethodContext& ctx, Oid self,
          const std::vector<Value>& args) -> StatusOr<Value> {
         Collection* coll = nullptr;
-        std::string query;
+        const std::string* query = nullptr;
         if (args.size() == 2 && args[1].is_string()) {
           // Alternative (2) of Section 4.5.1: explicit collection.
           SDMS_ASSIGN_OR_RETURN(coll,
                                 CouplingOf(ctx)->ResolveCollectionArg(args[0]));
-          query = args[1].as_string();
+          query = &args[1].as_string();
         } else if (args.size() == 1 && args[0].is_string()) {
           // Alternatives (1)/(3): the coupling chooses the collection.
           SDMS_ASSIGN_OR_RETURN(coll,
                                 CouplingOf(ctx)->ChooseCollectionFor(self));
-          query = args[0].as_string();
+          query = &args[0].as_string();
         } else {
           return Status::InvalidArgument(
               "getIRSValue expects ([collection,] IRSQuery)");
         }
-        SDMS_ASSIGN_OR_RETURN(double value, coll->FindIrsValue(query, self));
+        SDMS_ASSIGN_OR_RETURN(double value, coll->FindIrsValue(*query, self));
         return Value(value);
       });
 

@@ -1,7 +1,10 @@
 #include "coupling/mixed_query.h"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <optional>
+#include <vector>
 
 #include "common/obs/profile.h"
 #include "common/obs/stats.h"
@@ -213,15 +216,25 @@ StatusOr<QueryResult> MixedQueryEvaluator::Run(
 }
 
 Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
-  // Candidate sets per variable; conjuncts on the same variable
-  // intersect.
-  std::map<std::string, std::set<Oid>> candidates;
-  std::map<std::string, bool> seeded;
+  // Candidate sets per variable, sorted by OID; conjuncts on the same
+  // variable intersect.
+  std::map<std::string, std::vector<Oid>> candidates;
   for (const Expr* conjunct : SplitConjuncts(query.where.get())) {
     ContentRestriction r;
     if (!AsContentRestriction(*conjunct, &r)) continue;
     SDMS_ASSIGN_OR_RETURN(Collection * coll,
                           coupling_->GetCollectionByName(r.collection));
+    // Soundness guard: the IRS result only holds represented objects.
+    // A variable ranging over another class (MMFDOC against a PARA
+    // collection) has derived values, which only independent
+    // evaluation computes, so the conjunct stays with it.
+    auto binding = std::find_if(
+        query.bindings.begin(), query.bindings.end(),
+        [&](const oodb::vql::Binding& b) { return b.var == r.var; });
+    if (binding == query.bindings.end() ||
+        !coll->RepresentsClass(binding->class_name)) {
+      continue;
+    }
     // Soundness guard: objects absent from the IRS result still score
     // the query's null belief. If that already passes the threshold,
     // the content predicate cannot restrict the candidate set (every
@@ -245,30 +258,27 @@ Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
       }
       return result_or.status();
     }
+    // The result map iterates in OID order, so `qualifying` is sorted.
     const OidScoreMap* result = *result_or;
-    std::set<Oid> qualifying;
+    std::vector<Oid> qualifying;
     for (const auto& [oid, score] : *result) {
       if (score > r.threshold || (r.inclusive && score >= r.threshold)) {
-        qualifying.insert(oid);
+        qualifying.push_back(oid);
       }
     }
     ++info_.irs_restrictions;
-    auto it = candidates.find(r.var);
-    if (!seeded[r.var]) {
-      candidates[r.var] = std::move(qualifying);
-      seeded[r.var] = true;
-    } else {
-      std::set<Oid> merged;
-      for (Oid oid : it->second) {
-        if (qualifying.count(oid) > 0) merged.insert(oid);
-      }
+    auto [it, first] = candidates.try_emplace(r.var, std::move(qualifying));
+    if (!first) {
+      std::vector<Oid> merged;
+      std::set_intersection(it->second.begin(), it->second.end(),
+                            qualifying.begin(), qualifying.end(),
+                            std::back_inserter(merged));
       it->second = std::move(merged);
     }
   }
-  for (const auto& [var, oids] : candidates) {
+  for (auto& [var, oids] : candidates) {
     info_.irs_candidates += oids.size();
-    coupling_->query_engine().SetCandidateOverride(
-        var, std::vector<Oid>(oids.begin(), oids.end()));
+    coupling_->query_engine().SetCandidateOverride(var, std::move(oids));
   }
   return Status::OK();
 }

@@ -31,12 +31,12 @@ namespace sdms::coupling {
 ///          var -> getIRSValue(coll, 'q') > threshold
 ///      are evaluated via getIRSResult first; the qualifying OIDs
 ///      become the candidate set of `var` in the database evaluation.
-///      Two soundness rules apply: a restriction whose threshold is at
-///      or below the query's null score is skipped (objects without
-///      evidence would qualify too), and the strategy presumes `var`
-///      ranges over objects represented in the collection — values of
-///      non-represented objects are derived, which only the
-///      independent strategy evaluates.
+///      Two soundness rules apply, each leaving its conjunct to
+///      independent evaluation: a restriction whose threshold is at or
+///      below the query's null score is skipped (objects without
+///      evidence would qualify too), and so is one on a `var` whose
+///      class the collection does not represent (its values are
+///      derived, which only the independent strategy evaluates).
 class MixedQueryEvaluator {
  public:
   enum class Strategy { kIndependent, kIrsFirst };

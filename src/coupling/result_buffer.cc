@@ -49,7 +49,7 @@ const OidScoreMap* ResultBuffer::Get(const std::string& query) {
   }
   hits_.Increment();
   GlobalHits().Increment();
-  Touch(query, it->second);
+  Touch(it->second);
   return &it->second.result;
 }
 
@@ -68,7 +68,7 @@ void ResultBuffer::PutLocked(const std::string& query, OidScoreMap result) {
                       static_cast<int64_t>(it->second.bytes));
     it->second.result = std::move(result);
     it->second.bytes = new_bytes;
-    Touch(query, it->second);
+    Touch(it->second);
     EnforceBudgetLocked();
     return;
   }
@@ -120,10 +120,9 @@ void ResultBuffer::InsertValue(const std::string& query, Oid oid,
   }
 }
 
-void ResultBuffer::Touch(const std::string& query, Entry& e) {
-  lru_.erase(e.lru_it);
-  lru_.push_front(query);
-  e.lru_it = lru_.begin();
+void ResultBuffer::Touch(Entry& e) {
+  // Relinks the node in place: no allocation, and e.lru_it stays valid.
+  lru_.splice(lru_.begin(), lru_, e.lru_it);
 }
 
 void ResultBuffer::Clear() {

@@ -98,7 +98,8 @@ class ResultBuffer {
     size_t bytes = 0;
   };
 
-  void Touch(const std::string& query, Entry& e);
+  /// Moves `e` to the MRU end of the LRU list.
+  void Touch(Entry& e);
   /// Lock-free bodies shared by the public methods (Restore composes
   /// them under one critical section).
   void PutLocked(const std::string& query, OidScoreMap result);

@@ -548,13 +548,25 @@ StatusOr<std::string> Database::ClassOf(Oid oid) const {
 std::vector<Oid> Database::Extent(const std::string& cls,
                                   bool include_subclasses) const {
   if (!include_subclasses) return store_.DirectExtent(cls);
+  std::vector<std::string> subs = schema_.SubclassesOf(cls);
+  if (subs.size() == 1) return store_.DirectExtent(subs[0]);
+  // Each direct extent is sorted: merge them instead of sorting.
   std::vector<Oid> out;
-  for (const std::string& sub : schema_.SubclassesOf(cls)) {
+  for (const std::string& sub : subs) {
     std::vector<Oid> part = store_.DirectExtent(sub);
+    size_t mid = out.size();
     out.insert(out.end(), part.begin(), part.end());
+    std::inplace_merge(out.begin(), out.begin() + mid, out.end());
   }
-  std::sort(out.begin(), out.end());
   return out;
+}
+
+size_t Database::ExtentSize(const std::string& cls) const {
+  size_t n = 0;
+  for (const std::string& sub : schema_.SubclassesOf(cls)) {
+    n += store_.DirectExtentSize(sub);
+  }
+  return n;
 }
 
 StatusOr<Value> Database::Invoke(Oid self, const std::string& name,

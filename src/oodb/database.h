@@ -125,6 +125,10 @@ class Database {
   std::vector<Oid> Extent(const std::string& cls,
                           bool include_subclasses = true) const;
 
+  /// Number of objects in Extent(cls), subclasses included, without
+  /// building the extent.
+  size_t ExtentSize(const std::string& cls) const;
+
   // --- Method invocation --------------------------------------------
 
   /// Invokes method `name` on `self` with `args`, dispatching through

@@ -5,12 +5,17 @@ namespace sdms::oodb {
 Status ObjectStore::Insert(DbObject obj) {
   Oid oid = obj.oid();
   if (!oid.valid()) return Status::InvalidArgument("cannot insert null OID");
-  if (objects_.count(oid) > 0) {
+  if (Contains(oid)) {
     return Status::AlreadyExists("object exists: " + oid.ToString());
   }
-  extents_[obj.class_name()].insert(oid);
+  std::vector<Oid>& extent = extents_[obj.class_name()];
+  if (extent.empty() || extent.back() < oid) {
+    extent.push_back(oid);
+  } else {
+    extent.insert(std::lower_bound(extent.begin(), extent.end(), oid), oid);
+  }
   BumpOidWatermark(oid);
-  objects_.emplace(oid, std::make_unique<DbObject>(std::move(obj)));
+  objects_.emplace(oid, std::move(obj));
   return Status::OK();
 }
 
@@ -19,7 +24,9 @@ Status ObjectStore::Remove(Oid oid) {
   if (it == objects_.end()) {
     return Status::NotFound("no object " + oid.ToString());
   }
-  extents_[it->second->class_name()].erase(oid);
+  std::vector<Oid>& extent = extents_[it->second.class_name()];
+  auto pos = std::lower_bound(extent.begin(), extent.end(), oid);
+  if (pos != extent.end() && *pos == oid) extent.erase(pos);
   objects_.erase(it);
   return Status::OK();
 }
@@ -29,7 +36,7 @@ StatusOr<DbObject*> ObjectStore::Get(Oid oid) {
   if (it == objects_.end()) {
     return Status::NotFound("no object " + oid.ToString());
   }
-  return it->second.get();
+  return &it->second;
 }
 
 StatusOr<const DbObject*> ObjectStore::Get(Oid oid) const {
@@ -37,15 +44,13 @@ StatusOr<const DbObject*> ObjectStore::Get(Oid oid) const {
   if (it == objects_.end()) {
     return Status::NotFound("no object " + oid.ToString());
   }
-  return static_cast<const DbObject*>(it->second.get());
+  return &it->second;
 }
 
 std::vector<Oid> ObjectStore::DirectExtent(const std::string& cls) const {
-  std::vector<Oid> out;
   auto it = extents_.find(cls);
-  if (it == extents_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  return out;
+  if (it == extents_.end()) return {};
+  return it->second;
 }
 
 size_t ObjectStore::DirectExtentSize(const std::string& cls) const {

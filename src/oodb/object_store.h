@@ -1,9 +1,7 @@
 #ifndef SDMS_OODB_OBJECT_STORE_H_
 #define SDMS_OODB_OBJECT_STORE_H_
 
-#include <map>
-#include <memory>
-#include <set>
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +41,7 @@ class ObjectStore {
   /// Const object lookup.
   StatusOr<const DbObject*> Get(Oid oid) const;
 
-  bool Contains(Oid oid) const { return objects_.count(oid) > 0; }
+  bool Contains(Oid oid) const { return objects_.find(oid) != objects_.end(); }
 
   /// OIDs of the *direct* extent of `cls` (no subclasses), in OID order.
   std::vector<Oid> DirectExtent(const std::string& cls) const;
@@ -53,10 +51,15 @@ class ObjectStore {
 
   size_t size() const { return objects_.size(); }
 
-  /// Iterates all objects in OID order.
+  /// Iterates all objects in OID order. Sorts the OIDs first, so it
+  /// costs O(n log n): meant for checkpoints, not for query paths.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [oid, obj] : objects_) fn(*obj);
+    std::vector<Oid> oids;
+    oids.reserve(objects_.size());
+    for (const auto& entry : objects_) oids.push_back(entry.first);
+    std::sort(oids.begin(), oids.end());
+    for (Oid oid : oids) fn(objects_.find(oid)->second);
   }
 
   /// Drops all contents (used when loading a snapshot).
@@ -66,10 +69,15 @@ class ObjectStore {
   void set_next_oid(uint64_t v) { next_oid_ = v; }
 
  private:
-  // std::map keeps deterministic OID-ordered iteration, which the query
-  // evaluator and snapshot writer rely on for reproducible output.
-  std::map<Oid, std::unique_ptr<DbObject>> objects_;
-  std::unordered_map<std::string, std::set<Oid>> extents_;
+  // Hash table: the join looks every binding up here, so lookup must be
+  // O(1). Nodes never move, so the DbObject pointers Get() hands out
+  // stay valid across later inserts. Ordered iteration (snapshots) goes
+  // through ForEach, which sorts.
+  std::unordered_map<Oid, DbObject> objects_;
+  // Direct extent of each class as a vector sorted by OID. OIDs are
+  // allocated in increasing order, so an insert is normally an append;
+  // recovery and aborted deletes re-insert in the middle.
+  std::unordered_map<std::string, std::vector<Oid>> extents_;
   uint64_t next_oid_ = 1;
 };
 

@@ -225,7 +225,7 @@ StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
       bp.candidates = std::move(sorted);
       bp.estimate = bp.candidates->size();
     } else {
-      bp.estimate = db_->Extent(b.class_name).size();
+      bp.estimate = db_->ExtentSize(b.class_name);
       // Planner sees the true extent size here — snapshot it for the
       // cost model.
       obs::StatisticsService::Instance().RecordExtentCardinality(
@@ -649,10 +649,12 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
     return EmitRow(query, env, result);
   }
   const BindingPlan& bp = plan[depth];
-  std::vector<Oid> candidates =
-      bp.candidates.has_value()
-          ? *bp.candidates
-          : db_->Extent(bp.binding.class_name, /*include_subclasses=*/true);
+  std::vector<Oid> extent;
+  if (!bp.candidates.has_value()) {
+    extent = db_->Extent(bp.binding.class_name, /*include_subclasses=*/true);
+  }
+  const std::vector<Oid>& candidates =
+      bp.candidates.has_value() ? *bp.candidates : extent;
   QueryContext* ctx = QueryContext::Current();
   for (Oid oid : candidates) {
     if (*partial_stop) break;

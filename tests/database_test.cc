@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
+#include "common/file_util.h"
 #include "oodb/builtins.h"
 
 namespace sdms::oodb {
@@ -94,6 +96,37 @@ TEST(DatabaseTest, ExtentWithSubclasses) {
   EXPECT_EQ(db->Extent("SPECIALPARA").size(), 1u);
 }
 
+TEST(DatabaseTest, ExtentSizeMatchesExtentWithSubclasses) {
+  auto db = OpenMem();
+  DefineDocSchema(*db);
+  ClassDef special;
+  special.name = "SPECIALPARA";
+  special.super = "PARA";
+  ASSERT_TRUE(db->schema().DefineClass(std::move(special)).ok());
+  ClassDef rare;
+  rare.name = "RAREPARA";
+  rare.super = "SPECIALPARA";
+  ASSERT_TRUE(db->schema().DefineClass(std::move(rare)).ok());
+  // Interleave the classes so the merged extent must reorder parts.
+  std::vector<Oid> created;
+  for (const char* cls : {"SPECIALPARA", "PARA", "RAREPARA", "PARA",
+                          "SPECIALPARA", "RAREPARA", "PARA"}) {
+    auto oid = db->CreateObject(cls);
+    ASSERT_TRUE(oid.ok());
+    created.push_back(*oid);
+  }
+  ASSERT_TRUE(db->DeleteObject(created[3]).ok());
+  for (const char* cls : {"PARA", "SPECIALPARA", "RAREPARA", "Object"}) {
+    std::vector<Oid> extent = db->Extent(cls);
+    EXPECT_EQ(db->ExtentSize(cls), extent.size()) << cls;
+    EXPECT_TRUE(std::is_sorted(extent.begin(), extent.end())) << cls;
+  }
+  EXPECT_EQ(db->ExtentSize("PARA"), 6u);
+  EXPECT_EQ(db->ExtentSize("SPECIALPARA"), 4u);
+  EXPECT_EQ(db->ExtentSize("RAREPARA"), 2u);
+  EXPECT_EQ(db->ExtentSize("NOSUCHCLASS"), 0u);
+}
+
 TEST(DatabaseTest, TransactionCommitGroupsUpdates) {
   auto db = OpenMem();
   DefineDocSchema(*db);
@@ -173,6 +206,71 @@ TEST(DatabaseTest, MethodInvocation) {
   ASSERT_TRUE(cls.ok());
   EXPECT_EQ(cls->as_string(), "PARA");
   EXPECT_FALSE(db->Invoke(*oid, "noSuchMethod", {}).ok());
+}
+
+MethodFn Returns(const char* tag) {
+  return [tag](const MethodContext&, Oid,
+               const std::vector<Value>&) -> StatusOr<Value> {
+    return Value(tag);
+  };
+}
+
+TEST(DatabaseTest, ResolveWalksThreeLevelChain) {
+  auto db = OpenMem();
+  DefineDocSchema(*db);  // Object <- PARA
+  ClassDef mid;
+  mid.name = "MIDPARA";
+  mid.super = "PARA";
+  ASSERT_TRUE(db->schema().DefineClass(std::move(mid)).ok());
+  ClassDef leaf;
+  leaf.name = "LEAFPARA";
+  leaf.super = "MIDPARA";
+  ASSERT_TRUE(db->schema().DefineClass(std::move(leaf)).ok());
+  MethodRegistry& methods = db->methods();
+  methods.Register("PARA", "kind", Returns("para"));
+  methods.Register("MIDPARA", "depth", Returns("mid"));
+  auto leaf_oid = db->CreateObject("LEAFPARA");
+  ASSERT_TRUE(leaf_oid.ok());
+  // Inherited across two levels, one level, and from the root builtins.
+  EXPECT_EQ(db->Invoke(*leaf_oid, "kind", {})->as_string(), "para");
+  EXPECT_EQ(db->Invoke(*leaf_oid, "depth", {})->as_string(), "mid");
+  EXPECT_EQ(db->Invoke(*leaf_oid, "className", {})->as_string(), "LEAFPARA");
+  auto para_oid = db->CreateObject("PARA");
+  ASSERT_TRUE(para_oid.ok());
+  // Methods never leak down the chain.
+  EXPECT_FALSE(db->Invoke(*para_oid, "depth", {}).ok());
+  EXPECT_TRUE(methods.Has(db->schema(), "LEAFPARA", "kind"));
+  EXPECT_FALSE(methods.Has(db->schema(), "PARA", "depth"));
+  EXPECT_FALSE(methods.Has(db->schema(), "NOSUCHCLASS", "kind"));
+
+  // A subclass override shadows the inherited implementation.
+  methods.Register("LEAFPARA", "kind", Returns("leaf"));
+  EXPECT_EQ(db->Invoke(*leaf_oid, "kind", {})->as_string(), "leaf");
+  EXPECT_EQ(db->Invoke(*para_oid, "kind", {})->as_string(), "para");
+}
+
+TEST(DatabaseTest, ResolveOverrideInPlace) {
+  auto db = OpenMem();
+  DefineDocSchema(*db);
+  db->methods().Register("PARA", "kind", Returns("v1"));
+  auto oid = db->CreateObject("PARA");
+  ASSERT_TRUE(oid.ok());
+  EXPECT_EQ(db->Invoke(*oid, "kind", {})->as_string(), "v1");
+  db->methods().Register("PARA", "kind", Returns("v2"));
+  EXPECT_EQ(db->Invoke(*oid, "kind", {})->as_string(), "v2");
+}
+
+TEST(DatabaseTest, ResolveForSubclassDefinedAfterRegistration) {
+  auto db = OpenMem();
+  DefineDocSchema(*db);
+  db->methods().Register("PARA", "kind", Returns("para"));
+  ClassDef late;
+  late.name = "LATEPARA";
+  late.super = "PARA";
+  ASSERT_TRUE(db->schema().DefineClass(std::move(late)).ok());
+  auto oid = db->CreateObject("LATEPARA");
+  ASSERT_TRUE(oid.ok());
+  EXPECT_EQ(db->Invoke(*oid, "kind", {})->as_string(), "para");
 }
 
 TEST(DatabaseTest, IndexLookupAndMaintenance) {
@@ -337,6 +435,43 @@ TEST_F(PersistentDatabaseTest, CheckpointAndRecover) {
     auto fresh = (*db)->CreateObject("PARA");
     ASSERT_TRUE(fresh.ok());
     EXPECT_GT(fresh->raw(), oid.raw());
+  }
+}
+
+TEST_F(PersistentDatabaseTest, SnapshotRoundTripIsByteIdentical) {
+  const std::string snapshot = dir_ + "/snapshot.db";
+  std::string first;
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok());
+    DefineDocSchema(**db);
+    std::vector<Oid> oids;
+    for (int i = 0; i < 20; ++i) {
+      auto oid = (*db)->CreateObject("PARA");
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE((*db)->SetAttribute(*oid, "YEAR", Value(1990 + i)).ok());
+      oids.push_back(*oid);
+    }
+    for (int i : {3, 11, 17}) ASSERT_TRUE((*db)->DeleteObject(oids[i]).ok());
+    // An aborted delete re-inserts its object behind newer ones.
+    TxnId txn = (*db)->Begin();
+    ASSERT_TRUE((*db)->DeleteObject(oids[5], txn).ok());
+    ASSERT_TRUE((*db)->CreateObject("PARA", txn).ok());
+    ASSERT_TRUE((*db)->Abort(txn).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    auto bytes = ReadFile(snapshot);
+    ASSERT_TRUE(bytes.ok());
+    first = *bytes;
+  }
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok());
+    DefineDocSchema(**db);
+    EXPECT_EQ((*db)->ExtentSize("PARA"), 17u);
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    auto bytes = ReadFile(snapshot);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(*bytes, first);
   }
 }
 

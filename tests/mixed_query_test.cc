@@ -125,6 +125,23 @@ TEST(MixedQueryTest, MultipleRestrictionsIntersect) {
   EXPECT_NE(text->find("P4"), std::string::npos);
 }
 
+TEST(MixedQueryTest, IrsFirstLeavesUnrepresentedClassToIndependent) {
+  // `paras` represents PARA only; MMFDOC values are derived from the
+  // paragraphs, so IRS-first must not restrict `d` to PARA OIDs.
+  auto sys = MakeFigure4System();
+  MixedQueryEvaluator eval(sys->coupling.get());
+  const std::string query =
+      "ACCESS d FROM d IN MMFDOC WHERE d.YEAR == 1994 AND "
+      "d -> getIRSValue('paras', 'www') > 0.45";
+  auto independent = eval.Run(query, Strategy::kIndependent);
+  ASSERT_TRUE(independent.ok()) << independent.status().ToString();
+  auto irs_first = eval.Run(query, Strategy::kIrsFirst);
+  ASSERT_TRUE(irs_first.ok()) << irs_first.status().ToString();
+  EXPECT_EQ(eval.last_run().irs_restrictions, 0u);
+  EXPECT_FALSE(independent->rows.empty());
+  EXPECT_EQ(RowOids(*independent), RowOids(*irs_first));
+}
+
 TEST(MixedQueryTest, UnknownCollectionFails) {
   auto sys = MakeFigure4System();
   MixedQueryEvaluator eval(sys->coupling.get());

@@ -84,6 +84,70 @@ TEST(ObjectStoreTest, ForEachOidOrder) {
   EXPECT_EQ(seen[2], 9u);
 }
 
+std::vector<uint64_t> ForEachOids(const ObjectStore& store) {
+  std::vector<uint64_t> seen;
+  store.ForEach([&](const DbObject& o) { seen.push_back(o.oid().raw()); });
+  return seen;
+}
+
+std::vector<uint64_t> Raw(const std::vector<Oid>& oids) {
+  std::vector<uint64_t> out;
+  for (Oid oid : oids) out.push_back(oid.raw());
+  return out;
+}
+
+TEST(ObjectStoreTest, ForEachOidOrderAfterInterleavedInsertRemove) {
+  ObjectStore store;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
+  }
+  ASSERT_TRUE(store.Remove(Oid(2)).ok());
+  ASSERT_TRUE(store.Remove(Oid(5)).ok());
+  ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "B")).ok());  // 7
+  ASSERT_TRUE(store.Remove(Oid(1)).ok());
+  // Re-inserting a removed OID, as an aborted delete or WAL replay
+  // does, lands it in the middle.
+  ASSERT_TRUE(store.Insert(DbObject(Oid(2), "A")).ok());
+  EXPECT_EQ(ForEachOids(store), (std::vector<uint64_t>{2, 3, 4, 6, 7}));
+  EXPECT_EQ(Raw(store.DirectExtent("A")), (std::vector<uint64_t>{2, 3, 4, 6}));
+  EXPECT_EQ(Raw(store.DirectExtent("B")), (std::vector<uint64_t>{7}));
+}
+
+TEST(ObjectStoreTest, DirectExtentSortedAfterOutOfOrderInserts) {
+  // WAL replay after a snapshot can insert below OIDs already present.
+  ObjectStore store;
+  for (uint64_t raw : {40, 10, 30, 50, 20, 5, 45}) {
+    ASSERT_TRUE(store.Insert(DbObject(Oid(raw), "PARA")).ok());
+  }
+  EXPECT_EQ(Raw(store.DirectExtent("PARA")),
+            (std::vector<uint64_t>{5, 10, 20, 30, 40, 45, 50}));
+  ASSERT_TRUE(store.Remove(Oid(30)).ok());
+  ASSERT_TRUE(store.Remove(Oid(5)).ok());
+  ASSERT_TRUE(store.Remove(Oid(50)).ok());
+  EXPECT_EQ(Raw(store.DirectExtent("PARA")),
+            (std::vector<uint64_t>{10, 20, 40, 45}));
+  EXPECT_EQ(store.DirectExtentSize("PARA"), 4u);
+  EXPECT_EQ(ForEachOids(store), (std::vector<uint64_t>{10, 20, 40, 45}));
+  EXPECT_EQ(store.next_oid(), 51u);
+}
+
+TEST(ObjectStoreTest, GetPointerStableAcrossInserts) {
+  ObjectStore store;
+  Oid first = store.AllocateOid();
+  ASSERT_TRUE(store.Insert(DbObject(first, "A")).ok());
+  auto got = store.Get(first);
+  ASSERT_TRUE(got.ok());
+  DbObject* ptr = *got;
+  // Enough inserts to rehash the table several times.
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
+  }
+  auto again = store.Get(first);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, ptr);
+  EXPECT_EQ(ptr->oid(), first);
+}
+
 TEST(ObjectStoreTest, Clear) {
   ObjectStore store;
   ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());

@@ -68,6 +68,37 @@ TEST(ResultBufferTest, LruEviction) {
   EXPECT_NE(buf.Get("c"), nullptr);
 }
 
+TEST(ResultBufferTest, LruEvictionOrderFollowsHits) {
+  ResultBuffer buf(3);
+  buf.Put("a", {{Oid(1), 1.0}});
+  buf.Put("b", {{Oid(2), 1.0}});
+  buf.Put("c", {{Oid(3), 1.0}});
+  // Recency after these hits, oldest first: c, a, b.
+  EXPECT_NE(buf.Get("b"), nullptr);
+  EXPECT_NE(buf.Get("a"), nullptr);
+  EXPECT_NE(buf.Get("b"), nullptr);
+  buf.Put("d", {{Oid(4), 1.0}});  // evicts c
+  EXPECT_EQ(buf.evictions(), 1u);
+  buf.Put("e", {{Oid(5), 1.0}});  // evicts a
+  EXPECT_EQ(buf.evictions(), 2u);
+  // Serialize writes LRU order, oldest first: b, d, e.
+  ResultBuffer restored(3);
+  ASSERT_TRUE(restored.Restore(buf.Serialize()).ok());
+  restored.Put("f", {{Oid(6), 1.0}});  // evicts b
+  EXPECT_EQ(restored.Get("b"), nullptr);
+  EXPECT_NE(restored.Get("d"), nullptr);
+  EXPECT_NE(restored.Get("e"), nullptr);
+  EXPECT_NE(restored.Get("f"), nullptr);
+  EXPECT_EQ(buf.Get("a"), nullptr);
+  EXPECT_EQ(buf.Get("c"), nullptr);
+  EXPECT_NE(buf.Get("b"), nullptr);
+  // A Put that replaces an entry refreshes it too.
+  buf.Put("d", {{Oid(7), 1.0}});  // recency: e, b, d
+  buf.Put("g", {{Oid(8), 1.0}});  // evicts e
+  EXPECT_EQ(buf.Get("e"), nullptr);
+  EXPECT_NE(buf.Get("d"), nullptr);
+}
+
 TEST(ResultBufferTest, PersistRoundTrip) {
   ResultBuffer buf;
   buf.Put("#and(www nii)", {{Oid(1), 0.62}, {Oid(2), 0.41}});
