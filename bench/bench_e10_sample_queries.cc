@@ -89,7 +89,7 @@ void Run() {
   std::printf(
       "\nBoth sample queries required %llu IRS submissions in total —\n"
       "one per distinct IRS query — with every per-object probe served\n"
-      "from the persistent result buffer.\n",
+      "from the result buffer.\n",
       static_cast<unsigned long long>(stats.irs_queries));
 }
 

@@ -1,4 +1,4 @@
-// E4 — Sections 4.2/4.5: the persistent IRS-result buffer.
+// E4 — Sections 4.2/4.5: the IRS-result buffer.
 //
 // The paper buffers getIRSResult outputs "for both intra- and inter-
 // query optimization". This bench quantifies:
@@ -6,9 +6,7 @@
 //      against one IRS query — with the buffer (plus the semantic
 //      prepare hook) this costs a single IRS call;
 //  (b) inter-query: a Zipf-distributed stream of getIRSValue calls
-//      across a query pool — hit rate and latency vs a bufferless run;
-//  (c) persistence: a serialized buffer restored in a fresh session
-//      answers without touching the IRS at all.
+//      across a query pool — hit rate and latency vs a bufferless run.
 
 #include <memory>
 
@@ -123,36 +121,8 @@ void Run() {
     table.Print();
     std::printf("%d getIRSValue calls, %d distinct IRS queries (Zipf 1.2)\n",
                 kCalls, kQueryPool);
-    std::printf("statistics service EWMA hit rate for 'paras': %.3f\n\n",
+    std::printf("statistics service EWMA hit rate for 'paras': %.3f\n",
                 obs::StatisticsService::Instance().BufferHitRate("paras"));
-  }
-
-  // ---------- (c) persistence across sessions ----------
-  std::printf("--- (c) buffer persistence ---\n");
-  {
-    coupling::CouplingOptions opts;
-    auto sys = MakeSystem(copts, opts);
-    auto* coll = MakeIndexedCollection(*sys, "paras",
-                                       "ACCESS p FROM p IN PARA",
-                                       coupling::kTextModeSubtree);
-    for (const char* q : {"www", "nii", "telnet"}) {
-      if (!coll->GetIrsResult(q).ok()) std::abort();
-    }
-    std::string blob = coll->SerializeBuffer();
-
-    auto sys2 = MakeSystem(copts, opts);
-    auto* coll2 = MakeIndexedCollection(*sys2, "paras",
-                                        "ACCESS p FROM p IN PARA",
-                                        coupling::kTextModeSubtree);
-    if (!coll2->RestoreBuffer(blob).ok()) std::abort();
-    for (const char* q : {"www", "nii", "telnet"}) {
-      if (!coll2->GetIrsResult(q).ok()) std::abort();
-    }
-    std::printf(
-        "session 2 answered 3 previously-buffered queries with %llu IRS\n"
-        "calls (buffer restored from %zu bytes).\n",
-        static_cast<unsigned long long>(coll2->stats().irs_queries),
-        blob.size());
   }
 }
 

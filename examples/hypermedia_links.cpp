@@ -77,7 +77,8 @@ int main() {
   auto plain_hits = (*plain)->GetIrsResult(kQuery);
   auto linked_hits = (*linked)->GetIrsResult(kQuery);
   if (!plain_hits.ok() || !linked_hits.ok()) return 1;
-  auto score = [](const coupling::OidScoreMap* m, Oid oid) {
+  auto score = [](const std::shared_ptr<const coupling::OidScoreMap>& m,
+                  Oid oid) {
     auto it = m->find(oid);
     return it == m->end() ? 0.0 : it->second;
   };

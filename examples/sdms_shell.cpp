@@ -306,7 +306,7 @@ Status Shell::Dispatch(const std::string& line) {
     std::getline(in, query);
     SDMS_ASSIGN_OR_RETURN(coupling::Collection * coll,
                           coupling->GetCollectionByName(name));
-    SDMS_ASSIGN_OR_RETURN(const coupling::OidScoreMap* result,
+    SDMS_ASSIGN_OR_RETURN(std::shared_ptr<const coupling::OidScoreMap> result,
                           coll->GetIrsResult(std::string(Trim(query))));
     // Top 10 by score.
     std::vector<std::pair<double, Oid>> ranked;

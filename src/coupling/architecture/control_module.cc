@@ -28,11 +28,8 @@ StatusOr<std::vector<ControlModule::ResultRow>> ControlModule::Run(
   for (const irs::SearchHit& h : hits) {
     if (h.score <= query.threshold) continue;
     if (!StartsWith(h.key, "oid:")) continue;
-    try {
-      temp_table.emplace(Oid(std::stoull(h.key.substr(4))), h.score);
-    } catch (...) {
-      return Status::Corruption("malformed OID key: " + h.key);
-    }
+    SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(h.key));
+    temp_table.emplace(oid, h.score);
   }
 
   // (2) Structure part: run against the DBMS.

@@ -201,29 +201,6 @@ StatusOr<bool> Collection::SatisfiesSpec(Oid oid) {
 // Query path (Figure 3)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Maps IRS hits (keys "oid:<n>") back to database objects.
-Status HitsToOidMap(const std::vector<irs::SearchHit>& hits,
-                    OidScoreMap* out) {
-  for (const irs::SearchHit& h : hits) {
-    // Keys are "oid:<n>" (the OID stored as IRS document meta data).
-    if (!StartsWith(h.key, "oid:")) {
-      return Status::Corruption("IRS document key without OID: " + h.key);
-    }
-    uint64_t raw = 0;
-    try {
-      raw = std::stoull(h.key.substr(4));
-    } catch (...) {
-      return Status::Corruption("malformed OID key: " + h.key);
-    }
-    out->emplace(Oid(raw), h.score);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 void Collection::EnsureShardGuards(size_t num_shards) {
   while (shard_guards_.size() < num_shards) {
     size_t s = shard_guards_.size();
@@ -344,8 +321,9 @@ void Collection::TeeOpsToRemote(irs::IrsCollection* coll, size_t shard,
 StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
     irs::IrsCollection* coll, const std::string& irs_query, bool* partial) {
   // Parse once and snapshot the corpus-wide statistics every shard
-  // scores against — this is what keeps an N-shard merged ranking
-  // bit-identical to the single-shard one.
+  // scores against — this is what keeps an N-shard merged result
+  // bit-identical to the single-shard one. Unbounded (k = 0): the
+  // result is keyed by OID, so no ranking is ever needed here.
   SDMS_ASSIGN_OR_RETURN(irs::IrsCollection::SearchPlan plan,
                         coll->PrepareSearch(irs_query, 0));
   const size_t n = coll->num_shards();
@@ -474,10 +452,7 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
                    << failed_names << " failed (" << ok_shards << "/" << n
                    << " shards answered): " << first_failure.ToString();
   }
-  OidScoreMap out;
-  SDMS_RETURN_IF_ERROR(HitsToOidMap(
-      irs::IrsCollection::MergeShardHits(std::move(per_shard), plan.k), &out));
-  return out;
+  return OidScoreMapFromHits(per_shard);
 }
 
 StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
@@ -506,7 +481,6 @@ StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
   // under the guard: a transient failure is retried from scratch, so a
   // retry always parses a freshly written result file.
   Status submit = guard_.Run("irs_query", [&]() -> Status {
-    out.clear();
     SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
     std::vector<irs::SearchHit> hits;
     // The paper's original mechanism: "the IRS writes the result to a
@@ -530,15 +504,22 @@ StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
     ++stats_.files_exchanged;
     if (RemoveFile(path).ok()) Metrics().exchange_cleaned.Increment();
     SDMS_ASSIGN_OR_RETURN(hits, std::move(hits_or));
-    return HitsToOidMap(hits, &out);
+    SDMS_ASSIGN_OR_RETURN(out, OidScoreMapFromHits({&hits, 1}));
+    return Status::OK();
   });
   SDMS_RETURN_IF_ERROR(submit);
   Metrics().irs_query_us.Record(static_cast<double>(span.ElapsedMicros()));
   return out;
 }
 
-StatusOr<const OidScoreMap*> Collection::GetIrsResult(
+StatusOr<std::shared_ptr<const OidScoreMap>> Collection::GetIrsResult(
     const std::string& irs_query, bool* served_stale) {
+  return ResolveIrsResult(irs_query, served_stale, kNullOid, nullptr);
+}
+
+StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
+    const std::string& irs_query, bool* served_stale, Oid probe_oid,
+    ResultBuffer::Probe* probe) {
   if (served_stale != nullptr) *served_stale = false;
   // Explicit cancellation stops the query outright — no buffer hit, no
   // stale serve. (An expired deadline is NOT short-circuited here: the
@@ -549,80 +530,96 @@ StatusOr<const OidScoreMap*> Collection::GetIrsResult(
       qctx->stop_reason() == QueryContext::StopReason::kCancelled) {
     return qctx->StopStatus();
   }
-  // Serves the buffered result when the IRS is unavailable: pending
-  // updates stay queued, the caller sees an explicitly flagged stale
-  // answer instead of an error. Only transient failures degrade this
-  // way — logic errors propagate.
-  auto maybe_serve_stale =
-      [&](const Status& failure) -> const OidScoreMap* {
-    if (!IsUnavailable(failure)) return nullptr;
-    if (!coupling_->options().serve_stale ||
-        coupling_->options().disable_buffering) {
-      return nullptr;
+  // One counted buffer access: the whole result, or with `probe` only
+  // the value of `probe_oid`. True when the query is buffered.
+  std::shared_ptr<const OidScoreMap> buffered;
+  auto read_buffer = [&]() {
+    if (probe != nullptr) {
+      *probe = buffer_.Lookup(irs_query, probe_oid);
+      return probe->hit;
     }
-    const OidScoreMap* buffered = buffer_.Get(irs_query);
-    if (buffered == nullptr) return nullptr;
+    buffered = buffer_.Get(irs_query);
+    return buffered != nullptr;
+  };
+  Status propagated = MaybePropagate();
+  if (!propagated.ok()) {
+    // Serves the buffered result when the IRS is unavailable: pending
+    // updates stay queued, the caller sees an explicitly flagged stale
+    // answer instead of an error. Only transient failures degrade this
+    // way — logic errors propagate.
+    if (!IsUnavailable(propagated) || !coupling_->options().serve_stale ||
+        coupling_->options().disable_buffering || !read_buffer()) {
+      return propagated;
+    }
     ++stats_.stale_serves;
     Metrics().stale_serves.Increment();
     obs::ProfileCount("stale_serves");
     obs::ProfileAnnotate("degradation_reason",
-                         "stale buffer serve: " + failure.ToString());
+                         "stale buffer serve: " + propagated.ToString());
     if (served_stale != nullptr) *served_stale = true;
     SDMS_LOG(WARN) << "serving stale buffered result for '" << irs_query
-                   << "' on '" << irs_name_ << "': " << failure.ToString();
+                   << "' on '" << irs_name_ << "': " << propagated.ToString();
     return buffered;
-  };
-  Status propagated = MaybePropagate();
-  if (!propagated.ok()) {
-    if (const OidScoreMap* stale = maybe_serve_stale(propagated)) return stale;
-    return propagated;
   }
-  if (!coupling_->options().disable_buffering) {
-    obs::ProfileStageScope lookup_stage("buffer_lookup");
-    const OidScoreMap* buffered = buffer_.Get(irs_query);
-    if (buffered != nullptr) {
-      ++stats_.buffer_hits;
-      obs::ProfileCount("buffer_hits");
-      obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, true);
-      return buffered;
-    }
+  auto note_miss = [&]() {
     ++stats_.buffer_misses;
     obs::ProfileCount("buffer_misses");
     obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, false);
-    bool partial = false;
-    SDMS_ASSIGN_OR_RETURN(OidScoreMap result, RunIrsQuery(irs_query, &partial));
-    if (partial) {
-      // A degraded partial result never enters the persistent buffer:
-      // once the failed shard recovers, the next query must see the
-      // complete ranking, not a cached partial one presented as fresh.
-      unbuffered_result_ = std::move(result);
-      return &unbuffered_result_;
-    }
-    buffer_.Put(irs_query, std::move(result));
-    return buffer_.Get(irs_query);
+  };
+  if (coupling_->options().disable_buffering) {
+    note_miss();
+    SDMS_ASSIGN_OR_RETURN(OidScoreMap result, RunIrsQuery(irs_query));
+    return std::make_shared<const OidScoreMap>(std::move(result));
   }
-  ++stats_.buffer_misses;
-  obs::ProfileCount("buffer_misses");
-  obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, false);
-  SDMS_ASSIGN_OR_RETURN(unbuffered_result_, RunIrsQuery(irs_query));
-  return &unbuffered_result_;
+  obs::ProfileStageScope lookup_stage("buffer_lookup");
+  if (read_buffer()) {
+    ++stats_.buffer_hits;
+    obs::ProfileCount("buffer_hits");
+    obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, true);
+    return buffered;
+  }
+  note_miss();
+  bool partial = false;
+  SDMS_ASSIGN_OR_RETURN(OidScoreMap result, RunIrsQuery(irs_query, &partial));
+  if (partial) {
+    // A degraded partial result never enters the buffer: once the
+    // failed shard recovers, the next query must see the complete
+    // ranking, not a cached partial one presented as fresh.
+    return std::make_shared<const OidScoreMap>(std::move(result));
+  }
+  std::shared_ptr<const OidScoreMap> stored =
+      buffer_.Put(irs_query, std::move(result));
+  // Served through Get, so the first read of a fetched result counts as
+  // a buffer hit like every later read. Get finds nothing only if
+  // another thread cleared the buffer in between.
+  buffered = buffer_.Get(irs_query);
+  return buffered != nullptr ? buffered : stored;
 }
 
 StatusOr<double> Collection::FindIrsValue(const std::string& irs_query,
                                           Oid obj, bool* degraded) {
   if (degraded != nullptr) *degraded = false;
   bool stale = false;
-  StatusOr<const OidScoreMap*> result_or = GetIrsResult(irs_query, &stale);
+  ResultBuffer::Probe probe;
+  StatusOr<std::shared_ptr<const OidScoreMap>> result_or =
+      ResolveIrsResult(irs_query, &stale, obj, &probe);
   if (result_or.ok()) {
     if (stale && degraded != nullptr) *degraded = true;
-    const OidScoreMap* result = *result_or;
-    auto it = result->find(obj);
-    if (it != result->end()) return it->second;
+    using Source = ResultBuffer::Probe::Source;
+    if (const OidScoreMap* fetched = result_or->get(); fetched != nullptr) {
+      // Fresh from the IRS (a miss, or buffering is off): no derived
+      // values exist for it yet.
+      auto it = fetched->find(obj);
+      if (it != fetched->end()) return it->second;
+    } else if (probe.source == Source::kIrs) {
+      return probe.value;
+    }
     if (Represents(obj)) {
       // Represented but not retrieved: the IRS assigned no evidence;
       // the object scores the query's null belief.
       return NullScore(irs_query);
     }
+    if (probe.source == Source::kDerived) return probe.value;
     // Not represented: force the object to derive its value and insert
     // the result into the buffer (Figure 3). Stale results are left
     // untouched — they are invalidated wholesale once the IRS is back.
@@ -1161,21 +1158,16 @@ StatusOr<ConsistencyReport> Collection::VerifyConsistency() {
   SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
                         coupling_->irs().GetCollection(irs_name_));
   std::set<Oid> indexed;
-  std::string bad_key;
+  Status bad_key = Status::OK();
   coll->ForEachDoc([&](size_t, irs::DocId, const irs::DocInfo& info) {
-    if (!StartsWith(info.key, "oid:")) {
-      bad_key = info.key;
-      return;
-    }
-    try {
-      indexed.insert(Oid(std::stoull(info.key.substr(4))));
-    } catch (...) {
-      bad_key = info.key;
+    StatusOr<Oid> oid = ParseOidKey(info.key);
+    if (oid.ok()) {
+      indexed.insert(*oid);
+    } else if (bad_key.ok()) {
+      bad_key = oid.status();
     }
   });
-  if (!bad_key.empty()) {
-    return Status::Corruption("IRS document key without OID: " + bad_key);
-  }
+  SDMS_RETURN_IF_ERROR(bad_key);
   ConsistencyReport report;
   std::set_difference(expected.begin(), expected.end(), indexed.begin(),
                       indexed.end(),
@@ -1211,11 +1203,8 @@ Status Collection::Repair() {
   // can drift when a crash interrupted IndexObjects or a batch).
   represented_.clear();
   coll->ForEachDoc([&](size_t, irs::DocId, const irs::DocInfo& info) {
-    if (!StartsWith(info.key, "oid:")) return;
-    try {
-      represented_.insert(Oid(std::stoull(info.key.substr(4))));
-    } catch (...) {
-    }
+    StatusOr<Oid> oid = ParseOidKey(info.key);
+    if (oid.ok()) represented_.insert(*oid);
   });
   if (!report.consistent()) {
     buffer_.Clear();
@@ -1248,67 +1237,81 @@ Status Collection::Repair() {
 
 namespace {
 
+/// Belief of one candidate under `op`, from its value in each operand.
+double CombineBeliefs(irs::QueryOp op, const std::vector<double>& values,
+                      const std::vector<double>& weights) {
+  switch (op) {
+    case irs::QueryOp::kAnd: {
+      double b = 1.0;
+      for (double v : values) b *= v;
+      return b;
+    }
+    case irs::QueryOp::kOr: {
+      double b = 1.0;
+      for (double v : values) b *= 1.0 - v;
+      return 1.0 - b;
+    }
+    case irs::QueryOp::kSum: {
+      double sum = 0.0;
+      for (double v : values) sum += v;
+      return values.empty() ? 0.0
+                            : sum / static_cast<double>(values.size());
+    }
+    case irs::QueryOp::kWsum: {
+      double sum = 0.0;
+      double wsum = 0.0;
+      for (size_t i = 0; i < values.size(); ++i) {
+        double w = i < weights.size() ? weights[i] : 1.0;
+        sum += w * values[i];
+        wsum += w;
+      }
+      return wsum > 0.0 ? sum / wsum : 0.0;
+    }
+    case irs::QueryOp::kMax: {
+      double best = 0.0;
+      for (double v : values) best = std::max(best, v);
+      return best;
+    }
+    default:
+      return 0.0;
+  }
+}
+
 /// Combines operand score maps with the INQUERY operator semantics,
 /// using `missing` as the belief of a document absent from an operand.
-OidScoreMap CombineMaps(irs::QueryOp op,
-                        const std::vector<OidScoreMap>& operands,
-                        const std::vector<double>& weights, double missing) {
-  OidScoreMap out;
-  // Candidate union.
-  for (const OidScoreMap& m : operands) {
-    for (const auto& [oid, score] : m) out[oid] = 0.0;
-  }
-  auto value_of = [missing](const OidScoreMap& m, Oid oid) {
-    auto it = m.find(oid);
-    return it == m.end() ? missing : it->second;
-  };
-  for (auto& [oid, score] : out) {
-    switch (op) {
-      case irs::QueryOp::kAnd: {
-        double b = 1.0;
-        for (const OidScoreMap& m : operands) b *= value_of(m, oid);
-        score = b;
-        break;
+/// The candidates are the union of the operands' OIDs, found by one
+/// merge over the OID-sorted operands.
+OidScoreMap CombineMaps(
+    irs::QueryOp op,
+    const std::vector<std::shared_ptr<const OidScoreMap>>& operands,
+    const std::vector<double>& weights, double missing) {
+  const size_t n = operands.size();
+  std::vector<OidScoreMap::const_iterator> pos(n);
+  for (size_t i = 0; i < n; ++i) pos[i] = operands[i]->begin();
+  std::vector<double> values(n);
+  std::vector<OidScoreMap::value_type> out;
+  while (true) {
+    // The next candidate is the smallest OID any operand has left.
+    bool any = false;
+    Oid next;
+    for (size_t i = 0; i < n; ++i) {
+      if (pos[i] != operands[i]->end() && (!any || pos[i]->first < next)) {
+        next = pos[i]->first;
+        any = true;
       }
-      case irs::QueryOp::kOr: {
-        double b = 1.0;
-        for (const OidScoreMap& m : operands) b *= 1.0 - value_of(m, oid);
-        score = 1.0 - b;
-        break;
-      }
-      case irs::QueryOp::kSum: {
-        double sum = 0.0;
-        for (const OidScoreMap& m : operands) sum += value_of(m, oid);
-        score = operands.empty()
-                    ? 0.0
-                    : sum / static_cast<double>(operands.size());
-        break;
-      }
-      case irs::QueryOp::kWsum: {
-        double sum = 0.0;
-        double wsum = 0.0;
-        for (size_t i = 0; i < operands.size(); ++i) {
-          double w = i < weights.size() ? weights[i] : 1.0;
-          sum += w * value_of(operands[i], oid);
-          wsum += w;
-        }
-        score = wsum > 0.0 ? sum / wsum : 0.0;
-        break;
-      }
-      case irs::QueryOp::kMax: {
-        double best = 0.0;
-        for (const OidScoreMap& m : operands) {
-          best = std::max(best, value_of(m, oid));
-        }
-        score = best;
-        break;
-      }
-      default:
-        score = 0.0;
-        break;
     }
+    if (!any) break;
+    for (size_t i = 0; i < n; ++i) {
+      if (pos[i] != operands[i]->end() && pos[i]->first == next) {
+        values[i] = pos[i]->second;
+        ++pos[i];
+      } else {
+        values[i] = missing;
+      }
+    }
+    out.emplace_back(next, CombineBeliefs(op, values, weights));
   }
-  return out;
+  return OidScoreMap::FromSorted(std::move(out));
 }
 
 }  // namespace
@@ -1321,43 +1324,44 @@ StatusOr<OidScoreMap> Collection::EvalOperatorsInDbms(
                         irs::ParseIrsQuery(irs_query, coll->analyzer()));
 
   // Recursive evaluation: leaves hit the (buffered) IRS, inner nodes
-  // are computed here, inside the DBMS.
-  std::function<StatusOr<OidScoreMap>(const irs::QueryNode&)> eval =
-      [&](const irs::QueryNode& node) -> StatusOr<OidScoreMap> {
-    if (node.op == irs::QueryOp::kTerm) {
-      SDMS_ASSIGN_OR_RETURN(const OidScoreMap* m, GetIrsResult(node.term));
-      return *m;
-    }
+  // are computed here, inside the DBMS. Leaves share the buffered
+  // results instead of copying them.
+  using Result = std::shared_ptr<const OidScoreMap>;
+  std::function<StatusOr<Result>(const irs::QueryNode&)> eval =
+      [&](const irs::QueryNode& node) -> StatusOr<Result> {
+    if (node.op == irs::QueryOp::kTerm) return GetIrsResult(node.term);
     if (node.op == irs::QueryOp::kOdn || node.op == irs::QueryOp::kUwn) {
       // Proximity nodes cannot be recombined from term results (they
       // need positions); they are submitted to the IRS as a unit.
-      SDMS_ASSIGN_OR_RETURN(const OidScoreMap* m,
-                            GetIrsResult(node.ToString()));
-      return *m;
+      return GetIrsResult(node.ToString());
     }
     if (node.op == irs::QueryOp::kNot) {
       if (node.children.size() != 1) {
         return Status::InvalidArgument("#not takes exactly one argument");
       }
-      SDMS_ASSIGN_OR_RETURN(OidScoreMap inner, eval(*node.children[0]));
-      // Complement over the represented set.
-      OidScoreMap out;
+      SDMS_ASSIGN_OR_RETURN(Result inner, eval(*node.children[0]));
+      // Complement over the represented set, which is in OID order.
+      std::vector<OidScoreMap::value_type> out;
+      out.reserve(represented_.size());
       for (Oid oid : represented_) {
-        auto it = inner.find(oid);
-        double b = it == inner.end() ? missing_value_ : it->second;
-        out[oid] = 1.0 - b;
+        auto it = inner->find(oid);
+        double b = it == inner->end() ? missing_value_ : it->second;
+        out.emplace_back(oid, 1.0 - b);
       }
-      return out;
+      return std::make_shared<const OidScoreMap>(
+          OidScoreMap::FromSorted(std::move(out)));
     }
-    std::vector<OidScoreMap> operands;
+    std::vector<Result> operands;
     operands.reserve(node.children.size());
     for (const auto& c : node.children) {
-      SDMS_ASSIGN_OR_RETURN(OidScoreMap m, eval(*c));
+      SDMS_ASSIGN_OR_RETURN(Result m, eval(*c));
       operands.push_back(std::move(m));
     }
-    return CombineMaps(node.op, operands, node.weights, missing_value_);
+    return std::make_shared<const OidScoreMap>(
+        CombineMaps(node.op, operands, node.weights, missing_value_));
   };
-  return eval(*tree);
+  SDMS_ASSIGN_OR_RETURN(Result result, eval(*tree));
+  return *result;
 }
 
 }  // namespace sdms::coupling

@@ -45,7 +45,7 @@ struct ConsistencyReport {
 /// The database class COLLECTION (paper Section 4.2): encapsulates
 /// exactly one IRS collection. Holds the specification query and text
 /// mode that define which objects are represented and with which text;
-/// buffers IRS results persistently; propagates updates; and derives
+/// buffers IRS results; propagates updates; and derives
 /// IRS values for objects that are not represented.
 class Collection {
  public:
@@ -72,21 +72,27 @@ class Collection {
   Status IndexObjects(const std::string& spec_query, int text_mode);
 
   /// getIRSResult(IRSQuery): submits the query to the IRS (unless
-  /// buffered) and returns the dictionary ||IRSObject --> REAL||.
+  /// buffered) and returns the dictionary ||IRSObject --> REAL|| — the
+  /// IRS hits only, never values derived for unrepresented objects.
   /// Pending updates are propagated first unless the policy is kManual.
+  /// The handle stays valid however the buffer changes afterwards. A
+  /// degraded partial result, and any result while buffering is off,
+  /// is owned by the caller alone.
   ///
   /// Degraded mode: when the IRS is unavailable (guarded call failed,
   /// breaker open) and the buffer still holds the query, the buffered
   /// result is served with `*served_stale = true` — pending updates
   /// stay queued in the update log for later replay. Without a
   /// buffered result the unavailability status is returned.
-  StatusOr<const OidScoreMap*> GetIrsResult(const std::string& irs_query,
-                                            bool* served_stale = nullptr);
+  StatusOr<std::shared_ptr<const OidScoreMap>> GetIrsResult(
+      const std::string& irs_query, bool* served_stale = nullptr);
 
-  /// findIRSValue(IRSQuery, obj): the Figure 3 flow — buffered result
-  /// lookup, then the object's value; objects not represented derive
-  /// their value (deriveIRSValue) and the derived value is inserted
-  /// into the buffer.
+  /// findIRSValue(IRSQuery, obj): the Figure 3 flow — the object's
+  /// score in the (buffered) IRS result; else the query's null belief
+  /// for a represented object; else the value derived earlier, kept in
+  /// the buffer entry's side table; else deriveIRSValue, whose result
+  /// goes into that side table. A buffered query is answered under the
+  /// buffer's lock without copying the result handle.
   ///
   /// Degraded mode: when the IRS is unavailable and nothing is
   /// buffered, represented objects fall back to the query's null score
@@ -251,14 +257,19 @@ class Collection {
   /// subclass of it. Objects of any other class get derived IRS values.
   bool RepresentsClass(const std::string& cls) const;
 
-  /// Persists buffer contents (the paper's buffer is persistent).
-  std::string SerializeBuffer() const { return buffer_.Serialize(); }
-  Status RestoreBuffer(std::string_view data) {
-    return buffer_.Restore(data);
-  }
-
  private:
   friend class Coupling;
+
+  /// The shared body of GetIrsResult and FindIrsValue: cancellation,
+  /// update propagation with its stale fallback, one counted buffer
+  /// access and, on a miss, the IRS call. Without `probe` it returns
+  /// the whole result. With `probe`, a buffered (or stale-served) query
+  /// answers only `probe_oid` through ResultBuffer::Lookup into
+  /// `*probe` and the returned handle is null; a result fetched from
+  /// the IRS is returned whole.
+  StatusOr<std::shared_ptr<const OidScoreMap>> ResolveIrsResult(
+      const std::string& irs_query, bool* served_stale, Oid probe_oid,
+      ResultBuffer::Probe* probe);
 
   /// Actually submits to the IRS (in-process or file exchange). The
   /// in-process path fans the search out across the collection's
@@ -316,8 +327,6 @@ class Collection {
   std::vector<std::shared_ptr<RemoteShardChannel>> remote_channels_;
   /// Per-shard outcomes of the most recent fan-out search.
   std::vector<ShardStatusEntry> last_shard_report_;
-  /// Result storage when buffering is disabled (ablation mode).
-  OidScoreMap unbuffered_result_;
   UpdateLog update_log_;
   PropagationPolicy policy_ = PropagationPolicy::kOnQuery;
   std::unique_ptr<DerivationScheme> scheme_;

@@ -282,14 +282,9 @@ StatusOr<size_t> Coupling::RestoreCollections() {
     // gathered across every shard.
     (*irs_coll)->ForEachDoc(
         [&](size_t, irs::DocId, const irs::DocInfo& info) {
-          if (StartsWith(info.key, "oid:")) {
-            try {
-              collection->represented_.insert(
-                  Oid(std::stoull(info.key.substr(4))));
-            } catch (...) {
-              // Foreign key format: leave unrepresented.
-            }
-          }
+          // A foreign key format leaves the document unrepresented.
+          StatusOr<Oid> key_oid = ParseOidKey(info.key);
+          if (key_oid.ok()) collection->represented_.insert(*key_oid);
         });
     // Exactly-once floor: every sequenced event at or below the
     // snapshot's high-water mark is already reflected in (or cancelled
@@ -1074,7 +1069,7 @@ Status Coupling::RegisterCollectionMethods() {
         }
         SDMS_ASSIGN_OR_RETURN(Collection * coll,
                               CouplingOf(ctx)->GetCollection(self));
-        SDMS_ASSIGN_OR_RETURN(const OidScoreMap* result,
+        SDMS_ASSIGN_OR_RETURN(std::shared_ptr<const OidScoreMap> result,
                               coll->GetIrsResult(args[0].as_string()));
         ValueDict dict;
         for (const auto& [oid, score] : *result) {

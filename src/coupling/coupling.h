@@ -45,15 +45,15 @@ struct CouplingOptions {
   /// Result-buffer capacity per collection, in entries (0 = unbounded).
   size_t buffer_capacity = 0;
   /// Result-buffer byte budget per collection (approximate accounting
-  /// of query strings + score maps; 0 = unbounded).
+  /// of query strings, IRS results and derived values; 0 = unbounded).
   size_t buffer_max_bytes = 0;
-  /// Disables the persistent result buffer (ablation).
+  /// Disables the result buffer (ablation).
   bool disable_buffering = false;
   /// Retry/deadline/circuit-breaker policy for every IRS call a
   /// Collection makes on behalf of the database.
   CallGuardOptions call_guard;
   /// When the IRS is unavailable, getIRSResult may answer from the
-  /// (possibly stale) persistent result buffer, flagging the result.
+  /// (possibly stale) result buffer, flagging the result.
   bool serve_stale = true;
   /// Path of the propagation journal — the coupling-owned WAL holding
   /// the prepare/commit records of the exactly-once protocol. Empty

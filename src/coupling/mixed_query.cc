@@ -258,10 +258,10 @@ Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
       }
       return result_or.status();
     }
-    // The result map iterates in OID order, so `qualifying` is sorted.
-    const OidScoreMap* result = *result_or;
+    // The result is sorted by OID, so `qualifying` is too.
+    const OidScoreMap& result = **result_or;
     std::vector<Oid> qualifying;
-    for (const auto& [oid, score] : *result) {
+    for (const auto& [oid, score] : result) {
       if (score > r.threshold || (r.inclusive && score >= r.threshold)) {
         qualifying.push_back(oid);
       }

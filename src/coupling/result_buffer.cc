@@ -1,11 +1,6 @@
 #include "coupling/result_buffer.h"
 
-#include "oodb/storage/serializer.h"
-
 namespace sdms::coupling {
-
-using oodb::Decoder;
-using oodb::Encoder;
 
 namespace {
 
@@ -39,8 +34,7 @@ obs::Gauge& GlobalBytes() {
 
 }  // namespace
 
-const OidScoreMap* ResultBuffer::Get(const std::string& query) {
-  std::lock_guard<std::mutex> lock(mu_);
+ResultBuffer::Entry* ResultBuffer::FindCountedLocked(const std::string& query) {
   auto it = entries_.find(query);
   if (it == entries_.end()) {
     misses_.Increment();
@@ -50,31 +44,52 @@ const OidScoreMap* ResultBuffer::Get(const std::string& query) {
   hits_.Increment();
   GlobalHits().Increment();
   Touch(it->second);
-  return &it->second.result;
+  return &it->second;
 }
 
-void ResultBuffer::Put(const std::string& query, OidScoreMap result) {
+std::shared_ptr<const OidScoreMap> ResultBuffer::Get(const std::string& query) {
   std::lock_guard<std::mutex> lock(mu_);
-  PutLocked(query, std::move(result));
+  Entry* e = FindCountedLocked(query);
+  return e != nullptr ? e->result : nullptr;
 }
 
-void ResultBuffer::PutLocked(const std::string& query, OidScoreMap result) {
-  size_t new_bytes = ApproxEntryBytes(query, result);
+ResultBuffer::Probe ResultBuffer::Lookup(const std::string& query, Oid oid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Probe probe;
+  const Entry* e = FindCountedLocked(query);
+  if (e == nullptr) return probe;
+  probe.hit = true;
+  if (auto it = e->result->find(oid); it != e->result->end()) {
+    probe.source = Probe::Source::kIrs;
+    probe.value = it->second;
+  } else if (auto d = e->derived.find(oid); d != e->derived.end()) {
+    probe.source = Probe::Source::kDerived;
+    probe.value = d->second;
+  }
+  return probe;
+}
+
+std::shared_ptr<const OidScoreMap> ResultBuffer::Put(const std::string& query,
+                                                     OidScoreMap result) {
+  const size_t new_bytes = ApproxEntryBytes(query, result);
+  auto stored = std::make_shared<const OidScoreMap>(std::move(result));
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(query);
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;
     bytes_ += new_bytes;
     GlobalBytes().Add(static_cast<int64_t>(new_bytes) -
                       static_cast<int64_t>(it->second.bytes));
-    it->second.result = std::move(result);
+    it->second.result = stored;
+    it->second.derived.clear();
     it->second.bytes = new_bytes;
     Touch(it->second);
     EnforceBudgetLocked();
-    return;
+    return stored;
   }
   lru_.push_front(query);
   Entry e;
-  e.result = std::move(result);
+  e.result = stored;
   e.lru_it = lru_.begin();
   e.bytes = new_bytes;
   entries_.emplace(query, std::move(e));
@@ -82,6 +97,7 @@ void ResultBuffer::PutLocked(const std::string& query, OidScoreMap result) {
   GlobalEntries().Add(1);
   GlobalBytes().Add(static_cast<int64_t>(new_bytes));
   EnforceBudgetLocked();
+  return stored;
 }
 
 void ResultBuffer::EnforceBudgetLocked() {
@@ -106,16 +122,11 @@ void ResultBuffer::InsertValue(const std::string& query, Oid oid,
                                double score) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(query);
-  if (it == entries_.end()) {
-    PutLocked(query, OidScoreMap{{oid, score}});
-    return;
-  }
-  size_t before = it->second.result.size();
-  it->second.result[oid] = score;
-  if (it->second.result.size() != before) {
-    it->second.bytes += kBytesPerScore;
-    bytes_ += kBytesPerScore;
-    GlobalBytes().Add(static_cast<int64_t>(kBytesPerScore));
+  if (it == entries_.end()) return;
+  if (it->second.derived.insert_or_assign(oid, score).second) {
+    it->second.bytes += kBytesPerDerived;
+    bytes_ += kBytesPerDerived;
+    GlobalBytes().Add(static_cast<int64_t>(kBytesPerDerived));
     EnforceBudgetLocked();
   }
 }
@@ -127,10 +138,6 @@ void ResultBuffer::Touch(Entry& e) {
 
 void ResultBuffer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ClearLocked();
-}
-
-void ResultBuffer::ClearLocked() {
   GlobalEntries().Add(-static_cast<int64_t>(entries_.size()));
   GlobalBytes().Add(-static_cast<int64_t>(bytes_));
   bytes_ = 0;
@@ -147,42 +154,6 @@ void ResultBuffer::Erase(const std::string& query) {
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   GlobalEntries().Add(-1);
-}
-
-std::string ResultBuffer::Serialize() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Encoder enc;
-  enc.PutU64(entries_.size());
-  // Persist in LRU order so the order is restored too.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const Entry& e = entries_.at(*it);
-    enc.PutString(*it);
-    enc.PutU64(e.result.size());
-    for (const auto& [oid, score] : e.result) {
-      enc.PutU64(oid.raw());
-      enc.PutDouble(score);
-    }
-  }
-  return enc.Release();
-}
-
-Status ResultBuffer::Restore(std::string_view data) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ClearLocked();
-  Decoder dec(data);
-  SDMS_ASSIGN_OR_RETURN(uint64_t n, dec.GetU64());
-  for (uint64_t i = 0; i < n; ++i) {
-    SDMS_ASSIGN_OR_RETURN(std::string query, dec.GetString());
-    SDMS_ASSIGN_OR_RETURN(uint64_t m, dec.GetU64());
-    OidScoreMap result;
-    for (uint64_t k = 0; k < m; ++k) {
-      SDMS_ASSIGN_OR_RETURN(uint64_t raw, dec.GetU64());
-      SDMS_ASSIGN_OR_RETURN(double score, dec.GetDouble());
-      result.emplace(Oid(raw), score);
-    }
-    PutLocked(query, std::move(result));
-  }
-  return Status::OK();
 }
 
 }  // namespace sdms::coupling

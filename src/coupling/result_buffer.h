@@ -2,31 +2,35 @@
 #define SDMS_COUPLING_RESULT_BUFFER_H_
 
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "common/obs/metrics.h"
-#include "common/status.h"
 #include "coupling/types.h"
 
 namespace sdms::coupling {
 
-/// The persistent IRS-result buffer of Section 4.2: a dictionary
+/// The IRS-result buffer of Section 4.2: a dictionary
 /// ||STRING --> ||IRSObject --> REAL|| || keyed by IRS query strings.
 /// It serves both intra-query optimization (many objects probed against
 /// one query during a single VQL evaluation) and inter-query
 /// optimization (the same IRS query across separate VQL queries). The
-/// buffer is invalidated when update propagation changes the IRS index.
+/// buffer lives as long as its collection and is invalidated when
+/// update propagation changes the IRS index.
 ///
-/// Thread safety: all operations (Get/Put/InsertValue/Clear/Erase/
-/// Serialize/Restore/size) are internally synchronized by a single
-/// mutex, so concurrent callers — e.g. query evaluation on one thread
-/// while update propagation invalidates on another — never corrupt the
-/// LRU structures. The pointer returned by Get() aliases buffer-owned
-/// storage and is only guaranteed valid until the next mutating call
-/// (Put/InsertValue/Clear/Erase/Restore) on this buffer; callers that
-/// hold results across mutations must copy the map.
+/// An entry has two parts: the IRS result, an immutable OidScoreMap
+/// shared with the callers of Get(), and a side table of the values
+/// derived for unrepresented objects (Figure 3), which only Lookup()
+/// reads. Keeping them apart means the IRS result is exactly what the
+/// IRS returned, and caching a derived value costs one hash insert.
+///
+/// Thread safety: every operation is synchronized by one mutex, so
+/// concurrent callers — e.g. query evaluation on one thread while
+/// update propagation invalidates on another — never corrupt the LRU
+/// structures. A handle returned by Get() or Put() stays valid after
+/// the entry is replaced, erased, evicted or cleared.
 class ResultBuffer {
  public:
   /// `capacity` bounds the number of buffered queries and `max_bytes`
@@ -40,16 +44,34 @@ class ResultBuffer {
   /// Clear() keeps the global entries gauge honest on teardown.
   ~ResultBuffer() { Clear(); }
 
-  /// Returns the buffered result for `query`, or nullptr. Refreshes
-  /// LRU order.
-  const OidScoreMap* Get(const std::string& query);
+  /// Returns the buffered IRS result for `query`, or null. Counts one
+  /// hit or miss and refreshes LRU order.
+  std::shared_ptr<const OidScoreMap> Get(const std::string& query);
 
-  /// Stores (replacing) the result for `query`.
-  void Put(const std::string& query, OidScoreMap result);
+  /// What Lookup() found for one object.
+  struct Probe {
+    /// The object's value came from the IRS result or the side table.
+    enum class Source { kNone, kIrs, kDerived };
+    /// The query is buffered (counted as a hit).
+    bool hit = false;
+    Source source = Source::kNone;
+    double value = 0.0;
+  };
 
-  /// Adds one (object, value) pair into the buffered result of `query`
-  /// (used to cache derived IRS values per Figure 3); creates the
-  /// entry when absent.
+  /// Looks `oid` up in the entry of `query` without handing out the
+  /// result: the IRS result first, then the side table. Counts exactly
+  /// one hit or miss, like Get(), and refreshes LRU order.
+  Probe Lookup(const std::string& query, Oid oid);
+
+  /// Stores (replacing) the result for `query`, with an empty side
+  /// table, and returns the stored handle.
+  std::shared_ptr<const OidScoreMap> Put(const std::string& query,
+                                         OidScoreMap result);
+
+  /// Caches the derived value of `oid` (an object the IRS does not
+  /// represent) in the side table of `query`'s entry. Does nothing when
+  /// `query` is not buffered: an entry without the IRS result would
+  /// answer later lookups as if the IRS had returned nothing.
   void InsertValue(const std::string& query, Oid oid, double score);
 
   /// Drops everything (called after index-changing update propagation).
@@ -68,42 +90,45 @@ class ResultBuffer {
     return bytes_;
   }
 
-  /// The accounting model of the byte budget: query string + map nodes
-  /// + LRU/hash bookkeeping, in rough allocator terms.
+  /// The accounting model of the byte budget: query string, 16 bytes
+  /// per IRS pair, one hash node per derived value, and the fixed
+  /// bookkeeping of an entry, in rough allocator terms.
   static size_t ApproxEntryBytes(const std::string& query,
-                                 const OidScoreMap& result) {
-    return query.size() + result.size() * kBytesPerScore + kEntryOverhead;
+                                 const OidScoreMap& result,
+                                 size_t derived = 0) {
+    return query.size() + result.size() * kBytesPerScore +
+           derived * kBytesPerDerived + kEntryOverhead;
   }
 
   uint64_t hits() const { return hits_.value(); }
   uint64_t misses() const { return misses_.value(); }
   uint64_t evictions() const { return evictions_.value(); }
 
-  /// Serializes the buffer (persistence across sessions — the paper
-  /// buffers results "persistently").
-  std::string Serialize() const;
-  Status Restore(std::string_view data);
-
  private:
-  /// Rough cost of one (Oid, double) map node incl. allocator overhead.
-  static constexpr size_t kBytesPerScore = 64;
-  /// Rough fixed cost per buffered query (hash node + LRU node).
-  static constexpr size_t kEntryOverhead = 96;
+  /// One (Oid, double) pair of the contiguous IRS result.
+  static constexpr size_t kBytesPerScore = sizeof(OidScoreMap::value_type);
+  /// One side-table node (next pointer + pair, rounded up by the
+  /// allocator) plus its share of the bucket array.
+  static constexpr size_t kBytesPerDerived = 40;
+  /// Fixed cost per buffered query: hash node with the entry, LRU
+  /// node, and the shared result's control block.
+  static constexpr size_t kEntryOverhead = 256;
 
   struct Entry {
-    OidScoreMap result;
+    std::shared_ptr<const OidScoreMap> result;
+    /// Derived values of objects the IRS does not represent.
+    std::unordered_map<Oid, double> derived;
     std::list<std::string>::iterator lru_it;
     /// Cached ApproxEntryBytes of this entry (kept in sync by every
     /// mutation so bytes_ stays an O(1) aggregate).
     size_t bytes = 0;
   };
 
+  /// Finds `query`, counting a hit (and refreshing LRU order) or a
+  /// miss. Null on a miss.
+  Entry* FindCountedLocked(const std::string& query);
   /// Moves `e` to the MRU end of the LRU list.
   void Touch(Entry& e);
-  /// Lock-free bodies shared by the public methods (Restore composes
-  /// them under one critical section).
-  void PutLocked(const std::string& query, OidScoreMap result);
-  void ClearLocked();
   /// Evicts LRU entries (never the MRU head) while over either budget.
   void EnforceBudgetLocked();
 

@@ -2,21 +2,78 @@
 #define SDMS_COUPLING_TYPES_H_
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
+#include <span>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/oid.h"
+#include "common/status.h"
+
+namespace sdms::irs {
+struct SearchHit;
+}  // namespace sdms::irs
 
 namespace sdms::coupling {
 
 /// An IRS result mapped back to database objects: the paper's
-/// dictionary ||IRSObject --> REAL|| (Section 4.2).
-using OidScoreMap = std::map<Oid, double>;
+/// dictionary ||IRSObject --> REAL|| (Section 4.2), held as one
+/// contiguous array of (OID, score) pairs sorted by OID. A map is built
+/// once and then only read, so the result buffer and every query using
+/// a result share it as `std::shared_ptr<const OidScoreMap>`. Iteration
+/// runs in OID order; `find` is a binary search.
+class OidScoreMap {
+ public:
+  using value_type = std::pair<Oid, double>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+  using iterator = const_iterator;
+
+  OidScoreMap() = default;
+  /// Literal form. As with std::map, a repeated OID keeps its first
+  /// pair.
+  OidScoreMap(std::initializer_list<value_type> pairs);
+
+  /// Sorts `pairs` by OID. A repeated OID is kCorruption: the IRS
+  /// names each document once, so a repeat means corrupt data.
+  static StatusOr<OidScoreMap> FromUnsorted(std::vector<value_type> pairs);
+  /// Adopts `pairs`, which must already be in strictly increasing OID
+  /// order.
+  static OidScoreMap FromSorted(std::vector<value_type> pairs);
+
+  const_iterator begin() const { return pairs_.begin(); }
+  const_iterator end() const { return pairs_.end(); }
+  size_t size() const { return pairs_.size(); }
+  bool empty() const { return pairs_.empty(); }
+
+  /// The pair for `oid`, or end().
+  const_iterator find(Oid oid) const;
+  size_t count(Oid oid) const { return find(oid) != end() ? 1 : 0; }
+  /// The score of `oid`; throws std::out_of_range when absent, like
+  /// std::map::at.
+  double at(Oid oid) const;
+
+  friend bool operator==(const OidScoreMap&, const OidScoreMap&) = default;
+
+ private:
+  std::vector<value_type> pairs_;
+};
+
+/// Parses an IRS document key "oid:<n>", where <n> is the whole rest of
+/// the key in decimal digits and fits 64 bits. kCorruption otherwise.
+StatusOr<Oid> ParseOidKey(std::string_view key);
+
+/// Maps IRS hits, in any order and split into any number of parts (one
+/// per shard), to an OidScoreMap: every key through ParseOidKey, one
+/// sort by OID. A repeated OID is kCorruption.
+StatusOr<OidScoreMap> OidScoreMapFromHits(
+    std::span<const std::vector<irs::SearchHit>> parts);
 
 /// Counters describing coupling behaviour; read by tests and benches.
 struct CouplingStats {
   /// Queries actually submitted to the IRS machine.
   uint64_t irs_queries = 0;
-  /// findIRSValue served from the persistent result buffer.
+  /// findIRSValue served from the result buffer.
   uint64_t buffer_hits = 0;
   /// findIRSValue that had to call the IRS.
   uint64_t buffer_misses = 0;

@@ -86,7 +86,7 @@ struct SimReport {
   size_t crash_restarts = 0;
   /// Fault firings observed across all bursts.
   size_t faults_fired = 0;
-  /// Queries answered from the persistent buffer while the IRS was
+  /// Queries answered from the result buffer while the IRS was
   /// unreachable (must be 0 outside fault bursts — checked).
   size_t stale_serves = 0;
   uint64_t clock_micros = 0;

@@ -142,6 +142,12 @@ TEST(CouplingTest, FindIrsValueDerivesForNonRepresented) {
   ASSERT_TRUE(v2.ok());
   EXPECT_DOUBLE_EQ(*v, *v2);
   EXPECT_EQ(coll->stats().derive_calls, derives);
+  // The derived value is kept beside the IRS result, which still holds
+  // only what the IRS returned.
+  auto hits = coll->GetIrsResult("www");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_FALSE((*hits)->empty());
+  EXPECT_EQ((*hits)->count(sys->roots[0]), 0u);
 }
 
 TEST(CouplingTest, BufferServesRepeatedQueries) {

@@ -142,6 +142,48 @@ TEST(MixedQueryTest, IrsFirstLeavesUnrepresentedClassToIndependent) {
   EXPECT_EQ(RowOids(*independent), RowOids(*irs_first));
 }
 
+TEST(MixedQueryTest, DerivedValuesNeverBecomeIrsFirstCandidates) {
+  // Deriving MMFDOC values caches the values of documents and sections
+  // in the buffer entry of the query. IRS-first over PARA must still see
+  // only what the IRS returned, or those objects become PARA rows.
+  auto sys = MakeCoupledSystem();
+  sgml::CorpusOptions corpus;
+  corpus.num_docs = 200;
+  corpus.seed = 1;
+  testutil::StoreCorpus(*sys, sgml::CorpusGenerator(corpus).Generate());
+  auto coll = sys->coupling->CreateCollection("paras", "inquery");
+  ASSERT_TRUE(coll.ok());
+  ASSERT_TRUE(
+      (*coll)->IndexObjects("ACCESS p FROM p IN PARA", kTextModeSubtree).ok());
+  // A single term's null belief is the default belief 0.4, so "> 0.4"
+  // keeps exactly the paragraphs with evidence and IRS-first applies.
+  auto null_score = (*coll)->NullScore("www");
+  ASSERT_TRUE(null_score.ok());
+  ASSERT_DOUBLE_EQ(*null_score, 0.4);
+
+  MixedQueryEvaluator eval(sys->coupling.get());
+  auto docs = eval.Run(
+      "ACCESS d FROM d IN MMFDOC WHERE d -> getIRSValue('paras', 'www') > 0",
+      Strategy::kIndependent);
+  ASSERT_TRUE(docs.ok()) << docs.status().ToString();
+  EXPECT_EQ(docs->rows.size(), corpus.num_docs);
+
+  const std::string query =
+      "ACCESS p FROM p IN PARA WHERE p -> getIRSValue('paras', 'www') > 0.4";
+  auto irs_first = eval.Run(query, Strategy::kIrsFirst);
+  ASSERT_TRUE(irs_first.ok()) << irs_first.status().ToString();
+  EXPECT_EQ(eval.last_run().irs_restrictions, 1u);
+  auto independent = eval.Run(query, Strategy::kIndependent);
+  ASSERT_TRUE(independent.ok()) << independent.status().ToString();
+  EXPECT_FALSE(independent->rows.empty());
+  EXPECT_EQ(RowOids(*irs_first), RowOids(*independent));
+  for (uint64_t raw : RowOids(*irs_first)) {
+    auto cls = sys->db->ClassOf(Oid(raw));
+    ASSERT_TRUE(cls.ok());
+    EXPECT_EQ(*cls, "PARA") << Oid(raw).ToString();
+  }
+}
+
 TEST(MixedQueryTest, UnknownCollectionFails) {
   auto sys = MakeFigure4System();
   MixedQueryEvaluator eval(sys->coupling.get());

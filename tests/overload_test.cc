@@ -601,16 +601,18 @@ TEST(AdmissionTest, StressMixedQueriesThroughSharedController) {
 // ---------------------------------------------------------------------------
 
 TEST(ResultBufferBudgetTest, ByteBudgetEvictsLruEntries) {
-  // Each entry: ~5 (query) + 2*64 (scores) + 96 overhead = 229 bytes.
-  ResultBuffer buf(/*capacity=*/0, /*max_bytes=*/500);
   OidScoreMap result{{Oid(1), 0.5}, {Oid(2), 0.7}};
+  // Room for two entries but not for three.
+  const size_t entry = ResultBuffer::ApproxEntryBytes("query0", result);
+  const size_t budget = 2 * entry + entry / 2;
+  ResultBuffer buf(/*capacity=*/0, budget);
   buf.Put("query" + std::to_string(0), result);
   buf.Put("query" + std::to_string(1), result);
   EXPECT_EQ(buf.evictions(), 0u);
   buf.Put("query" + std::to_string(2), result);
   // Over budget: the LRU entry went, the MRU one stayed.
   EXPECT_GT(buf.evictions(), 0u);
-  EXPECT_LE(buf.bytes(), 500u);
+  EXPECT_LE(buf.bytes(), budget);
   EXPECT_EQ(buf.Get("query0"), nullptr);
   EXPECT_NE(buf.Get("query2"), nullptr);
 }
@@ -618,23 +620,29 @@ TEST(ResultBufferBudgetTest, ByteBudgetEvictsLruEntries) {
 TEST(ResultBufferBudgetTest, MruEntryIsNeverEvicted) {
   // One oversized entry exceeds the whole budget but must survive
   // (soft cap): evicting what the current query needs is useless.
-  ResultBuffer buf(0, 100);
-  OidScoreMap big;
-  for (uint64_t i = 0; i < 64; ++i) big.emplace(Oid(i), 1.0);
+  std::vector<OidScoreMap::value_type> pairs;
+  for (uint64_t i = 0; i < 64; ++i) pairs.emplace_back(Oid(i), 1.0);
+  OidScoreMap big = OidScoreMap::FromSorted(std::move(pairs));
+  const size_t budget = ResultBuffer::ApproxEntryBytes("big", big) / 2;
+  ResultBuffer buf(0, budget);
   buf.Put("big", big);
   EXPECT_EQ(buf.size(), 1u);
   EXPECT_NE(buf.Get("big"), nullptr);
-  EXPECT_GT(buf.bytes(), 100u);
+  EXPECT_GT(buf.bytes(), budget);
 }
 
 TEST(ResultBufferBudgetTest, InsertValueGrowthTriggersEviction) {
-  ResultBuffer buf(0, 600);
   OidScoreMap small{{Oid(1), 0.1}};
+  // Both entries fit until "b" holds its tenth derived value.
+  ResultBuffer buf(0, ResultBuffer::ApproxEntryBytes("a", small) +
+                          ResultBuffer::ApproxEntryBytes("b", small, 10) - 1);
   buf.Put("a", small);
   buf.Put("b", small);
   uint64_t before = buf.evictions();
   // Growing "b" past the budget must evict "a", not "b" itself.
-  for (uint64_t i = 10; i < 20; ++i) buf.InsertValue("b", Oid(i), 0.5);
+  for (uint64_t i = 10; i < 19; ++i) buf.InsertValue("b", Oid(i), 0.5);
+  EXPECT_EQ(buf.evictions(), before);
+  buf.InsertValue("b", Oid(19), 0.5);
   EXPECT_GT(buf.evictions(), before);
   EXPECT_EQ(buf.Get("a"), nullptr);
   EXPECT_NE(buf.Get("b"), nullptr);
@@ -647,7 +655,9 @@ TEST(ResultBufferBudgetTest, BytesAccountingRoundTrips) {
   size_t expect = ResultBuffer::ApproxEntryBytes("q", result);
   EXPECT_EQ(buf.bytes(), expect);
   buf.InsertValue("q", Oid(2), 0.6);
-  EXPECT_GT(buf.bytes(), expect);
+  EXPECT_EQ(buf.bytes(), ResultBuffer::ApproxEntryBytes("q", result, 1));
+  buf.InsertValue("q", Oid(2), 0.7);  // overwrites, no new node
+  EXPECT_EQ(buf.bytes(), ResultBuffer::ApproxEntryBytes("q", result, 1));
   buf.Erase("q");
   EXPECT_EQ(buf.bytes(), 0u);
   buf.Put("q", result);
@@ -677,7 +687,9 @@ TEST(CouplingAdmissionTest, MixedQueriesRunThroughTheCouplingController) {
 
 TEST(CouplingAdmissionTest, BufferByteBudgetFlowsFromCouplingOptions) {
   CouplingOptions options;
-  options.buffer_max_bytes = 400;
+  // Less than any two entries: every new query evicts the previous one.
+  options.buffer_max_bytes =
+      ResultBuffer::ApproxEntryBytes("", OidScoreMap{}) * 3 / 2;
   auto sys = testutil::MakeFigure4System(options);
   auto coll = sys->coupling->GetCollectionByName("paras");
   ASSERT_TRUE(coll.ok());

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/fault/fault.h"
 #include "coupling_test_util.h"
+#include "irs/collection.h"
 
 namespace sdms::coupling {
 namespace {
@@ -13,7 +21,7 @@ TEST(ResultBufferTest, MissThenHit) {
   EXPECT_EQ(buf.Get("q"), nullptr);
   EXPECT_EQ(buf.misses(), 1u);
   buf.Put("q", {{Oid(1), 0.5}});
-  const OidScoreMap* r = buf.Get("q");
+  auto r = buf.Get("q");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(buf.hits(), 1u);
   EXPECT_DOUBLE_EQ(r->at(Oid(1)), 0.5);
@@ -23,7 +31,7 @@ TEST(ResultBufferTest, PutReplaces) {
   ResultBuffer buf;
   buf.Put("q", {{Oid(1), 0.5}});
   buf.Put("q", {{Oid(2), 0.7}});
-  const OidScoreMap* r = buf.Get("q");
+  auto r = buf.Get("q");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->size(), 1u);
   EXPECT_EQ(r->count(Oid(2)), 1u);
@@ -32,15 +40,90 @@ TEST(ResultBufferTest, PutReplaces) {
 
 TEST(ResultBufferTest, InsertValueAugments) {
   ResultBuffer buf;
+  const OidScoreMap irs{{Oid(1), 0.5}};
+  buf.Put("q", irs);
+  buf.InsertValue("q", Oid(9), 0.3);
+  // The derived value is found through the lookup, after the IRS value
+  // of a represented object...
+  ResultBuffer::Probe derived = buf.Lookup("q", Oid(9));
+  EXPECT_TRUE(derived.hit);
+  EXPECT_EQ(derived.source, ResultBuffer::Probe::Source::kDerived);
+  EXPECT_DOUBLE_EQ(derived.value, 0.3);
+  ResultBuffer::Probe direct = buf.Lookup("q", Oid(1));
+  EXPECT_EQ(direct.source, ResultBuffer::Probe::Source::kIrs);
+  EXPECT_DOUBLE_EQ(direct.value, 0.5);
+  ResultBuffer::Probe absent = buf.Lookup("q", Oid(4));
+  EXPECT_TRUE(absent.hit);
+  EXPECT_EQ(absent.source, ResultBuffer::Probe::Source::kNone);
+  // ...while the IRS result stays exactly what the IRS returned.
+  auto r = buf.Get("q");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(*r, irs);
+  // Each lookup counted one hit, like Get.
+  EXPECT_EQ(buf.hits(), 4u);
+  // InsertValue on a missing query creates nothing.
+  buf.InsertValue("fresh", Oid(2), 0.1);
+  EXPECT_EQ(buf.size(), 1u);
+  EXPECT_FALSE(buf.Lookup("fresh", Oid(2)).hit);
+  EXPECT_EQ(buf.misses(), 1u);
+}
+
+TEST(ResultBufferTest, ReplacingPutDropsDerivedValues) {
+  ResultBuffer buf;
   buf.Put("q", {{Oid(1), 0.5}});
   buf.InsertValue("q", Oid(9), 0.3);
-  const OidScoreMap* r = buf.Get("q");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->size(), 2u);
-  EXPECT_DOUBLE_EQ(r->at(Oid(9)), 0.3);
-  // InsertValue on a missing query creates the entry.
-  buf.InsertValue("fresh", Oid(2), 0.1);
-  EXPECT_NE(buf.Get("fresh"), nullptr);
+  buf.Put("q", {{Oid(1), 0.6}});
+  EXPECT_EQ(buf.Lookup("q", Oid(9)).source,
+            ResultBuffer::Probe::Source::kNone);
+  EXPECT_EQ(buf.bytes(),
+            ResultBuffer::ApproxEntryBytes("q", OidScoreMap{{Oid(1), 0.6}}));
+}
+
+TEST(ResultBufferTest, HandlesOutliveTheirEntries) {
+  ResultBuffer buf(/*capacity=*/1);
+  buf.Put("a", {{Oid(1), 0.25}, {Oid(2), 0.5}});
+  auto replaced = buf.Get("a");
+  buf.Put("a", {{Oid(3), 0.75}});
+  auto evicted = buf.Get("a");
+  buf.Put("b", {{Oid(4), 1.0}});  // evicts "a"
+  EXPECT_EQ(buf.evictions(), 1u);
+  auto cleared = buf.Get("b");
+  buf.Clear();
+  // Every handle still reads the result it was given.
+  ASSERT_NE(replaced, nullptr);
+  EXPECT_EQ(*replaced, (OidScoreMap{{Oid(1), 0.25}, {Oid(2), 0.5}}));
+  ASSERT_NE(evicted, nullptr);
+  EXPECT_EQ(*evicted, (OidScoreMap{{Oid(3), 0.75}}));
+  ASSERT_NE(cleared, nullptr);
+  EXPECT_EQ(*cleared, (OidScoreMap{{Oid(4), 1.0}}));
+}
+
+TEST(ResultBufferTest, ConcurrentReadersKeepTheirHandles) {
+  // A reader keeps using its handles while a writer replaces, evicts
+  // and clears entries (run under TSan/ASan in CI).
+  const OidScoreMap result{{Oid(1), 0.5}, {Oid(2), 0.25}};
+  ResultBuffer buf(/*capacity=*/2);
+  buf.Put("q", result);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 2000; ++i) {
+      buf.Put("q", result);
+      buf.InsertValue("q", Oid(9), 0.125);
+      buf.Put("other" + std::to_string(i % 3), {{Oid(3), 1.0}});
+      if (i % 7 == 0) buf.Clear();
+    }
+    done = true;
+  });
+  while (!done) {
+    if (auto r = buf.Get("q")) {
+      EXPECT_EQ(*r, result);
+    }
+    ResultBuffer::Probe p = buf.Lookup("q", Oid(9));
+    if (p.source == ResultBuffer::Probe::Source::kDerived) {
+      EXPECT_DOUBLE_EQ(p.value, 0.125);
+    }
+  }
+  writer.join();
 }
 
 TEST(ResultBufferTest, ClearAndErase) {
@@ -81,42 +164,86 @@ TEST(ResultBufferTest, LruEvictionOrderFollowsHits) {
   EXPECT_EQ(buf.evictions(), 1u);
   buf.Put("e", {{Oid(5), 1.0}});  // evicts a
   EXPECT_EQ(buf.evictions(), 2u);
-  // Serialize writes LRU order, oldest first: b, d, e.
-  ResultBuffer restored(3);
-  ASSERT_TRUE(restored.Restore(buf.Serialize()).ok());
-  restored.Put("f", {{Oid(6), 1.0}});  // evicts b
-  EXPECT_EQ(restored.Get("b"), nullptr);
-  EXPECT_NE(restored.Get("d"), nullptr);
-  EXPECT_NE(restored.Get("e"), nullptr);
-  EXPECT_NE(restored.Get("f"), nullptr);
   EXPECT_EQ(buf.Get("a"), nullptr);
   EXPECT_EQ(buf.Get("c"), nullptr);
-  EXPECT_NE(buf.Get("b"), nullptr);
+  // A Lookup refreshes recency like Get: b, d, e -> d, e, b.
+  EXPECT_TRUE(buf.Lookup("b", Oid(2)).hit);
   // A Put that replaces an entry refreshes it too.
   buf.Put("d", {{Oid(7), 1.0}});  // recency: e, b, d
   buf.Put("g", {{Oid(8), 1.0}});  // evicts e
   EXPECT_EQ(buf.Get("e"), nullptr);
+  EXPECT_NE(buf.Get("b"), nullptr);
   EXPECT_NE(buf.Get("d"), nullptr);
 }
 
-TEST(ResultBufferTest, PersistRoundTrip) {
-  ResultBuffer buf;
-  buf.Put("#and(www nii)", {{Oid(1), 0.62}, {Oid(2), 0.41}});
-  buf.Put("telnet", {{Oid(7), 0.9}});
-  std::string blob = buf.Serialize();
+// ---------------------------------------------------------------------------
+// OidScoreMap and the IRS-hit builder
+// ---------------------------------------------------------------------------
 
-  ResultBuffer restored;
-  ASSERT_TRUE(restored.Restore(blob).ok());
-  EXPECT_EQ(restored.size(), 2u);
-  const OidScoreMap* r = restored.Get("#and(www nii)");
-  ASSERT_NE(r, nullptr);
-  EXPECT_DOUBLE_EQ(r->at(Oid(1)), 0.62);
-  EXPECT_DOUBLE_EQ(r->at(Oid(2)), 0.41);
+TEST(OidScoreMapTest, BuiltSortedFromUnsortedHits) {
+  std::vector<irs::SearchHit> shard0 = {{"oid:42", 0.5}, {"oid:7", 0.9}};
+  std::vector<irs::SearchHit> shard1 = {{"oid:19", 0.1}, {"oid:3", 0.7}};
+  const std::vector<irs::SearchHit> parts[] = {shard0, shard1};
+  auto map = OidScoreMapFromHits(parts);
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  std::vector<uint64_t> order;
+  for (const auto& [oid, score] : *map) order.push_back(oid.raw());
+  EXPECT_EQ(order, (std::vector<uint64_t>{3, 7, 19, 42}));
+  EXPECT_EQ(*map, (OidScoreMap{{Oid(42), 0.5},
+                               {Oid(7), 0.9},
+                               {Oid(19), 0.1},
+                               {Oid(3), 0.7}}));
 }
 
-TEST(ResultBufferTest, RestoreGarbageFails) {
-  ResultBuffer buf;
-  EXPECT_FALSE(buf.Restore("xx").ok());
+TEST(OidScoreMapTest, FindPresentAndAbsent) {
+  const OidScoreMap map{{Oid(10), 0.1}, {Oid(30), 0.3}, {Oid(20), 0.2}};
+  ASSERT_NE(map.find(Oid(20)), map.end());
+  EXPECT_DOUBLE_EQ(map.find(Oid(20))->second, 0.2);
+  EXPECT_DOUBLE_EQ(map.at(Oid(30)), 0.3);
+  EXPECT_EQ(map.count(Oid(10)), 1u);
+  for (uint64_t absent : {0, 5, 15, 25, 35}) {
+    EXPECT_EQ(map.find(Oid(absent)), map.end()) << absent;
+    EXPECT_EQ(map.count(Oid(absent)), 0u) << absent;
+  }
+  EXPECT_THROW(map.at(Oid(5)), std::out_of_range);
+  EXPECT_EQ(OidScoreMap().find(Oid(1)), OidScoreMap().end());
+}
+
+TEST(OidScoreMapTest, Equality) {
+  const OidScoreMap a{{Oid(1), 0.5}, {Oid(2), 0.25}};
+  EXPECT_EQ(a, (OidScoreMap{{Oid(2), 0.25}, {Oid(1), 0.5}}));
+  EXPECT_NE(a, (OidScoreMap{{Oid(1), 0.5}}));
+  EXPECT_NE(a, (OidScoreMap{{Oid(1), 0.5}, {Oid(2), 0.5}}));
+  EXPECT_NE(a, (OidScoreMap{{Oid(1), 0.5}, {Oid(3), 0.25}}));
+}
+
+TEST(OidScoreMapTest, MalformedKeysAreCorruption) {
+  EXPECT_EQ(ParseOidKey("oid:12").value(), Oid(12));
+  EXPECT_EQ(ParseOidKey("oid:18446744073709551615").value(),
+            Oid(UINT64_MAX));
+  for (const char* key :
+       {"oid:12x", "oid:-1", "oid: 7", "oid:+7", "oid:", "oid:7 ", "oid:0x1f",
+        "oid:18446744073709551616", "xid:7", "7", ""}) {
+    StatusOr<Oid> oid = ParseOidKey(key);
+    ASSERT_FALSE(oid.ok()) << key;
+    EXPECT_EQ(oid.status().code(), StatusCode::kCorruption) << key;
+  }
+  const std::vector<irs::SearchHit> bad[] = {{{"oid:1", 0.5}, {"oid:2x", 0.5}}};
+  auto map = OidScoreMapFromHits(bad);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kCorruption);
+}
+
+TEST(OidScoreMapTest, DuplicateOidIsCorruption) {
+  // The same document reported by two shards.
+  const std::vector<irs::SearchHit> parts[] = {{{"oid:5", 0.5}},
+                                               {{"oid:6", 0.1}, {"oid:5", 0.5}}};
+  auto map = OidScoreMapFromHits(parts);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kCorruption);
+  auto direct = OidScoreMap::FromUnsorted({{Oid(2), 0.1}, {Oid(2), 0.2}});
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kCorruption);
 }
 
 /// Degraded-read behaviour of the buffer inside a live coupling: when

@@ -225,6 +225,16 @@ TEST_F(ShardFaultTest, KilledShardDegradesQueryAndIsNamed) {
     EXPECT_EQ(it->second, score) << oid.ToString();
   }
 
+  // A second degraded answer is the caller's own as well: it shares no
+  // storage with the first, and neither entered the buffer.
+  const OidScoreMap first = **partial_or;
+  auto again_or = coll->GetIrsResult("www", &stale);
+  ASSERT_TRUE(again_or.ok()) << again_or.status().ToString();
+  EXPECT_NE(again_or->get(), partial_or->get());
+  EXPECT_EQ(**partial_or, first);
+  EXPECT_EQ(**again_or, first);
+  EXPECT_EQ(coll->buffer().size(), 0u);
+
   // Once the shard recovers, the next query is complete again — the
   // partial result must not have been buffered.
   fault::FaultRegistry::Instance().Clear();
