@@ -124,6 +124,20 @@ void StatisticsService::RecordBufferLookup(const std::string& collection,
   ++e.lookups;
 }
 
+void StatisticsService::RecordBufferLookups(const std::string& collection,
+                                            uint64_t n) {
+  if (n == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  BufferEwma& e = buffer_hit_rate_[collection];
+  // A first observation seeds the average; each hit after it moves the
+  // miss share (1 - rate) by a factor (1 - alpha).
+  const uint64_t folded = e.lookups == 0 ? n - 1 : n;
+  const double miss_share = e.lookups == 0 ? 0.0 : 1.0 - e.rate;
+  e.rate = 1.0 - std::pow(1.0 - kEwmaAlpha, static_cast<double>(folded)) *
+                     miss_share;
+  e.lookups += n;
+}
+
 double StatisticsService::BufferHitRate(const std::string& collection) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = buffer_hit_rate_.find(collection);

@@ -69,6 +69,9 @@ class StatisticsService {
   /// Folds one lookup into the collection's hit-rate EWMA (alpha 0.05;
   /// the first observation seeds the average).
   void RecordBufferLookup(const std::string& collection, bool hit);
+  /// Folds `n` hits at once, equal to `n` RecordBufferLookup(hit) calls
+  /// (closed form: rate' = 1 - (1 - alpha)^n * (1 - rate)).
+  void RecordBufferLookups(const std::string& collection, uint64_t n);
   /// EWMA hit rate in [0, 1]; negative when no lookup was recorded.
   double BufferHitRate(const std::string& collection) const;
 

@@ -514,13 +514,30 @@ StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
 
 StatusOr<std::shared_ptr<const OidScoreMap>> Collection::GetIrsResult(
     const std::string& irs_query, bool* served_stale) {
-  return ResolveIrsResult(irs_query, served_stale, kNullOid, nullptr);
+  ResultSource source;
+  auto result = ResolveIrsResult(irs_query, &source, kNullOid, nullptr);
+  if (served_stale != nullptr) {
+    *served_stale = result.ok() && source == ResultSource::kStale;
+  }
+  return result;
+}
+
+StatusOr<std::shared_ptr<const OidScoreMap>> Collection::WarmIrsResult(
+    const std::string& irs_query) {
+  ResultSource source;
+  SDMS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const OidScoreMap> result,
+      ResolveIrsResult(irs_query, &source, kNullOid, nullptr));
+  if (source != ResultSource::kBuffer) {
+    return std::shared_ptr<const OidScoreMap>();
+  }
+  return result;
 }
 
 StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
-    const std::string& irs_query, bool* served_stale, Oid probe_oid,
+    const std::string& irs_query, ResultSource* source, Oid probe_oid,
     ResultBuffer::Probe* probe) {
-  if (served_stale != nullptr) *served_stale = false;
+  *source = ResultSource::kCallerOwned;
   // Explicit cancellation stops the query outright — no buffer hit, no
   // stale serve. (An expired deadline is NOT short-circuited here: the
   // guarded IRS call fails fast with kDeadlineExceeded and the
@@ -556,7 +573,7 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
     obs::ProfileCount("stale_serves");
     obs::ProfileAnnotate("degradation_reason",
                          "stale buffer serve: " + propagated.ToString());
-    if (served_stale != nullptr) *served_stale = true;
+    *source = ResultSource::kStale;
     SDMS_LOG(WARN) << "serving stale buffered result for '" << irs_query
                    << "' on '" << irs_name_ << "': " << propagated.ToString();
     return buffered;
@@ -576,6 +593,7 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
     ++stats_.buffer_hits;
     obs::ProfileCount("buffer_hits");
     obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, true);
+    *source = ResultSource::kBuffer;
     return buffered;
   }
   note_miss();
@@ -593,41 +611,87 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
   // a buffer hit like every later read. Get finds nothing only if
   // another thread cleared the buffer in between.
   buffered = buffer_.Get(irs_query);
-  return buffered != nullptr ? buffered : stored;
+  if (buffered == nullptr) return stored;
+  *source = ResultSource::kBuffer;
+  return buffered;
+}
+
+namespace {
+
+/// The probe of `obj` in an IRS result held by the caller.
+ResultBuffer::Probe ProbeIn(const OidScoreMap& result, Oid obj) {
+  ResultBuffer::Probe probe;
+  if (auto it = result.find(obj); it != result.end()) {
+    probe.source = ResultBuffer::Probe::Source::kIrs;
+    probe.value = it->second;
+  }
+  return probe;
+}
+
+}  // namespace
+
+StatusOr<double> Collection::ProbeIrsValue(const std::string& irs_query,
+                                           Oid obj,
+                                           const ResultBuffer::Probe& found,
+                                           const double* null_score,
+                                           bool read_side_table,
+                                           bool cache_derived) {
+  using Source = ResultBuffer::Probe::Source;
+  if (found.source == Source::kIrs) return found.value;
+  if (Represents(obj)) {
+    // Represented but not retrieved: the IRS assigned no evidence;
+    // the object scores the query's null belief.
+    if (null_score != nullptr) return *null_score;
+    return NullScore(irs_query);
+  }
+  if (found.source == Source::kDerived) return found.value;
+  if (read_side_table) {
+    // Uncounted: the caller booked this access already.
+    ResultBuffer::Probe derived =
+        buffer_.Lookup(irs_query, obj, /*counted=*/false);
+    if (derived.source == Source::kDerived) return derived.value;
+  }
+  // Not represented: force the object to derive its value and insert
+  // the result into the buffer (Figure 3).
+  SDMS_ASSIGN_OR_RETURN(double derived, DeriveIrsValue(irs_query, obj));
+  if (cache_derived) buffer_.InsertValue(irs_query, obj, derived);
+  return derived;
+}
+
+StatusOr<double> Collection::FindPinnedIrsValue(const std::string& irs_query,
+                                                const OidScoreMap& result,
+                                                double null_score, Oid obj) {
+  return ProbeIrsValue(irs_query, obj, ProbeIn(result, obj), &null_score,
+                       /*read_side_table=*/true, /*cache_derived=*/true);
+}
+
+void Collection::BookPinnedHits(uint64_t n) {
+  if (n == 0) return;
+  buffer_.CountHits(n);
+  stats_.buffer_hits += n;
+  obs::ProfileCount("buffer_hits", n);
+  obs::StatisticsService::Instance().RecordBufferLookups(irs_name_, n);
 }
 
 StatusOr<double> Collection::FindIrsValue(const std::string& irs_query,
                                           Oid obj, bool* degraded) {
   if (degraded != nullptr) *degraded = false;
-  bool stale = false;
+  ResultSource source;
   ResultBuffer::Probe probe;
   StatusOr<std::shared_ptr<const OidScoreMap>> result_or =
-      ResolveIrsResult(irs_query, &stale, obj, &probe);
+      ResolveIrsResult(irs_query, &source, obj, &probe);
   if (result_or.ok()) {
+    const bool stale = source == ResultSource::kStale;
     if (stale && degraded != nullptr) *degraded = true;
-    using Source = ResultBuffer::Probe::Source;
-    if (const OidScoreMap* fetched = result_or->get(); fetched != nullptr) {
-      // Fresh from the IRS (a miss, or buffering is off): no derived
-      // values exist for it yet.
-      auto it = fetched->find(obj);
-      if (it != fetched->end()) return it->second;
-    } else if (probe.source == Source::kIrs) {
-      return probe.value;
-    }
-    if (Represents(obj)) {
-      // Represented but not retrieved: the IRS assigned no evidence;
-      // the object scores the query's null belief.
-      return NullScore(irs_query);
-    }
-    if (probe.source == Source::kDerived) return probe.value;
-    // Not represented: force the object to derive its value and insert
-    // the result into the buffer (Figure 3). Stale results are left
-    // untouched — they are invalidated wholesale once the IRS is back.
-    SDMS_ASSIGN_OR_RETURN(double derived, DeriveIrsValue(irs_query, obj));
-    if (!coupling_->options().disable_buffering && !stale) {
-      buffer_.InsertValue(irs_query, obj, derived);
-    }
-    return derived;
+    // A result fresh from the IRS (a miss, or buffering is off) comes
+    // back whole and has no derived values yet; a buffered one was
+    // probed under the buffer's lock. Stale results get no derived
+    // values — they are invalidated wholesale once the IRS is back.
+    const OidScoreMap* fetched = result_or->get();
+    return ProbeIrsValue(
+        irs_query, obj, fetched != nullptr ? ProbeIn(*fetched, obj) : probe,
+        /*null_score=*/nullptr, /*read_side_table=*/false,
+        !coupling_->options().disable_buffering && !stale);
   }
   if (!IsUnavailable(result_or.status())) return result_or.status();
   // IRS unavailable with nothing buffered: fall back to local

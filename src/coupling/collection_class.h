@@ -102,6 +102,30 @@ class Collection {
   StatusOr<double> FindIrsValue(const std::string& irs_query, Oid obj,
                                 bool* degraded = nullptr);
 
+  // --- Statement-bound content predicates ------------------------------
+
+  /// The prepare-stage warm-up of `irs_query`: GetIrsResult, with the
+  /// same accounting and fallbacks. Returns the result a VQL statement
+  /// may pin when it was served fresh from the buffer, and null when
+  /// buffering is off or the result is stale or a degraded partial one;
+  /// such queries keep the per-binding FindIrsValue path.
+  StatusOr<std::shared_ptr<const OidScoreMap>> WarmIrsResult(
+      const std::string& irs_query);
+
+  /// FindIrsValue for a statement that pinned `result` (from
+  /// WarmIrsResult) and the query's `null_score`: the same probe order,
+  /// without resolving the buffer entry. Books nothing; the statement
+  /// books its evaluations with BookPinnedHits.
+  StatusOr<double> FindPinnedIrsValue(const std::string& irs_query,
+                                      const OidScoreMap& result,
+                                      double null_score, Oid obj);
+
+  /// Books `n` lookups answered from a pinned result as buffer hits, in
+  /// every place a FindIrsValue hit is counted: the buffer's and the
+  /// registry's hit counters, stats().buffer_hits, the active profile's
+  /// `buffer_hits`, and the statistics service's hit-rate EWMA.
+  void BookPinnedHits(uint64_t n);
+
   /// The three update methods (Section 4.2): invoked when a relevant
   /// database update occurred. Under kEager the IRS index is
   /// maintained immediately; otherwise the operation is recorded in
@@ -260,6 +284,13 @@ class Collection {
  private:
   friend class Coupling;
 
+  /// Where ResolveIrsResult's answer came from.
+  enum class ResultSource {
+    kBuffer,       // fresh from the buffer (a hit, or a miss just stored)
+    kStale,        // the buffered result, served stale
+    kCallerOwned,  // buffering is off, or a degraded partial result
+  };
+
   /// The shared body of GetIrsResult and FindIrsValue: cancellation,
   /// update propagation with its stale fallback, one counted buffer
   /// access and, on a miss, the IRS call. Without `probe` it returns
@@ -268,8 +299,21 @@ class Collection {
   /// `*probe` and the returned handle is null; a result fetched from
   /// the IRS is returned whole.
   StatusOr<std::shared_ptr<const OidScoreMap>> ResolveIrsResult(
-      const std::string& irs_query, bool* served_stale, Oid probe_oid,
+      const std::string& irs_query, ResultSource* source, Oid probe_oid,
       ResultBuffer::Probe* probe);
+
+  /// Figure 3's probe order once the IRS result of `irs_query` is
+  /// resolved, shared by FindIrsValue and FindPinnedIrsValue: `found`
+  /// holds the object's score when the IRS result has it; else a
+  /// represented object scores the null belief (`null_score` when
+  /// known); else the value derived earlier — from `found` when the
+  /// caller's Lookup read the side table, or read here, uncounted, when
+  /// `read_side_table`; else a fresh derivation, cached in the side
+  /// table when `cache_derived`.
+  StatusOr<double> ProbeIrsValue(const std::string& irs_query, Oid obj,
+                                 const ResultBuffer::Probe& found,
+                                 const double* null_score,
+                                 bool read_side_table, bool cache_derived);
 
   /// Actually submits to the IRS (in-process or file exchange). The
   /// in-process path fans the search out across the collection's

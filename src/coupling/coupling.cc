@@ -101,10 +101,10 @@ Status Coupling::Initialize() {
   }
   db_->AddUpdateListener(this);
   db_->set_coupling_context(this);
-  query_engine_.AddPrepareHook(
-      [this](Database&, const ParsedQuery& query) {
-        return PrepareIrsConjuncts(query);
-      });
+  query_engine_.AddPrepareHook([this](Database&, const ParsedQuery& query,
+                                      oodb::vql::BoundCalls& calls) {
+    return PrepareIrsConjuncts(query, calls);
+  });
   initialized_ = true;
   return Status::OK();
 }
@@ -881,12 +881,49 @@ Status Coupling::PersistIrs() {
 // Semantic query optimization hook
 // ---------------------------------------------------------------------------
 
-Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query) {
-  if (query.where == nullptr) return Status::OK();
-  // Walk the whole WHERE tree (not only top-level conjuncts): any
-  // getIRSValue(collection-literal, query-literal) benefits from one
-  // batched IRS call that warms the result buffer.
-  std::vector<const oodb::vql::Expr*> stack = {query.where.get()};
+namespace {
+
+/// `getIRSValue('<coll>', '<query>')` bound for one VQL statement to the
+/// IRS result PrepareIrsConjuncts pinned. Each evaluation is one buffer
+/// hit, as a FindIrsValue hit would be; the hits are booked together
+/// when the engine flushes the call.
+class BoundIrsValue : public oodb::vql::BoundCall {
+ public:
+  BoundIrsValue(Collection* coll, const std::string& irs_query,
+                std::shared_ptr<const OidScoreMap> result, double null_score)
+      : coll_(coll),
+        irs_query_(irs_query),
+        result_(std::move(result)),
+        null_score_(null_score) {}
+
+  StatusOr<Value> Call(Oid self) override {
+    ++hits_;
+    SDMS_ASSIGN_OR_RETURN(
+        double value,
+        coll_->FindPinnedIrsValue(irs_query_, *result_, null_score_, self));
+    return Value(value);
+  }
+
+  void Flush() override {
+    coll_->BookPinnedHits(hits_);
+    hits_ = 0;
+  }
+
+ private:
+  Collection* coll_;
+  /// The call's query literal; the parsed query outlives the Run.
+  const std::string& irs_query_;
+  std::shared_ptr<const OidScoreMap> result_;
+  double null_score_;
+  uint64_t hits_ = 0;
+};
+
+/// Calls `fn` on every `getIRSValue(collection-literal, query-literal)`
+/// in the tree under `root` (not only top-level conjuncts).
+template <typename Fn>
+void ForEachContentCall(const oodb::vql::Expr* root, Fn&& fn) {
+  std::vector<const oodb::vql::Expr*> stack;
+  if (root != nullptr) stack.push_back(root);
   while (!stack.empty()) {
     const oodb::vql::Expr* e = stack.back();
     stack.pop_back();
@@ -895,15 +932,82 @@ Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query) {
         e->args[0]->literal.is_string() &&
         e->args[1]->kind == ExprKind::kLiteral &&
         e->args[1]->literal.is_string()) {
-      auto coll = GetCollectionByName(e->args[0]->literal.as_string());
-      if (coll.ok()) {
-        SDMS_RETURN_IF_ERROR(
-            (*coll)->GetIrsResult(e->args[1]->literal.as_string()).status());
-      }
+      fn(e, e->args[0]->literal.as_string(), e->args[1]->literal.as_string());
     }
     if (e->child) stack.push_back(e->child.get());
     if (e->rhs) stack.push_back(e->rhs.get());
     for (const auto& a : e->args) stack.push_back(a.get());
+  }
+}
+
+}  // namespace
+
+Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query,
+                                     oodb::vql::BoundCalls& calls) {
+  // The implementation a receiver must dispatch getIRSValue to for a
+  // bound call to answer for it; overrides keep the Invoke path.
+  auto method =
+      db_->methods().Resolve(db_->schema(), kIrsObjectClass, "getIRSValue");
+  struct Pinned {
+    Collection* coll;
+    const std::string* irs_query;
+    std::shared_ptr<const OidScoreMap> result;
+    double null_score;
+  };
+  std::vector<Pinned> pinned;
+  auto bind = [&](const oodb::vql::Expr* call, const Pinned& p) {
+    calls.Bind(call, *method,
+               std::make_unique<BoundIrsValue>(p.coll, *p.irs_query, p.result,
+                                               p.null_score));
+  };
+  // WHERE: every content call warms its collection's buffer with one
+  // batched IRS call, and a result served fresh from the buffer is
+  // pinned for the statement.
+  Status status = Status::OK();
+  ForEachContentCall(query.where.get(), [&](const oodb::vql::Expr* call,
+                                            const std::string& name,
+                                            const std::string& irs_query) {
+    if (!status.ok()) return;
+    auto coll = GetCollectionByName(name);
+    if (!coll.ok()) return;
+    auto warmed = (*coll)->WarmIrsResult(irs_query);
+    if (!warmed.ok()) {
+      // An unavailable IRS leaves the call to FindIrsValue's degraded
+      // fallback (null score, derivation). The query's own stop
+      // (deadline, budget, cancellation) and logic errors propagate.
+      QueryContext* ctx = QueryContext::Current();
+      if (!IsUnavailable(warmed.status()) ||
+          (ctx != nullptr && ctx->ShouldStop())) {
+        status = warmed.status();
+        return;
+      }
+      calls.NoteDegraded("IRS unavailable for '" + irs_query + "' on '" +
+                         name + "': " + warmed.status().ToString());
+      return;
+    }
+    if (*warmed == nullptr || !method.ok()) return;
+    auto null_score = (*coll)->NullScore(irs_query);
+    if (!null_score.ok()) return;
+    pinned.push_back(Pinned{*coll, &irs_query, *warmed, *null_score});
+    bind(call, pinned.back());
+  });
+  SDMS_RETURN_IF_ERROR(status);
+  // SELECT and ORDER BY reuse what WHERE pinned; a query first seen
+  // there keeps the per-binding path.
+  auto bind_pinned = [&](const oodb::vql::Expr* call, const std::string& name,
+                         const std::string& irs_query) {
+    auto coll = GetCollectionByName(name);
+    if (!coll.ok()) return;
+    for (const Pinned& p : pinned) {
+      if (p.coll == *coll && *p.irs_query == irs_query) {
+        bind(call, p);
+        return;
+      }
+    }
+  };
+  for (const auto& e : query.select) ForEachContentCall(e.get(), bind_pinned);
+  if (query.order_by != nullptr) {
+    ForEachContentCall(query.order_by->expr.get(), bind_pinned);
   }
   return Status::OK();
 }

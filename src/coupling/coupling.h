@@ -247,8 +247,13 @@ class Coupling : public oodb::UpdateListener {
 
   /// Semantic query optimization [AbF95]: before evaluating a VQL
   /// query, warm the result buffer of every collection referenced by a
-  /// getIRSValue conjunct with one batched IRS call.
-  Status PrepareIrsConjuncts(const oodb::vql::ParsedQuery& query);
+  /// getIRSValue call in WHERE with one batched IRS call, and bind each
+  /// call whose result was served fresh from the buffer — in WHERE,
+  /// SELECT and ORDER BY — to that result for the whole statement.
+  /// An unavailable IRS leaves the calls to FindIrsValue's degraded
+  /// fallback and flags the statement degraded.
+  Status PrepareIrsConjuncts(const oodb::vql::ParsedQuery& query,
+                             oodb::vql::BoundCalls& calls);
 
   Status RegisterCouplingSchema();
   Status RegisterIrsObjectMethods();

@@ -53,10 +53,21 @@ std::shared_ptr<const OidScoreMap> ResultBuffer::Get(const std::string& query) {
   return e != nullptr ? e->result : nullptr;
 }
 
-ResultBuffer::Probe ResultBuffer::Lookup(const std::string& query, Oid oid) {
+void ResultBuffer::CountHits(uint64_t n) {
+  hits_.Add(n);
+  GlobalHits().Add(n);
+}
+
+ResultBuffer::Probe ResultBuffer::Lookup(const std::string& query, Oid oid,
+                                         bool counted) {
   std::lock_guard<std::mutex> lock(mu_);
   Probe probe;
-  const Entry* e = FindCountedLocked(query);
+  const Entry* e = nullptr;
+  if (counted) {
+    e = FindCountedLocked(query);
+  } else if (auto it = entries_.find(query); it != entries_.end()) {
+    e = &it->second;
+  }
   if (e == nullptr) return probe;
   probe.hit = true;
   if (auto it = e->result->find(oid); it != e->result->end()) {

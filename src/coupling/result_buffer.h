@@ -60,8 +60,15 @@ class ResultBuffer {
 
   /// Looks `oid` up in the entry of `query` without handing out the
   /// result: the IRS result first, then the side table. Counts exactly
-  /// one hit or miss, like Get(), and refreshes LRU order.
-  Probe Lookup(const std::string& query, Oid oid);
+  /// one hit or miss, like Get(), and refreshes LRU order. With
+  /// `counted = false` it does neither: a re-read for a caller that
+  /// booked the access already (a statement that pinned the result).
+  Probe Lookup(const std::string& query, Oid oid, bool counted = true);
+
+  /// Books `n` hits at once: lookups a caller answered from a result it
+  /// pinned with an earlier counted access (see
+  /// Collection::BookPinnedHits). Touches no entry.
+  void CountHits(uint64_t n);
 
   /// Stores (replacing) the result for `query`, with an empty side
   /// table, and returns the stored handle.

@@ -341,20 +341,37 @@ StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
 // Evaluation
 // ---------------------------------------------------------------------------
 
-StatusOr<Value> QueryEngine::Eval(const Expr& expr,
-                                  const std::map<std::string, Value>& env) {
+void BoundCalls::Bind(const Expr* call, const MethodFn* method,
+                      std::unique_ptr<BoundCall> bound) {
+  entries_.push_back(Entry{call, method, std::move(bound), {}});
+}
+
+bool QueryEngine::BindingApplies(BoundCalls::Entry& entry, Oid self) {
+  auto obj = db_->store().Get(self);
+  // A missing receiver takes the Invoke path, which reports it.
+  if (!obj.ok()) return false;
+  const std::string& cls = (*obj)->class_name();
+  for (const auto& [name, applies] : entry.classes) {
+    if (name == cls) return applies;
+  }
+  auto method = db_->methods().Resolve(db_->schema(), cls, entry.call->name);
+  bool applies = method.ok() && *method == entry.method;
+  entry.classes.emplace_back(cls, applies);
+  return applies;
+}
+
+StatusOr<Value> QueryEngine::Eval(const Expr& expr, Frame& frame) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
     case ExprKind::kVarRef: {
-      auto it = env.find(expr.name);
-      if (it == env.end()) {
-        return Status::InvalidArgument("unbound variable: " + expr.name);
+      for (auto it = frame.env.rbegin(); it != frame.env.rend(); ++it) {
+        if (*it->first == expr.name) return it->second;
       }
-      return it->second;
+      return Status::InvalidArgument("unbound variable: " + expr.name);
     }
     case ExprKind::kAttrAccess: {
-      SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, env));
+      SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, frame));
       if (!recv.is_oid()) {
         return Status::TypeError("attribute access on non-object: " +
                                  expr.ToString());
@@ -362,15 +379,20 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr,
       return db_->GetAttribute(recv.as_oid(), expr.name);
     }
     case ExprKind::kMethodCall: {
-      SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, env));
+      SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, frame));
       if (!recv.is_oid()) {
         return Status::TypeError("method call on non-object: " +
                                  expr.ToString());
       }
+      if (BoundCalls::Entry* bound = frame.calls.Find(&expr);
+          bound != nullptr && BindingApplies(*bound, recv.as_oid())) {
+        ++stats_.method_calls;
+        return bound->bound->Call(recv.as_oid());
+      }
       std::vector<Value> args;
       args.reserve(expr.args.size());
       for (const auto& a : expr.args) {
-        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*a, env));
+        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*a, frame));
         args.push_back(std::move(v));
       }
       ++stats_.method_calls;
@@ -380,13 +402,13 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr,
       ValueList list;
       list.reserve(expr.args.size());
       for (const auto& a : expr.args) {
-        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*a, env));
+        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*a, frame));
         list.push_back(std::move(v));
       }
       return Value(std::move(list));
     }
     case ExprKind::kUnary: {
-      SDMS_ASSIGN_OR_RETURN(Value v, Eval(*expr.child, env));
+      SDMS_ASSIGN_OR_RETURN(Value v, Eval(*expr.child, frame));
       if (expr.un_op == UnOp::kNot) return Value(!v.Truthy());
       SDMS_ASSIGN_OR_RETURN(double d, v.AsNumber());
       if (v.is_int()) return Value(-v.as_int());
@@ -395,15 +417,15 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr,
     case ExprKind::kBinary: {
       // AND/OR short-circuit.
       if (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr) {
-        SDMS_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.child, env));
+        SDMS_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.child, frame));
         bool l = lhs.Truthy();
         if (expr.bin_op == BinOp::kAnd && !l) return Value(false);
         if (expr.bin_op == BinOp::kOr && l) return Value(true);
-        SDMS_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.rhs, env));
+        SDMS_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.rhs, frame));
         return Value(rhs.Truthy());
       }
-      SDMS_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.child, env));
-      SDMS_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.rhs, env));
+      SDMS_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.child, frame));
+      SDMS_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.rhs, frame));
       switch (expr.bin_op) {
         case BinOp::kEq:
           return Value(lhs.Equals(rhs));
@@ -529,11 +551,11 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
       return pre;
     }
   }
-  bool prepare_degraded = false;
+  Frame frame;
   {
     obs::ProfileStageScope prepare_stage("prepare");
     for (const PrepareHook& hook : prepare_hooks_) {
-      Status hook_status = hook(*db_, query);
+      Status hook_status = hook(*db_, query, frame.calls);
       if (!hook_status.ok()) {
         // Prepare hooks are optimizations (buffer warmups); when the
         // deadline fires inside one and the query tolerates partial
@@ -541,7 +563,7 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
         if (ctx != nullptr && ctx->allow_partial() &&
             (hook_status.IsDeadlineExceeded() ||
              hook_status.IsResourceExhausted())) {
-          prepare_degraded = true;
+          frame.partial_stop = true;
           break;
         }
         candidate_overrides_.clear();
@@ -561,12 +583,12 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
   QueryResult result;
   for (const auto& e : query.select) result.columns.push_back(e->ToString());
 
-  std::map<std::string, Value> env;
-  bool partial_stop = prepare_degraded;
   {
     obs::TraceSpan join_span("vql.join");
     obs::ProfileStageScope join_stage("join");
-    Status join_status = RunJoin(query, plan, 0, env, result, &partial_stop);
+    frame.env.reserve(plan.size());
+    Status join_status = RunJoin(query, plan, 0, frame, result);
+    for (BoundCalls::Entry& e : frame.calls.entries_) e.bound->Flush();
     metrics.join_us.Record(static_cast<double>(join_span.ElapsedMicros()));
     obs::ProfileCount("tuples_considered", stats_.tuples_considered);
     obs::ProfileCount("method_calls", stats_.method_calls);
@@ -575,7 +597,7 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
       return join_status;
     }
   }
-  if (partial_stop) {
+  if (frame.partial_stop) {
     result.degraded = true;
     result.degraded_reason =
         ctx != nullptr && !ctx->StopStatus().ok()
@@ -583,6 +605,11 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
             : "DeadlineExceeded: prepare-stage deadline";
     if (ctx != nullptr) ctx->NoteDegraded();
     metrics.partial_results.Increment();
+  } else if (!frame.calls.degraded_reason().empty()) {
+    // Complete rows, but some values came from a degraded fallback.
+    result.degraded = true;
+    result.degraded_reason = frame.calls.degraded_reason();
+    if (ctx != nullptr) ctx->NoteDegraded();
   }
 
   // DISTINCT: keep the first row per distinct select-column tuple
@@ -641,12 +668,11 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
 
 Status QueryEngine::RunJoin(const ParsedQuery& query,
                             const std::vector<BindingPlan>& plan, size_t depth,
-                            std::map<std::string, Value>& env,
-                            QueryResult& result, bool* partial_stop) {
+                            Frame& frame, QueryResult& result) {
   if (depth == plan.size()) {
     QueryContext* row_ctx = QueryContext::Current();
     if (row_ctx != nullptr) row_ctx->ChargeRows(1);
-    return EmitRow(query, env, result);
+    return EmitRow(query, frame, result);
   }
   const BindingPlan& bp = plan[depth];
   std::vector<Oid> extent;
@@ -656,25 +682,26 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
   const std::vector<Oid>& candidates =
       bp.candidates.has_value() ? *bp.candidates : extent;
   QueryContext* ctx = QueryContext::Current();
+  // This depth's variable occupies env[depth] while its candidates run.
+  frame.env.emplace_back(&bp.binding.var, Value());
   for (Oid oid : candidates) {
-    if (*partial_stop) break;
+    if (frame.partial_stop) break;
     if (ctx != nullptr && ctx->ShouldStop()) {
       // Cancellation always errors; deadline/budget stops degrade to a
       // partial result when the context allows it (mixed queries).
       if (ctx->allow_partial() &&
           ctx->stop_reason() != QueryContext::StopReason::kCancelled) {
-        *partial_stop = true;
+        frame.partial_stop = true;
         break;
       }
-      env.erase(bp.binding.var);
       return ctx->StopStatus();
     }
     if (!db_->store().Contains(oid)) continue;
     ++stats_.bindings_scanned;
-    env[bp.binding.var] = Value(oid);
+    frame.env.back().second = Value(oid);
     bool pass = true;
     for (const Expr* f : bp.filters) {
-      SDMS_ASSIGN_OR_RETURN(Value v, Eval(*f, env));
+      SDMS_ASSIGN_OR_RETURN(Value v, Eval(*f, frame));
       if (!v.Truthy()) {
         pass = false;
         break;
@@ -682,7 +709,7 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
     }
     if (pass) {
       for (const Expr* jc : bp.join_conjuncts) {
-        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*jc, env));
+        SDMS_ASSIGN_OR_RETURN(Value v, Eval(*jc, frame));
         if (!v.Truthy()) {
           pass = false;
           break;
@@ -691,25 +718,23 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
     }
     if (pass) {
       ++stats_.tuples_considered;
-      SDMS_RETURN_IF_ERROR(
-          RunJoin(query, plan, depth + 1, env, result, partial_stop));
+      SDMS_RETURN_IF_ERROR(RunJoin(query, plan, depth + 1, frame, result));
     }
   }
-  env.erase(bp.binding.var);
+  frame.env.pop_back();
   return Status::OK();
 }
 
-Status QueryEngine::EmitRow(const ParsedQuery& query,
-                            std::map<std::string, Value>& env,
+Status QueryEngine::EmitRow(const ParsedQuery& query, Frame& frame,
                             QueryResult& result) {
   std::vector<Value> row;
   row.reserve(query.select.size() + 1);
   for (const auto& e : query.select) {
-    SDMS_ASSIGN_OR_RETURN(Value v, Eval(*e, env));
+    SDMS_ASSIGN_OR_RETURN(Value v, Eval(*e, frame));
     row.push_back(std::move(v));
   }
   if (query.order_by != nullptr) {
-    SDMS_ASSIGN_OR_RETURN(Value key, Eval(*query.order_by->expr, env));
+    SDMS_ASSIGN_OR_RETURN(Value key, Eval(*query.order_by->expr, frame));
     row.push_back(std::move(key));  // Hidden sort key, stripped later.
   }
   result.rows.push_back(std::move(row));

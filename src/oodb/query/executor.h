@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -40,11 +42,73 @@ struct QueryStats {
   uint64_t rows_emitted = 0;
 };
 
-/// Hook invoked before evaluation with the parsed query; the coupling
-/// layer uses it for semantic query optimization [AbF95]: it spots
-/// `getIRSValue(coll, 'q')` conjuncts and warms the collection's IRS
-/// result buffer with a single batched IRS call.
-using PrepareHook = std::function<Status(Database&, const ParsedQuery&)>;
+/// A method call that a prepare hook resolved once for a whole Run, so
+/// that evaluating it per binding skips method dispatch and argument
+/// evaluation (the coupling binds `getIRSValue('coll', 'q')` to the
+/// buffered IRS result of 'q').
+class BoundCall {
+ public:
+  BoundCall() = default;
+  BoundCall(const BoundCall&) = delete;
+  BoundCall& operator=(const BoundCall&) = delete;
+  virtual ~BoundCall() = default;
+  /// Evaluates the call on receiver `self`.
+  virtual StatusOr<Value> Call(Oid self) = 0;
+  /// Books the accounting of the evaluations made so far. The engine
+  /// calls it once per Run, inside the `join` stage, on every exit path.
+  virtual void Flush() {}
+};
+
+/// Per-Run state the prepare hooks fill: the calls bound for this Run,
+/// and whether a prepare step left the statement to a degraded
+/// fallback. It lives in QueryEngine::Run's frame, so a nested Run has
+/// its own and never frees a call that is still executing.
+class BoundCalls {
+ public:
+  /// Binds the method-call expression `call` of the running query. The
+  /// binding applies to receivers whose class resolves the call's
+  /// method name to `method` (checked once per class per Run); any
+  /// other receiver is dispatched through Database::Invoke as usual.
+  void Bind(const Expr* call, const MethodFn* method,
+            std::unique_ptr<BoundCall> bound);
+
+  /// Flags the statement's result degraded with `reason` (the first
+  /// reason noted wins): a prepare step could not do its work and left
+  /// the calls to their per-binding fallbacks.
+  void NoteDegraded(std::string reason) {
+    if (degraded_reason_.empty()) degraded_reason_ = std::move(reason);
+  }
+  const std::string& degraded_reason() const { return degraded_reason_; }
+
+ private:
+  friend class QueryEngine;
+
+  struct Entry {
+    const Expr* call;
+    const MethodFn* method;
+    std::unique_ptr<BoundCall> bound;
+    /// Receiver class -> whether the binding applies to it.
+    std::vector<std::pair<std::string, bool>> classes;
+  };
+
+  Entry* Find(const Expr* call) {
+    for (Entry& e : entries_) {
+      if (e.call == call) return &e;
+    }
+    return nullptr;
+  }
+
+  std::vector<Entry> entries_;
+  std::string degraded_reason_;
+};
+
+/// Hook invoked before evaluation with the parsed query and the Run's
+/// bound-call table; the coupling layer uses it for semantic query
+/// optimization [AbF95]: it spots `getIRSValue(coll, 'q')` calls, warms
+/// the collection's IRS result buffer with a single batched IRS call,
+/// and binds the calls to the buffered result.
+using PrepareHook =
+    std::function<Status(Database&, const ParsedQuery&, BoundCalls&)>;
 
 /// Evaluates VQL queries against a Database: parsing, optimization
 /// (filter pushdown, index selection, binding reorder) and nested-loop
@@ -87,10 +151,6 @@ class QueryEngine {
   /// candidates), pushed-down filters and join conjuncts.
   StatusOr<std::string> Explain(const std::string& vql);
 
-  /// Evaluates a bare expression with variables bound to objects.
-  StatusOr<Value> Eval(const Expr& expr,
-                       const std::map<std::string, Value>& env);
-
   /// Stats of the most recent Run.
   const QueryStats& last_stats() const { return stats_; }
 
@@ -99,17 +159,27 @@ class QueryEngine {
  private:
   struct BindingPlan;
 
+  /// Per-Run evaluation state (not a member: the engine is externally
+  /// synchronized but keeps no per-call mutable state beyond stats).
+  struct Frame {
+    /// Join variables bound so far, outermost first: a query binds a
+    /// handful, so a linear scan beats a tree. The names point into the
+    /// Run's plan.
+    std::vector<std::pair<const std::string*, Value>> env;
+    BoundCalls calls;
+    /// Set when the current QueryContext demands a stop that degrades
+    /// to a partial result instead of an error.
+    bool partial_stop = false;
+  };
+
   StatusOr<std::vector<BindingPlan>> BuildPlan(const ParsedQuery& query);
-  /// `partial_stop` is per-Run join state (not a member: the engine is
-  /// externally synchronized but keeps no per-call mutable state beyond
-  /// stats): set when the current QueryContext demands a stop that
-  /// degrades to a partial result instead of an error.
+  StatusOr<Value> Eval(const Expr& expr, Frame& frame);
+  /// True if the bound call `entry` applies to receiver `self`.
+  bool BindingApplies(BoundCalls::Entry& entry, Oid self);
   Status RunJoin(const ParsedQuery& query,
                  const std::vector<BindingPlan>& plan, size_t depth,
-                 std::map<std::string, Value>& env, QueryResult& result,
-                 bool* partial_stop);
-  Status EmitRow(const ParsedQuery& query,
-                 std::map<std::string, Value>& env, QueryResult& result);
+                 Frame& frame, QueryResult& result);
+  Status EmitRow(const ParsedQuery& query, Frame& frame, QueryResult& result);
 
   Database* db_;
   Options options_;

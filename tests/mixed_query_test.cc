@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "common/obs/metrics.h"
+#include "common/obs/profile.h"
+#include "common/query_context.h"
 #include "coupling_test_util.h"
 
 namespace sdms::coupling {
@@ -182,6 +186,151 @@ TEST(MixedQueryTest, DerivedValuesNeverBecomeIrsFirstCandidates) {
     ASSERT_TRUE(cls.ok());
     EXPECT_EQ(*cls, "PARA") << Oid(raw).ToString();
   }
+}
+
+/// A 100-document corpus with a paragraph-level "paras" collection.
+std::unique_ptr<testutil::CoupledSystem> MakeCorpusSystem(
+    CouplingOptions options = CouplingOptions()) {
+  auto sys = MakeCoupledSystem(options);
+  sgml::CorpusOptions corpus;
+  corpus.num_docs = 100;
+  corpus.seed = 1;
+  testutil::StoreCorpus(*sys, sgml::CorpusGenerator(corpus).Generate());
+  auto coll = sys->coupling->CreateCollection("paras", "inquery");
+  EXPECT_TRUE(coll.ok());
+  EXPECT_TRUE(
+      (*coll)->IndexObjects("ACCESS p FROM p IN PARA", kTextModeSubtree).ok());
+  return sys;
+}
+
+/// Same rows in the same order, with bit-identical scores.
+void ExpectBitIdenticalRows(const oodb::vql::QueryResult& a,
+                            const oodb::vql::QueryResult& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    ASSERT_EQ(a.rows[r].size(), b.rows[r].size());
+    for (size_t c = 0; c < a.rows[r].size(); ++c) {
+      const oodb::Value& x = a.rows[r][c];
+      const oodb::Value& y = b.rows[r][c];
+      ASSERT_EQ(x.type(), y.type()) << "row " << r << " col " << c;
+      if (x.is_real()) {
+        double dx = x.as_real();
+        double dy = y.as_real();
+        EXPECT_EQ(std::memcmp(&dx, &dy, sizeof dx), 0)
+            << "row " << r << " col " << c << ": " << dx << " vs " << dy;
+      } else {
+        EXPECT_TRUE(x.Equals(y)) << "row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST(MixedQueryTest, BoundCallsMatchPerBindingEvaluation) {
+  // Buffering on binds each getIRSValue call to its pinned result;
+  // disable_buffering evaluates every binding through FindIrsValue.
+  // Both must produce the same rows and scores, bit for bit.
+  auto bound = MakeCorpusSystem();
+  CouplingOptions unbuffered;
+  unbuffered.disable_buffering = true;
+  auto per_binding = MakeCorpusSystem(unbuffered);
+  MixedQueryEvaluator bound_eval(bound->coupling.get());
+  MixedQueryEvaluator per_binding_eval(per_binding->coupling.get());
+  const std::string call = "p -> getIRSValue('paras', 'www')";
+  const std::string doc_call = "d -> getIRSValue('paras', 'www')";
+  const std::vector<std::string> statements = {
+      // A full PARA scan: every paragraph passes, most at the null score.
+      "ACCESS p, " + call + " FROM p IN PARA WHERE " + call + " > 0",
+      // SELECT and ORDER BY reuse the WHERE call's pinned result.
+      "ACCESS p, " + call + " FROM p IN PARA WHERE " + call +
+          " > 0.4 ORDER BY " + call + " DESC",
+      "ACCESS p FROM p IN PARA WHERE " + call + " >= 0.45",
+      "ACCESS p FROM p IN PARA WHERE 0.45 < " + call,
+      // MMFDOC values are derived from the paragraphs (Figure 3).
+      "ACCESS d, " + doc_call + " FROM d IN MMFDOC WHERE " + doc_call +
+          " > 0.4 ORDER BY " + doc_call + " DESC",
+  };
+  for (const std::string& vql : statements) {
+    SCOPED_TRACE(vql);
+    // Twice on the bound side: the second run answers derived values
+    // from the side table instead of deriving them.
+    for (int run = 0; run < 2; ++run) {
+      auto got = bound_eval.Run(vql, Strategy::kIndependent);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = per_binding_eval.Run(vql, Strategy::kIndependent);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_FALSE(want->rows.empty());
+      ExpectBitIdenticalRows(*got, *want);
+    }
+  }
+}
+
+TEST(MixedQueryTest, BoundCallKeepsSubclassOverride) {
+  auto sys = MakeFigure4System();
+  // PARA overrides getIRSValue; the other IRSObject classes inherit it.
+  int override_calls = 0;
+  sys->db->methods().Register(
+      "PARA", "getIRSValue",
+      [&](const oodb::MethodContext&, Oid,
+          const std::vector<oodb::Value>&) -> StatusOr<oodb::Value> {
+        ++override_calls;
+        return oodb::Value(0.99);
+      });
+  MixedQueryEvaluator eval(sys->coupling.get());
+  auto r = eval.Run(
+      "ACCESS x FROM x IN IRSObject "
+      "WHERE x -> getIRSValue('paras', 'www') > 0.5",
+      Strategy::kIndependent);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const size_t paras = sys->db->ExtentSize("PARA");
+  EXPECT_EQ(override_calls, static_cast<int>(paras));
+  size_t para_rows = 0;
+  for (uint64_t raw : RowOids(*r)) {
+    if (*sys->db->ClassOf(Oid(raw)) == "PARA") ++para_rows;
+  }
+  EXPECT_EQ(para_rows, paras);
+  // Derived document values (through the bound call) qualify too.
+  EXPECT_GT(r->rows.size(), paras);
+}
+
+TEST(MixedQueryTest, BoundScanBooksOneHitPerEvaluation) {
+  auto sys = MakeCorpusSystem();
+  Collection* coll = *sys->coupling->GetCollectionByName("paras");
+  const std::string call = "p -> getIRSValue('paras', 'www')";
+  const std::string vql =
+      "ACCESS p, " + call + " FROM p IN PARA WHERE " + call + " > 0.4";
+  MixedQueryEvaluator eval(sys->coupling.get());
+  ASSERT_TRUE(eval.Run(vql, Strategy::kIndependent).ok());  // buffers www
+
+  obs::Counter& global = obs::GetCounter("coupling.result_buffer.hits");
+  const uint64_t buffer_before = coll->buffer().hits();
+  const uint64_t stats_before = coll->stats().buffer_hits;
+  const uint64_t global_before = global.value();
+  QueryContext ctx;
+  auto profile = std::make_shared<obs::QueryProfile>(ctx.query_id());
+  ctx.set_profile(profile);
+  StatusOr<oodb::vql::QueryResult> r = Status::OK();
+  {
+    QueryContext::Scope scope(&ctx);
+    r = eval.Run(vql, Strategy::kIndependent);
+  }
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(r->rows.empty());
+  // One evaluation per PARA binding in WHERE and one per row in SELECT,
+  // plus the prepare stage's warm-up read of the buffer.
+  const uint64_t evaluations = sys->db->ExtentSize("PARA") + r->rows.size();
+  EXPECT_EQ(coll->buffer().hits() - buffer_before, evaluations + 1);
+  EXPECT_EQ(coll->stats().buffer_hits - stats_before, evaluations + 1);
+  EXPECT_EQ(global.value() - global_before, evaluations + 1);
+  EXPECT_EQ(profile->TotalCounter("buffer_hits"), evaluations + 1);
+  // The bound evaluations are booked under `join` itself; none opens a
+  // `buffer_lookup` stage.
+  const obs::QueryProfile::Stage* join = nullptr;
+  for (const auto& stage : profile->root()->children) {
+    if (stage->name == "join") join = stage.get();
+  }
+  ASSERT_NE(join, nullptr) << profile->Render();
+  EXPECT_EQ(join->counters.at("buffer_hits"), evaluations);
+  EXPECT_TRUE(join->children.empty()) << profile->Render();
 }
 
 TEST(MixedQueryTest, UnknownCollectionFails) {

@@ -250,6 +250,37 @@ TEST(StatisticsServiceTest, CapturesIndexedWorkload) {
   stats.ResetForTest();
 }
 
+TEST(StatisticsServiceTest, BatchedHitsMatchSingleLookups) {
+  obs::StatisticsService& stats = obs::StatisticsService::Instance();
+  stats.ResetForTest();
+  // From an empty average (the first hit seeds it) and from a mixed
+  // history, n batched hits land where n single hits do.
+  for (uint64_t n : {1u, 2u, 37u, 5000u}) {
+    const std::string single = "single" + std::to_string(n);
+    const std::string batched = "batched" + std::to_string(n);
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      stats.RecordBufferLookup(single, true);
+    }
+    stats.RecordBufferLookups(batched, n);
+    EXPECT_NEAR(stats.BufferHitRate(batched), stats.BufferHitRate(single),
+                1e-12);
+    for (bool hit : {false, true, false, false}) {
+      stats.RecordBufferLookup(single, hit);
+      stats.RecordBufferLookup(batched, hit);
+    }
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      stats.RecordBufferLookup(single, true);
+    }
+    stats.RecordBufferLookups(batched, n);
+    EXPECT_NEAR(stats.BufferHitRate(batched), stats.BufferHitRate(single),
+                1e-12)
+        << n;
+  }
+  stats.RecordBufferLookups("untouched", 0);
+  EXPECT_LT(stats.BufferHitRate("untouched"), 0.0);
+  stats.ResetForTest();
+}
+
 TEST(StatisticsServiceTest, SaveLoadRoundTrip) {
   obs::StatisticsService& stats = obs::StatisticsService::Instance();
   stats.ResetForTest();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/fault/fault.h"
+#include "coupling/mixed_query.h"
 #include "coupling_test_util.h"
 #include "irs/collection.h"
 
@@ -325,6 +326,28 @@ TEST_F(DegradedReadTest, FindIrsValueFallsBackCleanly) {
   auto fresh = coll->FindIrsValue("www", para, &degraded);
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(degraded);
+}
+
+TEST_F(DegradedReadTest, MixedStatementFallsBackWhenNothingIsBuffered) {
+  // The IRS is down and nothing is buffered: the prepare-stage warm-up
+  // fails, yet the statement answers from FindIrsValue's fallback (the
+  // null score 0.4 clears 0.3) and says it is degraded, and why.
+  auto sys = testutil::MakeFigure4System(FastGuardOptions());
+  ArmHardIoError();
+  MixedQueryEvaluator eval(sys->coupling.get());
+  for (auto strategy : {MixedQueryEvaluator::Strategy::kIndependent,
+                        MixedQueryEvaluator::Strategy::kIrsFirst}) {
+    auto r = eval.Run(
+        "ACCESS p FROM p IN PARA WHERE p -> getIRSValue('paras', 'www') > 0.3",
+        strategy);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), sys->db->ExtentSize("PARA"));
+    EXPECT_TRUE(r->degraded);
+    EXPECT_NE(r->degraded_reason.find("injected fault at coupling.irs_call"),
+              std::string::npos)
+        << r->degraded_reason;
+    EXPECT_TRUE(eval.last_run().degraded);
+  }
 }
 
 TEST_F(DegradedReadTest, RecoveryReplaysExactlyOnce) {

@@ -175,12 +175,65 @@ TEST_F(VqlExecutorTest, CandidateOverrideRestrictsScan) {
 
 TEST_F(VqlExecutorTest, PrepareHookRuns) {
   int calls = 0;
-  engine_->AddPrepareHook([&](Database&, const ParsedQuery&) {
+  engine_->AddPrepareHook([&](Database&, const ParsedQuery&, BoundCalls&) {
     ++calls;
     return Status::OK();
   });
   ASSERT_TRUE(engine_->Run("ACCESS d FROM d IN DOC").ok());
   EXPECT_EQ(calls, 1);
+}
+
+TEST_F(VqlExecutorTest, BoundCallAnswersForClassesThatDispatchToIt) {
+  // DOC and PARA each define `score`; a hook binds the call to DOC's
+  // implementation, so DOC receivers go to the bound call and PARA
+  // receivers keep their own method.
+  db_->methods().Register("DOC", "score",
+                          [](const MethodContext&, Oid,
+                             const std::vector<Value>&) -> StatusOr<Value> {
+                            return Value(1);
+                          });
+  db_->methods().Register("PARA", "score",
+                          [](const MethodContext&, Oid,
+                             const std::vector<Value>&) -> StatusOr<Value> {
+                            return Value(2);
+                          });
+  struct Bound : BoundCall {
+    int* calls;
+    int* flushes;
+    StatusOr<Value> Call(Oid) override {
+      ++*calls;
+      return Value(42);
+    }
+    void Flush() override { ++*flushes; }
+  };
+  int calls = 0;
+  int flushes = 0;
+  engine_->AddPrepareHook(
+      [&](Database& db, const ParsedQuery& query, BoundCalls& bound) {
+        auto method = db.methods().Resolve(db.schema(), "DOC", "score");
+        if (!method.ok()) return method.status();
+        auto b = std::make_unique<Bound>();
+        b->calls = &calls;
+        b->flushes = &flushes;
+        bound.Bind(query.select[1].get(), *method, std::move(b));
+        return Status::OK();
+      });
+  auto r = engine_->Run("ACCESS d, d -> score() FROM d IN Object");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int docs = 0;
+  for (const auto& row : r->rows) {
+    auto cls = db_->ClassOf(row[0].as_oid());
+    ASSERT_TRUE(cls.ok());
+    if (*cls == "DOC") {
+      ++docs;
+      EXPECT_EQ(row[1].as_int(), 42);
+    } else {
+      EXPECT_EQ(row[1].as_int(), 2);
+    }
+  }
+  EXPECT_EQ(docs, 3);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(flushes, 1);
 }
 
 TEST_F(VqlExecutorTest, UnknownClassFails) {
