@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/query_context.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -90,6 +89,11 @@ void Run() {
   {
     Table table({"configuration", "IRS calls", "hit rate", "ms",
                  "us/call"});
+    obs::Counter& registry_hits =
+        obs::GetCounter("coupling.result_buffer.hits");
+    obs::Counter& registry_misses =
+        obs::GetCounter("coupling.result_buffer.misses");
+    double registry_hit_rate = 0.0;
     for (bool buffered : {true, false}) {
       coupling::CouplingOptions opts;
       opts.disable_buffering = !buffered;
@@ -101,6 +105,8 @@ void Run() {
       std::vector<Oid> paras = sys->db->Extent("PARA");
       Rng rng(99);
       ZipfSampler zipf(pool.size(), 1.2);
+      uint64_t hits0 = registry_hits.value();
+      uint64_t misses0 = registry_misses.value();
       Timer timer;
       for (int i = 0; i < kCalls; ++i) {
         const std::string& q = pool[zipf.Sample(rng)];
@@ -109,6 +115,13 @@ void Run() {
         if (!v.ok()) std::abort();
       }
       double ms = timer.ElapsedMillis();
+      if (buffered) {
+        uint64_t h = registry_hits.value() - hits0;
+        uint64_t m = registry_misses.value() - misses0;
+        registry_hit_rate =
+            h + m > 0 ? static_cast<double>(h) / static_cast<double>(h + m)
+                      : 0.0;
+      }
       double hit_rate =
           static_cast<double>(coll->stats().buffer_hits) /
           static_cast<double>(coll->stats().buffer_hits +
@@ -121,8 +134,9 @@ void Run() {
     table.Print();
     std::printf("%d getIRSValue calls, %d distinct IRS queries (Zipf 1.2)\n",
                 kCalls, kQueryPool);
-    std::printf("statistics service EWMA hit rate for 'paras': %.3f\n",
-                obs::StatisticsService::Instance().BufferHitRate("paras"));
+    std::printf("registry hit rate (coupling.result_buffer.{hits,misses}), "
+                "buffered stream: %.3f\n",
+                registry_hit_rate);
   }
 }
 

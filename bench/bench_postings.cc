@@ -1,5 +1,4 @@
-// Postings-storage benchmark: block skipping, decode volume, and the
-// buffer pool under memory pressure.
+// Postings-storage benchmark: block skipping and decode volume.
 //
 // Part A verifies the top-k oracle — Search(q, k) must be bit-identical
 // to the first k hits of the exhaustive Search(q) — and exits non-zero
@@ -7,9 +6,6 @@
 // Part B compares decoded-postings volume between the exhaustive path
 // and the Block-Max pruned top-k path (postings_scanned, blocks
 // decoded/skipped).
-// Part C seals the postings into the paged store and replays the query
-// workload with buffer pools sized at 10%, 50% and 100% of the file,
-// reporting hit rate, evictions, and latency for each.
 //
 // Knobs: --docs=N --words=N (corpus size).
 
@@ -18,10 +14,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/obs/stats.h"
 #include "common/rng.h"
 #include "irs/collection.h"
-#include "irs/storage/postings_store.h"
 
 namespace sdms::bench {
 namespace {
@@ -96,8 +90,7 @@ size_t FlagValue(int argc, char** argv, const char* flag, size_t def) {
 int Main(int argc, char** argv) {
   size_t num_docs = FlagValue(argc, argv, "--docs", 2000);
   size_t words = FlagValue(argc, argv, "--words", 120);
-  std::printf("E-postings: block storage + buffer pool (%zu docs x %zu "
-              "words)\n\n",
+  std::printf("E-postings: block storage (%zu docs x %zu words)\n\n",
               num_docs, words);
 
   auto model = irs::MakeModel("bm25");
@@ -166,55 +159,6 @@ int Main(int argc, char** argv) {
       .Set(static_cast<int64_t>(topk.blocks_skipped));
   obs::GetGauge("bench.postings.scan_reduction_x100")
       .Set(static_cast<int64_t>(reduction * 100));
-
-  // --- Part C: buffer pool pressure sweep -------------------------------
-  std::string path = BenchArtifactDir() + "/bench_postings.postings";
-  // One full-size seal to learn the file geometry.
-  if (!coll.SealPostings(path, /*pool_pages=*/0).ok()) std::abort();
-  uint64_t pages = coll.index().store()
-                       ? (coll.index().store()->payload_size() +
-                          irs::kPagePayloadBytes - 1) /
-                             irs::kPagePayloadBytes
-                       : 0;
-  if (pages == 0) std::abort();
-
-  Table c({"pool size", "pages", "hit rate", "evictions", "ms"});
-  for (double frac : {0.10, 0.50, 1.00}) {
-    size_t pool_pages =
-        std::max<size_t>(1, static_cast<size_t>(pages * frac + 0.5));
-    // Re-sealing swaps in a fresh store (and pool) of the new size.
-    if (!coll.SealPostings(path, static_cast<int>(pool_pages)).ok()) {
-      std::abort();
-    }
-    const irs::PostingsStore* store = coll.index().store();
-    Timer t;
-    run_workload(kTopK);
-    double ms = t.ElapsedMillis();
-    uint64_t hits = store->pool().hits();
-    uint64_t misses = store->pool().misses();
-    double hit_rate = hits + misses > 0
-                          ? static_cast<double>(hits) /
-                                static_cast<double>(hits + misses)
-                          : 0.0;
-    c.AddRow({Fmt("%.0f%%", frac * 100), FmtInt(pool_pages),
-              Fmt("%.3f", hit_rate), FmtInt(store->pool().evictions()),
-              Fmt("%.1f", ms)});
-    std::string tag = Fmt("%.0f", frac * 100);
-    obs::GetGauge("bench.postings.pool" + tag + ".pages")
-        .Set(static_cast<int64_t>(pool_pages));
-    obs::GetGauge("bench.postings.pool" + tag + ".hit_rate_x1000")
-        .Set(static_cast<int64_t>(hit_rate * 1000));
-    obs::GetGauge("bench.postings.pool" + tag + ".micros")
-        .Set(static_cast<int64_t>(ms * 1000));
-  }
-  c.Print();
-  std::printf("postings file: %llu pages (%llu payload bytes)\n",
-              static_cast<unsigned long long>(pages),
-              static_cast<unsigned long long>(
-                  coll.index().store()->payload_size()));
-  std::printf("statistics service pool-hit EWMA for 'bench': %.3f\n",
-              obs::StatisticsService::Instance().PoolHitRate("bench"));
-  std::remove(path.c_str());
 
   EmitMetricsJson("postings");
   return 0;

@@ -23,7 +23,6 @@
 #include "common/obs/log.h"
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/obs/trace.h"
 #include "common/query_context.h"
 #include "common/string_util.h"
@@ -57,8 +56,7 @@ void PrintHelp() {
       "  EXPLAIN ANALYZE <VQL query>        run and print the stage profile\n"
       "  .profile <on|off|save <file>>      per-query profiling / last profile JSON\n"
       "  .stats                             coupling counters + metrics registry\n"
-      "  .stats queries                     statistics service (DF, cardinalities, latencies)\n"
-      "  .stats save <file>                 statistics service as JSON\n"
+      "  .stats save <file>                 metrics registry as JSON\n"
       "  .deadline <ms>                     per-query deadline (0 = off)\n"
       "  .connect <host>:<port>             remote mode: queries go to sdms_server\n"
       "  .disconnect                        back to the local (in-process) system\n"
@@ -68,8 +66,7 @@ void PrintHelp() {
       "  .help / .quit\n"
       "Ctrl-C cancels the in-flight query (kCancelled) instead of\n"
       "killing the shell; in remote mode the cancel travels over the\n"
-      "wire. SIGTERM exits cleanly, saving a statistics checkpoint\n"
-      "(SDMS_STATS_FILE, default stats_checkpoint.sdms).\n");
+      "wire. SIGTERM exits cleanly.\n");
 }
 
 /// Ctrl-C cancellation: the handler performs a single atomic store
@@ -374,11 +371,6 @@ Status Shell::Dispatch(const std::string& line) {
   } else if (cmd == ".stats") {
     std::string arg;
     in >> arg;
-    if (arg == "queries") {
-      std::printf("%s",
-                  obs::StatisticsService::Instance().DumpText().c_str());
-      return Status::OK();
-    }
     if (arg == "save") {
       std::string path;
       in >> path;
@@ -386,9 +378,12 @@ Status Shell::Dispatch(const std::string& line) {
         return Status::InvalidArgument("usage: .stats save <file>");
       }
       SDMS_RETURN_IF_ERROR(WriteFileAtomic(
-          path, obs::StatisticsService::Instance().DumpJson() + "\n"));
-      std::printf("statistics written to %s\n", path.c_str());
+          path, obs::MetricsRegistry::Instance().DumpJson() + "\n"));
+      std::printf("metrics written to %s\n", path.c_str());
       return Status::OK();
+    }
+    if (!arg.empty()) {
+      return Status::InvalidArgument("usage: .stats [save <file>]");
     }
     coupling::CouplingStats s = coupling->AggregateStats();
     std::printf(
@@ -554,22 +549,8 @@ int main(int argc, char** argv) {
     }
   }
   if (g_sigterm != 0) {
-    // Clean SIGTERM exit: persist what the process learned. The
-    // slow-query log appends at record time, so "flush" here means
-    // confirming nothing is lost; the statistics service (strategy
-    // latencies, DF caches) checkpoints to a file the next session
-    // can load.
-    const char* env = std::getenv("SDMS_STATS_FILE");
-    std::string stats_path =
-        env != nullptr && *env != '\0' ? env : "stats_checkpoint.sdms";
-    Status s = obs::StatisticsService::Instance().SaveToFile(stats_path);
-    if (s.ok()) {
-      std::fprintf(stderr, "sigterm: statistics checkpoint -> %s\n",
-                   stats_path.c_str());
-    } else {
-      std::fprintf(stderr, "sigterm: stats checkpoint failed: %s\n",
-                   s.ToString().c_str());
-    }
+    // Clean SIGTERM exit. The slow-query log appends at record time, so
+    // "flush" here means confirming nothing is lost.
     obs::SlowQueryLog& slow = obs::SlowQueryLog::Instance();
     if (slow.enabled()) {
       std::fprintf(stderr,

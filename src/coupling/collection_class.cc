@@ -8,7 +8,6 @@
 #include "common/obs/log.h"
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/obs/trace.h"
 #include "common/query_context.h"
 #include "common/string_util.h"
@@ -581,7 +580,6 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
   auto note_miss = [&]() {
     ++stats_.buffer_misses;
     obs::ProfileCount("buffer_misses");
-    obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, false);
   };
   if (coupling_->options().disable_buffering) {
     note_miss();
@@ -592,7 +590,6 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
   if (read_buffer()) {
     ++stats_.buffer_hits;
     obs::ProfileCount("buffer_hits");
-    obs::StatisticsService::Instance().RecordBufferLookup(irs_name_, true);
     *source = ResultSource::kBuffer;
     return buffered;
   }
@@ -670,7 +667,6 @@ void Collection::BookPinnedHits(uint64_t n) {
   buffer_.CountHits(n);
   stats_.buffer_hits += n;
   obs::ProfileCount("buffer_hits", n);
-  obs::StatisticsService::Instance().RecordBufferLookups(irs_name_, n);
 }
 
 StatusOr<double> Collection::FindIrsValue(const std::string& irs_query,

@@ -122,8 +122,8 @@ class Collection {
 
   /// Books `n` lookups answered from a pinned result as buffer hits, in
   /// every place a FindIrsValue hit is counted: the buffer's and the
-  /// registry's hit counters, stats().buffer_hits, the active profile's
-  /// `buffer_hits`, and the statistics service's hit-rate EWMA.
+  /// registry's hit counters, stats().buffer_hits and the active
+  /// profile's `buffer_hits`.
   void BookPinnedHits(uint64_t n);
 
   /// The three update methods (Section 4.2): invoked when a relevant

@@ -8,7 +8,6 @@
 #include "common/file_util.h"
 #include "common/obs/log.h"
 #include "common/obs/metrics.h"
-#include "common/obs/stats.h"
 #include "common/string_util.h"
 #include "oodb/builtins.h"
 #include "oodb/query/parser.h"
@@ -84,20 +83,6 @@ Status Coupling::Initialize() {
     // the journal) before the database WAL is truncated, so no update
     // event disappears while its effect exists only in memory.
     db_->SetCheckpointHook([this]() { return PersistIrs(); });
-    // Warm the statistics service from the previous run's checkpoint so
-    // the optimizer has real term DFs and latencies from the start. A
-    // missing file is the normal cold start, not an error.
-    std::string stats_path = options_.irs_snapshot_dir + "/stats.sdms";
-    if (FileSize(stats_path).ok()) {
-      Status loaded =
-          obs::StatisticsService::Instance().LoadFromFile(stats_path);
-      if (loaded.ok()) {
-        SDMS_LOG(INFO) << "restored query statistics from " << stats_path;
-      } else {
-        SDMS_LOG(WARN) << "ignoring unreadable stats file " << stats_path
-                       << ": " << loaded.ToString();
-      }
-    }
   }
   db_->AddUpdateListener(this);
   db_->set_coupling_context(this);
@@ -828,14 +813,6 @@ Status Coupling::PersistIrs() {
     return Status::FailedPrecondition("no irs_snapshot_dir configured");
   }
   SDMS_RETURN_IF_ERROR(engine_->SaveTo(options_.irs_snapshot_dir));
-  // Statistics ride along with every checkpoint; losing them costs only
-  // optimizer warmth, so a failure here degrades to a warning.
-  Status stats_saved = obs::StatisticsService::Instance().SaveToFile(
-      options_.irs_snapshot_dir + "/stats.sdms");
-  if (!stats_saved.ok()) {
-    SDMS_LOG(WARN) << "failed to persist query statistics: "
-                   << stats_saved.ToString();
-  }
   if (journal_ != nullptr) {
     // Everything applied is now durable (the snapshots carry their
     // high-water marks), so the journal's history is obsolete — except

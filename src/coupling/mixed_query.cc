@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/query_context.h"
-#include "common/string_util.h"
 #include "oodb/query/parser.h"
 
 namespace sdms::coupling {
@@ -89,24 +87,9 @@ bool AsContentRestriction(const Expr& e, ContentRestriction* out) {
   return true;
 }
 
-}  // namespace
-
-namespace {
-
 const char* StrategyName(MixedQueryEvaluator::Strategy s) {
   return s == MixedQueryEvaluator::Strategy::kIrsFirst ? "irs_first"
                                                        : "independent";
-}
-
-/// Query-shape key for the statistics service: binding count and
-/// content-conjunct count, e.g. "b2.c1".
-std::string ShapeOf(const ParsedQuery& query) {
-  size_t content = 0;
-  for (const Expr* conjunct : SplitConjuncts(query.where.get())) {
-    ContentRestriction r;
-    if (AsContentRestriction(*conjunct, &r)) ++content;
-  }
-  return StrFormat("b%zu.c%zu", query.bindings.size(), content);
 }
 
 }  // namespace
@@ -206,12 +189,6 @@ StatusOr<QueryResult> MixedQueryEvaluator::Run(
   if (info_.degraded && profile != nullptr) {
     profile->Annotate("degradation_reason", result.degraded_reason);
   }
-  // Feed the strategy/shape latency histogram that the cost-based
-  // optimizer will consult when choosing between the two strategies.
-  obs::StatisticsService::Instance().RecordStrategyLatency(
-      ShapeOf(query), StrategyName(strategy),
-      static_cast<uint64_t>(
-          std::max<int64_t>(QueryContext::NowMicros() - run_start, 0)));
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include "common/fault/fault.h"
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/obs/trace.h"
 #include "common/query_context.h"
 #include "common/thread_pool.h"
@@ -291,18 +290,6 @@ StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearch(
       df += freqs.size();
     }
     plan.corpus.window_df[node] = df;
-  }
-
-  {
-    // Snapshot statistics for the cost model: the searched terms' DFs
-    // and the collection's live document count.
-    obs::StatisticsService& stats = obs::StatisticsService::Instance();
-    for (const std::string& term : terms) {
-      stats.RecordTermDf(name_, term,
-                         static_cast<uint32_t>(plan.corpus.Df(term)));
-    }
-    stats.RecordCollectionDocCount(name_,
-                                   static_cast<uint32_t>(plan.corpus.doc_count));
   }
   ++stats_.queries_executed;
   return plan;
@@ -717,16 +704,6 @@ Status IrsCollection::Reshard(uint32_t m) {
   shard_map_ = new_map;
   shards_ = std::move(new_shards);
   applied_seq_.assign(m, floor);
-  return Status::OK();
-}
-
-Status IrsCollection::SealPostings(const std::string& path, int pool_pages) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::string shard_path =
-        s == 0 ? path : path + ".s" + std::to_string(s);
-    SDMS_RETURN_IF_ERROR(
-        shards_[s]->SealToStore(shard_path, name_, pool_pages));
-  }
   return Status::OK();
 }
 

@@ -60,9 +60,9 @@ void CollectWindowNodes(const QueryNode& node,
 /// Documents are partitioned across N shards (SDMS_SHARDS, default 1)
 /// by a stable hash of their external key (ShardMap). Each shard is a
 /// self-contained InvertedIndex — its own postings, doc table,
-/// tombstones, sealed postings store, and exactly-once high-water mark
-/// — so one shard is an independent failure domain: a caller can
-/// search the surviving shards and merge while one shard is faulted.
+/// tombstones, and exactly-once high-water mark — so one shard is an
+/// independent failure domain: a caller can search the surviving
+/// shards and merge while one shard is faulted.
 ///
 /// Searches split into PrepareSearch (parse once, snapshot *global*
 /// corpus statistics) and per-shard SearchShard calls; because every
@@ -265,16 +265,10 @@ class IrsCollection {
   /// (analyzer/model are configuration and are re-supplied at load).
   /// Pre-shard blobs (single-index envelope or raw index bytes)
   /// restore as one shard; the snapshot's shard layout always wins
-  /// over the current SDMS_SHARDS setting. Fails when a sealed
-  /// postings block cannot be decoded.
+  /// over the current SDMS_SHARDS setting. Fails when a postings block
+  /// cannot be decoded.
   StatusOr<std::string> Serialize() const;
   Status RestoreIndex(std::string_view data);
-
-  /// Seals each shard's block postings into a paged store served
-  /// through a buffer pool (see InvertedIndex::SealToStore). Shard 0
-  /// seals at `path` (the unsharded layout); shard i > 0 at
-  /// `path + ".s<i>"`.
-  Status SealPostings(const std::string& path, int pool_pages = 0);
 
  private:
   /// Fresh empty shard respecting the collection's eager-delete mode,

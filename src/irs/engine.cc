@@ -4,24 +4,9 @@
 
 #include "common/fault/fault.h"
 #include "common/file_util.h"
-#include "common/obs/metrics.h"
 #include "common/string_util.h"
 
 namespace sdms::irs {
-
-namespace {
-
-/// Sealing the postings into the paged store is an optimization, not a
-/// durability requirement (the `.idx` snapshot is the truth): on
-/// failure the collection keeps serving from memory-resident blocks.
-void SealPostingsBestEffort(IrsCollection& coll, const std::string& dir) {
-  Status sealed = coll.SealPostings(dir + "/" + coll.name() + ".postings");
-  if (!sealed.ok()) {
-    obs::GetCounter("irs.seal.failures").Increment();
-  }
-}
-
-}  // namespace
 
 StatusOr<IrsCollection*> IrsEngine::CreateCollection(
     const std::string& name, AnalyzerOptions analyzer_options,
@@ -62,7 +47,7 @@ std::vector<std::string> IrsEngine::CollectionNames() const {
   return out;
 }
 
-Status IrsEngine::SaveTo(const std::string& dir) {
+Status IrsEngine::SaveTo(const std::string& dir) const {
   SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.save"));
   SDMS_RETURN_IF_ERROR(MakeDirs(dir));
   std::string manifest;
@@ -77,7 +62,6 @@ Status IrsEngine::SaveTo(const std::string& dir) {
     SDMS_ASSIGN_OR_RETURN(std::string blob, coll->Serialize());
     SDMS_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + name + ".idx",
                                          WithChecksumEnvelope(blob)));
-    SealPostingsBestEffort(*coll, dir);
   }
   return WriteFileAtomic(dir + "/collections.manifest",
                          WithChecksumEnvelope(manifest));
@@ -103,9 +87,6 @@ Status IrsEngine::LoadFrom(const std::string& dir) {
     SDMS_ASSIGN_OR_RETURN(std::string data,
                           StripChecksumEnvelope(std::move(raw)));
     SDMS_RETURN_IF_ERROR(coll->RestoreIndex(data));
-    // The restored index holds memory-resident blocks; push them back
-    // into the paged store so queries run through the buffer pool.
-    SealPostingsBestEffort(*coll, dir);
   }
   return Status::OK();
 }

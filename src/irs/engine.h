@@ -35,15 +35,12 @@ class IrsEngine {
   size_t collection_count() const { return collections_.size(); }
 
   /// Persists every collection's index into `dir` (one file each plus a
-  /// small manifest recording the model names). Also seals each
-  /// collection's block postings into a paged `.postings` store served
-  /// through the buffer pool — a derived cache next to the durable
-  /// `.idx` snapshot, which is why SaveTo is not const. A seal failure
-  /// degrades to memory-resident postings and does not fail the save.
-  Status SaveTo(const std::string& dir);
+  /// small manifest recording the model names). The `.idx` snapshot is
+  /// the only on-disk form of a collection's postings.
+  Status SaveTo(const std::string& dir) const;
 
-  /// Restores collections saved by SaveTo and re-seals their postings
-  /// stores (same degradation as SaveTo when sealing fails).
+  /// Restores collections saved by SaveTo into memory-resident
+  /// postings.
   Status LoadFrom(const std::string& dir);
 
   // --- File-exchange interface -------------------------------------

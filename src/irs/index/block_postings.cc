@@ -5,7 +5,6 @@
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
 #include "irs/index/postings_codec.h"
-#include "irs/storage/postings_store.h"
 
 namespace sdms::irs {
 
@@ -31,8 +30,7 @@ obs::Counter& BlocksSkipped() {
 void BlockPostingsList::Append(DocId doc, uint32_t tf,
                                const std::vector<uint32_t>& positions,
                                uint32_t doc_len) {
-  if (blocks_.empty() || blocks_.back().sealed ||
-      blocks_.back().count >= kBlockPostings) {
+  if (blocks_.empty() || blocks_.back().count >= kBlockPostings) {
     PostingsBlockMeta meta;
     meta.first_doc = doc;
     meta.last_doc = doc;
@@ -77,17 +75,7 @@ uint32_t BlockPostingsList::min_doc_len() const {
 Status BlockPostingsList::DecodeBlockInto(size_t i,
                                           std::vector<Posting>& out) const {
   const PostingsBlockMeta& b = blocks_[i];
-  Status decoded;
-  if (b.sealed) {
-    if (store_ == nullptr) {
-      return Status::Internal("sealed postings block without a store");
-    }
-    SDMS_ASSIGN_OR_RETURN(std::string payload, store_->ReadBlock(b.handle));
-    decoded = codec::DecodeBlock(payload, b.first_doc, b.count, out);
-  } else {
-    decoded = codec::DecodeBlock(b.bytes, b.first_doc, b.count, out);
-  }
-  if (!decoded.ok()) return decoded;
+  SDMS_RETURN_IF_ERROR(codec::DecodeBlock(b.bytes, b.first_doc, b.count, out));
   PostingsScanned().Add(b.count);
   BlocksDecoded().Increment();
   obs::ProfileCount("postings_scanned", b.count);
@@ -102,14 +90,6 @@ StatusOr<std::vector<Posting>> BlockPostingsList::DecodeAll() const {
     SDMS_RETURN_IF_ERROR(DecodeBlockInto(i, out));
   }
   return out;
-}
-
-void BlockPostingsList::MarkSealed(size_t i, const BlockHandle& handle) {
-  PostingsBlockMeta& b = blocks_[i];
-  b.handle = handle;
-  b.bytes.clear();
-  b.bytes.shrink_to_fit();
-  b.sealed = true;
 }
 
 size_t BlockPostingsList::ApproxMemoryBytes() const {

@@ -9,8 +9,6 @@
 
 namespace sdms::irs {
 
-class PostingsStore;
-
 /// Internal document identifier within one index.
 using DocId = uint32_t;
 
@@ -21,13 +19,6 @@ struct Posting {
   /// Word positions (0-based, post-analysis); enables phrase/proximity
   /// extensions and makes the on-disk format realistic.
   std::vector<uint32_t> positions;
-};
-
-/// Location of one encoded block inside a paged postings file, in
-/// logical payload coordinates (the store maps these onto pages).
-struct BlockHandle {
-  uint64_t offset = 0;
-  uint32_t length = 0;
 };
 
 /// Metadata of one postings block — everything the query kernels need
@@ -41,17 +32,12 @@ struct PostingsBlockMeta {
   uint32_t count = 0;
   uint32_t max_tf = 0;
   uint32_t min_doc_len = 0xffffffffu;
-  /// Encoded payload while the block lives in memory (unsealed).
+  /// Encoded payload.
   std::string bytes;
-  /// Location in the postings store once sealed (bytes then empty).
-  BlockHandle handle;
-  bool sealed = false;
 };
 
 /// A postings list stored as a sequence of delta+varbyte encoded
-/// blocks of up to kBlockPostings postings each. Blocks are either
-/// resident (encoded bytes held in memory) or sealed into a paged
-/// postings store and fetched through its buffer pool on decode.
+/// blocks of up to kBlockPostings postings each, held in memory.
 /// Doc ids must be appended in strictly increasing order.
 class BlockPostingsList {
  public:
@@ -78,8 +64,7 @@ class BlockPostingsList {
   const PostingsBlockMeta& block(size_t i) const { return blocks_[i]; }
   const std::vector<PostingsBlockMeta>& blocks() const { return blocks_; }
 
-  /// Decodes block `i`, appending its postings to `out`. Sealed blocks
-  /// are read through the store's buffer pool. Charges the
+  /// Decodes block `i`, appending its postings to `out`. Charges the
   /// postings_scanned / blocks_decoded accounting.
   Status DecodeBlockInto(size_t i, std::vector<Posting>& out) const;
 
@@ -87,28 +72,19 @@ class BlockPostingsList {
   /// tests, serialization).
   StatusOr<std::vector<Posting>> DecodeAll() const;
 
-  /// Marks block `i` sealed at `handle` and drops its resident bytes.
-  void MarkSealed(size_t i, const BlockHandle& handle);
-
-  void set_store(const PostingsStore* store) { store_ = store; }
-  const PostingsStore* store() const { return store_; }
-
-  /// Main-memory footprint: block metadata plus resident payloads
-  /// (sealed payloads live in the store's buffer pool, not here).
+  /// Main-memory footprint: block metadata plus encoded payloads.
   size_t ApproxMemoryBytes() const;
 
  private:
   std::vector<PostingsBlockMeta> blocks_;
   uint64_t total_ = 0;
-  /// Borrowed from the owning InvertedIndex; set when sealed.
-  const PostingsStore* store_ = nullptr;
 };
 
 /// Forward iterator over a BlockPostingsList that decodes lazily: a
 /// block's payload is only decoded when the cursor actually positions
 /// inside it, and SkipTo gallops over whole blocks using last_doc
-/// metadata. Decode failures (a corrupt sealed block) latch into
-/// status() and exhaust the cursor.
+/// metadata. Decode failures (a corrupt block) latch into status() and
+/// exhaust the cursor.
 class PostingsCursor {
  public:
   PostingsCursor() = default;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/fault/fault.h"
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
 #include "common/thread_pool.h"
-#include "irs/storage/postings_store.h"
 #include "oodb/storage/serializer.h"
 
 namespace sdms::irs {
@@ -72,7 +70,6 @@ InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
   tombstones_ = other.tombstones_;
   eager_delete_ = other.eager_delete_;
   auto_compact_ = other.auto_compact_;
-  store_ = std::move(other.store_);
   // The cached sorted view holds pointers into the moved-from map's
   // nodes; unordered_map move preserves nodes, but rebuild lazily
   // anyway — the mutex member is why these operators are hand-written.
@@ -221,7 +218,7 @@ Status InvertedIndex::RemoveDocument(DocId id) {
 
 bool InvertedIndex::PrunePostingsOfDeadDocs() {
   // Rebuild every list without the tombstoned docs. All decodes happen
-  // before the dictionary is touched, so a corrupt sealed block aborts
+  // before the dictionary is touched, so a corrupt block aborts
   // the prune with the index unchanged (tombstones stay pending and a
   // later Compact retries).
   std::unordered_map<std::string, BlockPostingsList> rebuilt;
@@ -240,9 +237,6 @@ bool InvertedIndex::PrunePostingsOfDeadDocs() {
     if (!pruned.empty()) rebuilt.emplace(term, std::move(pruned));
   }
   dictionary_ = std::move(rebuilt);
-  // Every block is memory-resident again; the sealed store (if any) no
-  // longer backs anything. The next seal rewrites the postings file.
-  store_.reset();
   std::fill(pending_prune_.begin(), pending_prune_.end(), false);
   tombstones_ = 0;
   InvalidateSortedTerms();
@@ -320,54 +314,10 @@ size_t InvertedIndex::ApproximateSizeBytes() const {
   for (const DocInfo& d : docs_) {
     bytes += sizeof(DocInfo) + d.key.size();
   }
-  if (store_ != nullptr) bytes += store_->ApproxMemoryBytes();
   IndexMemoryBytes().Add(static_cast<int64_t>(bytes) -
                          reported_memory_bytes_);
   reported_memory_bytes_ = static_cast<int64_t>(bytes);
   return bytes;
-}
-
-Status InvertedIndex::SealToStore(const std::string& path,
-                                  const std::string& collection,
-                                  int pool_pages) {
-  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.seal"));
-  // Lay the file out in term order (deterministic image for identical
-  // content). Handles are only applied after the new file and store
-  // are in place, so any failure leaves the index serving as before.
-  const std::vector<const DictEntry*>& terms = SortedTerms();
-  PostingsStore::Writer writer;
-  std::vector<std::vector<BlockHandle>> handles(terms.size());
-  for (size_t t = 0; t < terms.size(); ++t) {
-    const BlockPostingsList& list = terms[t]->second;
-    handles[t].reserve(list.block_count());
-    for (size_t i = 0; i < list.block_count(); ++i) {
-      const PostingsBlockMeta& b = list.block(i);
-      if (b.sealed) {
-        // Re-seal: pull the encoded payload back out of the old store.
-        if (store_ == nullptr) {
-          return Status::Internal("sealed postings block without a store");
-        }
-        SDMS_ASSIGN_OR_RETURN(std::string bytes, store_->ReadBlock(b.handle));
-        handles[t].push_back(writer.AppendBlock(bytes));
-      } else {
-        handles[t].push_back(writer.AppendBlock(b.bytes));
-      }
-    }
-  }
-  SDMS_RETURN_IF_ERROR(writer.Finish(path));
-  SDMS_ASSIGN_OR_RETURN(std::unique_ptr<PostingsStore> store,
-                        PostingsStore::Open(path, collection, pool_pages));
-  store_ = std::move(store);
-  for (size_t t = 0; t < terms.size(); ++t) {
-    // The sorted view holds const pointers into the dictionary; the
-    // underlying entries are ours to mutate.
-    auto& list = const_cast<BlockPostingsList&>(terms[t]->second);
-    for (size_t i = 0; i < handles[t].size(); ++i) {
-      list.MarkSealed(i, handles[t][i]);
-    }
-    list.set_store(store_.get());
-  }
-  return Status::OK();
 }
 
 const std::vector<const InvertedIndex::DictEntry*>&

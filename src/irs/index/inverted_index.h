@@ -2,7 +2,6 @@
 #define SDMS_IRS_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -17,8 +16,6 @@ class ThreadPool;
 }
 
 namespace sdms::irs {
-
-class PostingsStore;
 
 /// Per-document bookkeeping.
 struct DocInfo {
@@ -42,12 +39,9 @@ struct DocTokens {
 /// Postings are held as block-compressed lists (BlockPostingsList):
 /// ~128 postings per block, delta+varbyte encoded, with per-block
 /// last_doc / max_tf / min_doc_len metadata so the query kernels can
-/// skip whole blocks without decoding them. Freshly appended blocks
-/// are memory-resident; SealToStore() moves them into a paged postings
-/// file served through a buffer pool, after which decodes go through
-/// the pool (and its hit/miss accounting). The checksum-envelope `.idx`
-/// snapshot produced by Serialize() remains the durable truth — the
-/// postings file is a derived cache rebuilt at every seal.
+/// skip whole blocks without decoding them. Every block is
+/// memory-resident; the checksum-envelope `.idx` snapshot produced by
+/// Serialize() is the only on-disk form of the postings.
 ///
 /// Deletion strategies (Section 4.3.1, option 3 — "deleting IRS
 /// documents is costly"):
@@ -164,23 +158,11 @@ class InvertedIndex {
   /// Total token occurrences indexed (live docs).
   uint64_t total_tokens() const { return total_tokens_; }
 
-  /// Approximate main-memory footprint in bytes: dictionary + resident
-  /// block payloads + block metadata + doc table + buffer-pool frames
-  /// of the sealed store. Also refreshes the process-wide
-  /// irs.index.memory_bytes gauge (delta-tracked per index). Used by
-  /// the redundancy experiment (E8).
+  /// Approximate main-memory footprint in bytes: dictionary + encoded
+  /// block payloads + block metadata + doc table. Also refreshes the
+  /// process-wide irs.index.memory_bytes gauge (delta-tracked per
+  /// index). Used by the redundancy experiment (E8).
   size_t ApproximateSizeBytes() const;
-
-  /// Seals every memory-resident block into a paged postings file at
-  /// `path`, served through a buffer pool of `pool_pages` frames
-  /// (<= 0: SDMS_BUFFER_POOL_PAGES or the default). Atomic: on error
-  /// the index keeps serving from memory. Subsequent appends start new
-  /// resident blocks; re-sealing folds them into a fresh file.
-  Status SealToStore(const std::string& path, const std::string& collection,
-                     int pool_pages = 0);
-
-  /// The sealed postings store, if any (diagnostics, benches).
-  const PostingsStore* store() const { return store_.get(); }
 
   /// Iterates all live documents.
   template <typename Fn>
@@ -202,8 +184,8 @@ class InvertedIndex {
   /// form is always compacted (tombstoned postings are skipped), so
   /// tombstone and eager indexes over the same documents serialize
   /// identically. The format predates block storage and is unchanged:
-  /// snapshots round-trip across versions. Fails when a sealed block
-  /// cannot be decoded.
+  /// snapshots round-trip across versions. Fails when a block cannot
+  /// be decoded.
   StatusOr<std::string> Serialize() const;
   static StatusOr<InvertedIndex> Deserialize(std::string_view data);
 
@@ -287,10 +269,6 @@ class InvertedIndex {
   size_t tombstones_ = 0;
   bool eager_delete_ = false;
   bool auto_compact_ = true;
-
-  /// Sealed paged postings file + buffer pool; null while fully
-  /// memory-resident. Lists hold a borrowed pointer to this store.
-  std::unique_ptr<PostingsStore> store_;
 
   /// SortedTerms() cache (satellite: persistence profiles showed the
   /// sort rebuilt on every snapshot). Guarded so concurrent readers can

@@ -30,7 +30,7 @@ uint32_t OrderedMatchesIn(
     for (size_t t = 1; t < positions.size(); ++t) {
       const std::vector<uint32_t>& plist = *positions[t];
       auto it = std::upper_bound(plist.begin(), plist.end(), prev);
-      if (it == plist.end() || *it > prev + max_gap) {
+      if (it == plist.end() || *it - prev > max_gap) {
         complete = false;
         break;
       }

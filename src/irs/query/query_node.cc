@@ -1,6 +1,8 @@
 #include "irs/query/query_node.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/string_util.h"
 #include "irs/analysis/analyzer.h"
@@ -181,12 +183,14 @@ class IrsParser {
       if (digits.empty()) {
         return Status::ParseError("window operator needs a size: #" + name);
       }
-      for (char c : digits) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          return Status::ParseError("unknown IRS operator #" + name);
-        }
+      const char* end = digits.data() + digits.size();
+      auto [ptr, ec] = std::from_chars(digits.data(), end, window);
+      if (ec == std::errc::result_out_of_range) {
+        return Status::ParseError("window size out of range: #" + name);
       }
-      window = static_cast<uint32_t>(std::stoul(digits));
+      if (ec != std::errc() || ptr != end) {
+        return Status::ParseError("unknown IRS operator #" + name);
+      }
       if (window == 0) {
         return Status::ParseError("window size must be positive: #" + name);
       }

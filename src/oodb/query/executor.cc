@@ -6,7 +6,6 @@
 
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/obs/trace.h"
 #include "common/query_context.h"
 #include "common/string_util.h"
@@ -226,10 +225,6 @@ StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
       bp.estimate = bp.candidates->size();
     } else {
       bp.estimate = db_->ExtentSize(b.class_name);
-      // Planner sees the true extent size here — snapshot it for the
-      // cost model.
-      obs::StatisticsService::Instance().RecordExtentCardinality(
-          b.class_name, bp.estimate);
     }
     plan.push_back(std::move(bp));
   }

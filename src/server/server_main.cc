@@ -7,8 +7,8 @@
 // generated one) with an indexed 'paras' collection, then serves the
 // sdms protocol (docs/protocol.md) until SIGTERM/SIGINT triggers a
 // graceful drain: accepting stops, in-flight queries finish (or are
-// cancelled at the drain deadline), stats and the slow-query log are
-// flushed, and the process exits 0.
+// cancelled at the drain deadline), the metrics dump and the slow-query
+// log are flushed, and the process exits 0.
 
 #include <cctype>
 #include <chrono>
@@ -19,9 +19,9 @@
 #include <string>
 #include <thread>
 
+#include "common/file_util.h"
 #include "common/obs/log.h"
 #include "common/obs/metrics.h"
-#include "common/obs/stats.h"
 #include "coupling/coupling.h"
 #include "irs/engine.h"
 #include "oodb/database.h"
@@ -47,9 +47,9 @@ void PrintUsage(const char* argv0) {
       "  --port <n>           port (default 0 = ephemeral, printed)\n"
       "  --demo               preload the Figure 4 corpus + 'paras'\n"
       "  --gen <n> [seed]     generate+store n documents + 'paras'\n"
-      "  --snapshot-dir <d>   persist IRS indexes + stats there on exit\n"
+      "  --snapshot-dir <d>   persist IRS indexes there on exit\n"
       "  --drain-ms <n>       graceful-drain deadline (default 5000)\n"
-      "  --stats-file <f>     write the statistics service there on exit\n"
+      "  --stats-file <f>     write the metrics registry (JSON) there on exit\n"
       "  --shard <coll>/<i>   serve as the remote shard server for one\n"
       "                       shard (protocol v3; no corpus is loaded —\n"
       "                       the router installs the index)\n"
@@ -267,11 +267,12 @@ int main(int argc, char** argv) {
   size_t cancelled = server.Shutdown();
   std::fprintf(stderr, "drained (%zu query(ies) cancelled)\n", cancelled);
 
-  // Flush durable state: the statistics service (strategy latencies,
-  // DF caches) and, when configured, the IRS snapshot. The slow-query
-  // log appends at record time and needs no flush.
+  // Flush the metrics registry dump and, when configured, the IRS
+  // snapshot. The slow-query log appends at record time and needs no
+  // flush.
   if (!stats_file.empty()) {
-    Status s = obs::StatisticsService::Instance().SaveToFile(stats_file);
+    Status s = WriteFileAtomic(
+        stats_file, obs::MetricsRegistry::Instance().DumpJson() + "\n");
     if (!s.ok()) {
       std::fprintf(stderr, "stats flush failed: %s\n", s.ToString().c_str());
     }

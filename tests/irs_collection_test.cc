@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include "common/file_util.h"
 #include "common/thread_pool.h"
@@ -182,18 +183,40 @@ TEST_F(IrsEngineTest, SaveAndLoad) {
     auto coll = engine.CreateCollection("docs", {}, "bm25");
     ASSERT_TRUE(coll.ok());
     ASSERT_TRUE((*coll)->AddDocument("oid:1", "persistent content here").ok());
+    ASSERT_TRUE((*coll)->AddDocument("oid:2", "persistent other words").ok());
     ASSERT_TRUE(engine.SaveTo(dir_).ok());
   }
-  {
+  // The `.idx` snapshot is the only postings file SaveTo writes.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"collections.manifest", "docs.idx"}));
+
+  auto load_hits = [&]() {
     IrsEngine engine;
-    ASSERT_TRUE(engine.LoadFrom(dir_).ok());
+    EXPECT_TRUE(engine.LoadFrom(dir_).ok());
     auto coll = engine.GetCollection("docs");
-    ASSERT_TRUE(coll.ok());
+    EXPECT_TRUE(coll.ok());
+    if (!coll.ok()) return std::vector<SearchHit>{};
     EXPECT_EQ((*coll)->model().name(), "bm25");
     auto hits = (*coll)->Search("persistent");
-    ASSERT_TRUE(hits.ok());
-    ASSERT_EQ(hits->size(), 1u);
-    EXPECT_EQ((*hits)[0].key, "oid:1");
+    EXPECT_TRUE(hits.ok());
+    return hits.ok() ? *hits : std::vector<SearchHit>{};
+  };
+  std::vector<SearchHit> hits = load_hits();
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].key, "oid:1");
+
+  // Files an older release kept beside the snapshot (a paged postings
+  // cache and a statistics checkpoint) are ignored at load.
+  ASSERT_TRUE(WriteFileAtomic(dir_ + "/docs.postings", "SDMSPAGE stale").ok());
+  ASSERT_TRUE(WriteFileAtomic(dir_ + "/stats.sdms", "sdms_stats v1\n").ok());
+  std::vector<SearchHit> again = load_hits();
+  ASSERT_EQ(again.size(), hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(again[i].key, hits[i].key);
+    EXPECT_EQ(again[i].score, hits[i].score);
   }
 }
 

@@ -89,6 +89,26 @@ TEST(IrsQueryParserTest, Errors) {
   EXPECT_FALSE(ParseIrsQuery("#wsum(x y)", a).ok());  // missing weight
 }
 
+TEST(IrsQueryParserTest, WindowSizeMustFitUint32) {
+  Analyzer a = MakeAnalyzer();
+  // Past every unsigned integer type: an error, not an exception.
+  auto huge = ParseIrsQuery("#od99999999999999999999(www web)", a);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kParseError);
+  // 2^32 + 1 must not wrap around to a window of 1.
+  auto wrap = ParseIrsQuery("#uw4294967297(www web)", a);
+  ASSERT_FALSE(wrap.ok());
+  EXPECT_EQ(wrap.status().code(), StatusCode::kParseError);
+
+  auto max = ParseIrsQuery("#uw4294967295(www web)", a);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ((*max)->window, 4294967295u);
+  EXPECT_EQ(ParseIrsQuery("#od0(www web)", a).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseIrsQuery("#od3x(www web)", a).status().code(),
+            StatusCode::kParseError);
+}
+
 TEST(IrsQueryParserTest, ToStringRoundTrip) {
   Analyzer a = MakeAnalyzer();
   auto q = ParseIrsQuery("#wsum(2 www 1 #and(nii telnet))", a);

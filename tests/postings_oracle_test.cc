@@ -1,18 +1,15 @@
 // Oracle tests for the block-compressed postings path: the pruned
-// top-k scorer, the cursor kernels, and the sealed paged store must all
+// top-k scorer, the cursor kernels, and a checkpoint round trip must all
 // be bit-identical to the exhaustive / decoded reference paths.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "irs/collection.h"
 #include "irs/index/postings_kernels.h"
-#include "irs/storage/postings_store.h"
 
 namespace sdms::irs {
 namespace {
@@ -148,46 +145,46 @@ TEST(PostingsOracleTest, CursorKernelsMatchFlatKernels) {
   }
 }
 
-TEST(PostingsOracleTest, SealedStoreWithTinyPoolIsBitIdentical) {
-  auto coll = BuildCollection("bm25");
-  std::vector<std::vector<SearchHit>> before;
-  for (const char* q : kRankedQueries) {
-    auto hits = coll->Search(q);
-    ASSERT_TRUE(hits.ok());
-    before.push_back(std::move(*hits));
-  }
-
-  // Seal into a paged file behind a 2-frame pool — far smaller than the
-  // postings file, so queries continuously evict and reload pages.
-  std::string path = testing::TempDir() + "/sdms_oracle_" +
-                     std::to_string(::getpid()) + ".postings";
-  ASSERT_TRUE(coll->SealPostings(path, /*pool_pages=*/2).ok());
-  const PostingsStore* store = coll->index().store();
-  ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->pool().capacity(), 2u);
-  ASSERT_GT(store->payload_size(), 2 * kPagePayloadBytes)
-      << "corpus too small to exercise eviction";
-
-  for (size_t qi = 0; qi < std::size(kRankedQueries); ++qi) {
-    auto hits = coll->Search(kRankedQueries[qi]);
-    ASSERT_TRUE(hits.ok()) << kRankedQueries[qi];
-    ASSERT_EQ(hits->size(), before[qi].size()) << kRankedQueries[qi];
-    for (size_t i = 0; i < hits->size(); ++i) {
-      EXPECT_EQ((*hits)[i].key, before[qi][i].key);
-      EXPECT_EQ((*hits)[i].score, before[qi][i].score);
+TEST(PostingsOracleTest, CheckpointRoundTripIsBitIdentical) {
+  for (const char* model_name : {"bm25", "vsm", "inquery"}) {
+    SCOPED_TRACE(model_name);
+    auto coll = BuildCollection(model_name);
+    std::vector<std::vector<SearchHit>> before;
+    for (const char* q : kRankedQueries) {
+      auto hits = coll->Search(q);
+      ASSERT_TRUE(hits.ok());
+      before.push_back(std::move(*hits));
     }
-    ExpectTopKMatchesPrefix(*coll, kRankedQueries[qi]);
-  }
-  EXPECT_GT(store->pool().evictions(), 0u);
 
-  // Appending after a seal starts fresh resident blocks; queries see
-  // both the sealed and the resident postings.
-  ASSERT_TRUE(coll->AddDocument("oid:new", "shared topic rare").ok());
-  auto hits = coll->Search("shared topic rare", 5);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_FALSE(hits->empty());
-  ExpectTopKMatchesPrefix(*coll, "shared topic rare");
-  std::filesystem::remove(path);
+    // Serialize -> RestoreIndex is the `.idx` checkpoint path
+    // (IrsEngine::SaveTo / LoadFrom) without the file I/O.
+    auto blob = coll->Serialize();
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    auto model = MakeModel(model_name);
+    ASSERT_TRUE(model.ok());
+    IrsCollection restored("oracle", AnalyzerOptions{}, std::move(*model));
+    ASSERT_TRUE(restored.RestoreIndex(*blob).ok());
+    EXPECT_EQ(restored.CanonicalDigest(), coll->CanonicalDigest());
+
+    for (size_t qi = 0; qi < std::size(kRankedQueries); ++qi) {
+      auto hits = restored.Search(kRankedQueries[qi]);
+      ASSERT_TRUE(hits.ok()) << kRankedQueries[qi];
+      ASSERT_EQ(hits->size(), before[qi].size()) << kRankedQueries[qi];
+      for (size_t i = 0; i < hits->size(); ++i) {
+        EXPECT_EQ((*hits)[i].key, before[qi][i].key);
+        EXPECT_EQ((*hits)[i].score, before[qi][i].score);
+      }
+      ExpectTopKMatchesPrefix(restored, kRankedQueries[qi]);
+    }
+
+    // Appending after a reload extends the restored blocks; queries see
+    // both the restored and the new postings.
+    ASSERT_TRUE(restored.AddDocument("oid:new", "shared topic rare").ok());
+    auto hits = restored.Search("shared topic rare", 5);
+    ASSERT_TRUE(hits.ok());
+    ASSERT_FALSE(hits->empty());
+    ExpectTopKMatchesPrefix(restored, "shared topic rare");
+  }
 }
 
 }  // namespace

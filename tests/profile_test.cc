@@ -16,7 +16,6 @@
 #include "common/obs/log.h"
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
-#include "common/obs/stats.h"
 #include "common/query_context.h"
 #include "common/thread_pool.h"
 #include "coupling/mixed_query.h"
@@ -221,101 +220,6 @@ TEST(QueryIdTest, LogRecordsCarryTheActiveQueryId) {
   ASSERT_TRUE(saw_outside);
   EXPECT_EQ(inside_id, expected);
   EXPECT_EQ(outside_id, 0u);
-}
-
-TEST(StatisticsServiceTest, CapturesIndexedWorkload) {
-  obs::StatisticsService& stats = obs::StatisticsService::Instance();
-  stats.ResetForTest();
-  auto sys = MakeFigure4System();
-  MixedQueryEvaluator eval(sys->coupling.get());
-  auto result = eval.Run(kMixedQuery, MixedQueryEvaluator::Strategy::kIndependent);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  // Real data from the indexed workload: term DF snapshots, doc and
-  // extent cardinalities, a buffer hit rate, and a strategy latency.
-  EXPECT_GT(stats.TermCount("paras"), 0u);
-  ASSERT_TRUE(stats.TermDf("paras", "www").has_value());
-  EXPECT_GT(*stats.TermDf("paras", "www"), 0u);
-  EXPECT_GT(stats.CollectionDocCount("paras"), 0u);
-  EXPECT_GT(stats.ExtentCardinality("PARA"), 0u);
-  EXPECT_GE(stats.BufferHitRate("paras"), 0.0);
-  auto lat = stats.StrategyLatency("b1.c1", "independent");
-  ASSERT_TRUE(lat.has_value());
-  EXPECT_GE(lat->count, 1u);
-
-  std::string json = stats.DumpJson();
-  EXPECT_NE(json.find("\"paras\""), std::string::npos);
-  EXPECT_NE(json.find("\"PARA\""), std::string::npos);
-  EXPECT_NE(json.find("\"strategy_latency\""), std::string::npos);
-  stats.ResetForTest();
-}
-
-TEST(StatisticsServiceTest, BatchedHitsMatchSingleLookups) {
-  obs::StatisticsService& stats = obs::StatisticsService::Instance();
-  stats.ResetForTest();
-  // From an empty average (the first hit seeds it) and from a mixed
-  // history, n batched hits land where n single hits do.
-  for (uint64_t n : {1u, 2u, 37u, 5000u}) {
-    const std::string single = "single" + std::to_string(n);
-    const std::string batched = "batched" + std::to_string(n);
-    for (int i = 0; i < static_cast<int>(n); ++i) {
-      stats.RecordBufferLookup(single, true);
-    }
-    stats.RecordBufferLookups(batched, n);
-    EXPECT_NEAR(stats.BufferHitRate(batched), stats.BufferHitRate(single),
-                1e-12);
-    for (bool hit : {false, true, false, false}) {
-      stats.RecordBufferLookup(single, hit);
-      stats.RecordBufferLookup(batched, hit);
-    }
-    for (int i = 0; i < static_cast<int>(n); ++i) {
-      stats.RecordBufferLookup(single, true);
-    }
-    stats.RecordBufferLookups(batched, n);
-    EXPECT_NEAR(stats.BufferHitRate(batched), stats.BufferHitRate(single),
-                1e-12)
-        << n;
-  }
-  stats.RecordBufferLookups("untouched", 0);
-  EXPECT_LT(stats.BufferHitRate("untouched"), 0.0);
-  stats.ResetForTest();
-}
-
-TEST(StatisticsServiceTest, SaveLoadRoundTrip) {
-  obs::StatisticsService& stats = obs::StatisticsService::Instance();
-  stats.ResetForTest();
-  stats.RecordTermDf("c1", "alpha", 7);
-  stats.RecordCollectionDocCount("c1", 42);
-  stats.RecordExtentCardinality("PARA", 11);
-  stats.RecordBufferLookup("c1", true);
-  stats.RecordBufferLookup("c1", false);
-  stats.RecordStrategyLatency("b1.c1", "independent", 1500);
-  const double rate = stats.BufferHitRate("c1");
-
-  std::string path = testing::TempDir() + "/sdms_stats_roundtrip.sdms";
-  ASSERT_TRUE(stats.SaveToFile(path).ok());
-  stats.ResetForTest();
-  EXPECT_FALSE(stats.TermDf("c1", "alpha").has_value());
-  ASSERT_TRUE(stats.LoadFromFile(path).ok());
-
-  EXPECT_EQ(stats.TermDf("c1", "alpha").value_or(0), 7u);
-  EXPECT_EQ(stats.CollectionDocCount("c1"), 42u);
-  EXPECT_EQ(stats.ExtentCardinality("PARA"), 11u);
-  EXPECT_NEAR(stats.BufferHitRate("c1"), rate, 1e-6);
-  auto lat = stats.StrategyLatency("b1.c1", "independent");
-  ASSERT_TRUE(lat.has_value());
-  EXPECT_EQ(lat->count, 1u);
-  EXPECT_EQ(lat->sum_us, 1500u);
-  EXPECT_EQ(lat->max_us, 1500u);
-  stats.ResetForTest();
-}
-
-TEST(StatisticsServiceTest, LoadRejectsCorruptHeader) {
-  std::string path = testing::TempDir() + "/sdms_stats_bad.sdms";
-  ASSERT_TRUE(WriteFileAtomic(path, "not a stats file\n").ok());
-  obs::StatisticsService& stats = obs::StatisticsService::Instance();
-  stats.ResetForTest();
-  EXPECT_FALSE(stats.LoadFromFile(path).ok());
 }
 
 }  // namespace

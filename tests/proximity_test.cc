@@ -40,6 +40,18 @@ TEST_F(ProximityTest, OrderedAdjacent) {
             0u);  // absent
 }
 
+TEST_F(ProximityTest, OrderedLargestGapDoesNotWrap) {
+  // In doc b "information" sits at position 2, and 2 + UINT32_MAX
+  // wraps in 32 bits; the largest window must still accept any
+  // forward gap.
+  EXPECT_EQ(CountOrderedMatches(index_, {"information", "systems"}, b_,
+                                UINT32_MAX),
+            1u);
+  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, b_,
+                                UINT32_MAX),
+            0u);  // still ordered
+}
+
 TEST_F(ProximityTest, OrderedWiderGap) {
   // Gap 3 reaches across "shapes modern" in doc c.
   EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, c_, 3),

@@ -133,6 +133,22 @@ TEST(ServerTest, PingAndParseErrorsAreTyped) {
   EXPECT_TRUE(client.Query(MakeRequest(kParaQuery)).ok());
 }
 
+TEST(ServerTest, OversizedIrsWindowIsATypedError) {
+  TestServer ts;
+  SdmsClient client(MakeClientOptions(ts.port()));
+  ASSERT_TRUE(client.Connect().ok());
+  auto resp = client.Query(MakeRequest(
+      "ACCESS p FROM p IN PARA WHERE "
+      "p -> getIRSValue('paras', '#od99999999999999999999(www web)') > 0"));
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kParseError)
+      << resp.status().ToString();
+  // The same server and connection answer the next query.
+  auto next = client.Query(MakeRequest(kParaQuery));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->result.rows.size(), 11u);
+}
+
 TEST(ServerTest, MaxRowsBudgetDegradesOverTheWire) {
   TestServer ts;
   SdmsClient client(MakeClientOptions(ts.port()));
