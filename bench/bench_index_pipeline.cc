@@ -6,8 +6,9 @@
 // AddDocumentsBatch on 2- and 4-thread pools — and reports throughput
 // and speedup. The batch results are verified bit-identical to the
 // sequential index before any number is printed.
-// Part B times the query kernels: galloping multi-list intersection
-// against a linear-merge baseline, and end-to-end #and / #od latency.
+// Part B times the query kernels: the block-cursor intersection
+// (IntersectCursors) against decoding every list whole and merging
+// linearly, and end-to-end #and / #od latency.
 //
 // Knobs: --docs=N --words=N (corpus size), SDMS_THREADS (default pool).
 
@@ -183,40 +184,51 @@ int Main(int argc, char** argv) {
   const irs::InvertedIndex& index = coll->index();
 
   // Dictionary terms are post-analysis (stemmed), so run the probe
-  // words through the collection's analyzer first. The flat kernels
-  // being timed want decoded lists; `decoded` owns them.
-  std::vector<std::vector<irs::Posting>> decoded;
+  // words through the collection's analyzer first. Both kernels pay
+  // for decoding: the cursor kernel decodes only the blocks it lands
+  // in, the linear-merge baseline decodes every list whole.
+  std::vector<const irs::BlockPostingsList*> lists;
+  std::vector<std::string> terms;
   for (const char* word : {"shared", "topic", "rare"}) {
     std::vector<std::string> analyzed = coll->analyzer().Analyze(word);
-    if (analyzed.empty()) {
+    const irs::BlockPostingsList* list =
+        analyzed.empty() ? nullptr : index.GetPostingsList(analyzed[0]);
+    if (list == nullptr || list->empty()) {
       std::fprintf(stderr, "FATAL: no postings for %s\n", word);
       return 1;
     }
-    auto l = index.DecodePostings(analyzed[0]);
-    if (!l.ok() || l->empty()) {
-      std::fprintf(stderr, "FATAL: no postings for %s\n", word);
-      return 1;
-    }
-    decoded.push_back(std::move(*l));
+    lists.push_back(list);
+    terms.push_back(analyzed[0]);
   }
-  std::vector<const std::vector<irs::Posting>*> lists;
-  for (const auto& l : decoded) lists.push_back(&l);
   constexpr int kKernelIters = 400;
-  Timer tg;
-  size_t gallop_hits = 0;
+  Timer tc;
+  size_t cursor_hits = 0;
   for (int i = 0; i < kKernelIters; ++i) {
-    gallop_hits = irs::IntersectPostings(lists).size();
+    std::vector<irs::PostingsCursor> cursors;
+    for (const std::string& t : terms) cursors.push_back(index.OpenCursor(t));
+    auto hits = irs::IntersectCursors(std::move(cursors));
+    if (!hits.ok()) std::abort();
+    cursor_hits = hits->size();
   }
-  double gallop_us = static_cast<double>(tg.ElapsedMicros()) / kKernelIters;
+  double cursor_us = static_cast<double>(tc.ElapsedMicros()) / kKernelIters;
   Timer tl;
   size_t linear_hits = 0;
   for (int i = 0; i < kKernelIters; ++i) {
-    linear_hits = IntersectLinear(lists).size();
+    std::vector<std::vector<irs::Posting>> decoded;
+    std::vector<const std::vector<irs::Posting>*> flat;
+    decoded.reserve(lists.size());
+    for (const irs::BlockPostingsList* list : lists) {
+      auto l = list->DecodeAll();
+      if (!l.ok()) std::abort();
+      decoded.push_back(std::move(*l));
+      flat.push_back(&decoded.back());
+    }
+    linear_hits = IntersectLinear(flat).size();
   }
   double linear_us = static_cast<double>(tl.ElapsedMicros()) / kKernelIters;
-  if (gallop_hits != linear_hits) {
+  if (cursor_hits != linear_hits) {
     std::fprintf(stderr, "FATAL: kernel results diverge (%zu vs %zu)\n",
-                 gallop_hits, linear_hits);
+                 cursor_hits, linear_hits);
     return 1;
   }
 
@@ -233,16 +245,16 @@ int Main(int argc, char** argv) {
   double od_us = time_query("#od3(shared topic)");
 
   Table b({"kernel", "us/op", "note"});
-  b.AddRow({"intersect galloping", Fmt("%.1f", gallop_us),
-            FmtInt(gallop_hits) + " docs"});
-  b.AddRow({"intersect linear-merge", Fmt("%.1f", linear_us),
-            Fmt("%.2fx vs gallop", linear_us / gallop_us)});
+  b.AddRow({"intersect cursors", Fmt("%.1f", cursor_us),
+            FmtInt(cursor_hits) + " docs"});
+  b.AddRow({"intersect decode-all + linear-merge", Fmt("%.1f", linear_us),
+            Fmt("%.2fx vs cursors", linear_us / cursor_us)});
   b.AddRow({"#and(shared topic rare) top-10", Fmt("%.1f", and_us), ""});
   b.AddRow({"#od3(shared topic) top-10", Fmt("%.1f", od_us), ""});
   b.Print();
 
-  obs::GetGauge("bench.pipeline.intersect_gallop_ns")
-      .Set(static_cast<int64_t>(gallop_us * 1000));
+  obs::GetGauge("bench.pipeline.intersect_cursor_ns")
+      .Set(static_cast<int64_t>(cursor_us * 1000));
   obs::GetGauge("bench.pipeline.intersect_linear_ns")
       .Set(static_cast<int64_t>(linear_us * 1000));
   obs::GetGauge("bench.pipeline.and_query_micros")

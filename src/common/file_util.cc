@@ -182,7 +182,11 @@ std::string WithChecksumEnvelope(std::string_view payload) {
 }
 
 StatusOr<std::string> StripChecksumEnvelope(std::string data) {
-  if (!StartsWith(data, kEnvelopeMagic)) return data;  // Legacy format.
+  if (!StartsWith(data, kEnvelopeMagic)) {
+    // Every writer envelopes its file, so a missing magic means an
+    // empty, truncated or foreign file.
+    return Status::Corruption("checksum envelope: missing magic");
+  }
   size_t pos = sizeof(kEnvelopeMagic) - 1;
   size_t crc_end = data.find('\n', pos);
   if (crc_end == std::string::npos) {

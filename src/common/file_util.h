@@ -53,8 +53,8 @@ bool FsyncEnabled();
 std::string WithChecksumEnvelope(std::string_view payload);
 
 /// Verifies and strips a checksum envelope, returning the payload;
-/// kCorruption on size or CRC mismatch. Data without the envelope
-/// magic is returned unchanged (legacy files).
+/// kCorruption on a missing magic (empty or unenveloped data) or on a
+/// size or CRC mismatch.
 StatusOr<std::string> StripChecksumEnvelope(std::string data);
 
 }  // namespace sdms

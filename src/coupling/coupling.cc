@@ -754,9 +754,9 @@ Status Coupling::RecoverPropagation() {
       // that shard's restored applied_seq tells exactly whether its
       // sub-batch is in the snapshot — shard 2 may have committed high
       // while shard 0 faulted and stayed behind. When the record's
-      // shard no longer exists (shard count changed across restarts,
-      // e.g. a legacy single-shard snapshot), the collection-wide
-      // minimum is the conservative floor.
+      // shard no longer exists (the snapshot was written under a
+      // smaller shard count), the collection-wide minimum is the
+      // conservative floor.
       auto irs_coll = engine_->GetCollection(it->second->irs_collection_name());
       uint64_t min_floor = it->second->last_routed_seq();
       size_t requeued = 0;

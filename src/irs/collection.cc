@@ -456,12 +456,6 @@ std::string IrsCollection::CheckInvariants() const {
 
 namespace {
 
-/// Envelope prefix for single-index sequence-number-carrying blobs
-/// (pre-shard format). A legacy blob (raw InvertedIndex bytes) starts
-/// with the u64 document count, whose low word can never plausibly
-/// reach this value.
-constexpr uint32_t kCollectionMagic = 0x53435156;  // "VQCS"
-
 /// Envelope prefix for sharded collection blobs: shard map + per-shard
 /// (applied_seq, index bytes).
 constexpr uint32_t kShardedCollectionMagic = 0x53445156;  // "VQDS"
@@ -481,46 +475,30 @@ StatusOr<std::string> IrsCollection::Serialize() const {
 }
 
 Status IrsCollection::RestoreIndex(std::string_view data) {
-  oodb::Decoder probe(data);
-  auto magic = probe.GetU32();
-  if (magic.ok() && *magic == kShardedCollectionMagic) {
-    SDMS_ASSIGN_OR_RETURN(ShardMap map, ShardMap::DecodeFrom(probe));
-    std::vector<std::unique_ptr<InvertedIndex>> shards;
-    std::vector<uint64_t> seqs;
-    for (uint32_t s = 0; s < map.num_shards(); ++s) {
-      SDMS_ASSIGN_OR_RETURN(uint64_t seq, probe.GetU64());
-      SDMS_ASSIGN_OR_RETURN(std::string bytes, probe.GetString());
-      SDMS_ASSIGN_OR_RETURN(InvertedIndex index,
-                            InvertedIndex::Deserialize(bytes));
-      auto shard = std::make_unique<InvertedIndex>(std::move(index));
-      shard->set_eager_delete(eager_delete_);
-      shard->set_auto_compact(false);
-      shards.push_back(std::move(shard));
-      seqs.push_back(seq);
-    }
-    // The snapshot's shard layout wins over the current SDMS_SHARDS:
-    // the map is part of the data (re-sharding is a rebuild, not a
-    // restore).
-    shard_map_ = map;
-    shards_ = std::move(shards);
-    applied_seq_ = std::move(seqs);
-    return Status::OK();
+  oodb::Decoder dec(data);
+  SDMS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
+  if (magic != kShardedCollectionMagic) {
+    return Status::Corruption("collection snapshot: bad magic");
   }
-
-  // Pre-shard formats restore as one shard.
-  uint64_t applied_seq = 0;
-  if (magic.ok() && *magic == kCollectionMagic) {
-    SDMS_ASSIGN_OR_RETURN(applied_seq, probe.GetU64());
-    data = data.substr(probe.position());
+  SDMS_ASSIGN_OR_RETURN(ShardMap map, ShardMap::DecodeFrom(dec));
+  std::vector<std::unique_ptr<InvertedIndex>> shards;
+  std::vector<uint64_t> seqs;
+  for (uint32_t s = 0; s < map.num_shards(); ++s) {
+    SDMS_ASSIGN_OR_RETURN(uint64_t seq, dec.GetU64());
+    SDMS_ASSIGN_OR_RETURN(std::string bytes, dec.GetString());
+    SDMS_ASSIGN_OR_RETURN(InvertedIndex index,
+                          InvertedIndex::Deserialize(bytes));
+    auto shard = std::make_unique<InvertedIndex>(std::move(index));
+    shard->set_eager_delete(eager_delete_);
+    shard->set_auto_compact(false);
+    shards.push_back(std::move(shard));
+    seqs.push_back(seq);
   }
-  SDMS_ASSIGN_OR_RETURN(InvertedIndex index, InvertedIndex::Deserialize(data));
-  shard_map_ = ShardMap(1);
-  shards_.clear();
-  auto shard = std::make_unique<InvertedIndex>(std::move(index));
-  shard->set_eager_delete(eager_delete_);
-  shard->set_auto_compact(false);
-  shards_.push_back(std::move(shard));
-  applied_seq_.assign(1, applied_seq);
+  // The snapshot's shard layout wins over the current SDMS_SHARDS: the
+  // map is part of the data (re-sharding is a rebuild, not a restore).
+  shard_map_ = map;
+  shards_ = std::move(shards);
+  applied_seq_ = std::move(seqs);
   return Status::OK();
 }
 

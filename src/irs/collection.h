@@ -263,10 +263,11 @@ class IrsCollection {
 
   /// Serializes shard map + per-shard applied_seq + per-shard index
   /// (analyzer/model are configuration and are re-supplied at load).
-  /// Pre-shard blobs (single-index envelope or raw index bytes)
-  /// restore as one shard; the snapshot's shard layout always wins
-  /// over the current SDMS_SHARDS setting. Fails when a postings block
-  /// cannot be decoded.
+  /// The snapshot's shard layout always wins over the current
+  /// SDMS_SHARDS setting. Serialize fails when a postings block cannot
+  /// be decoded; RestoreIndex refuses any blob that is not this
+  /// sharded format with kCorruption and leaves the collection as it
+  /// was.
   StatusOr<std::string> Serialize() const;
   Status RestoreIndex(std::string_view data);
 

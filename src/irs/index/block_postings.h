@@ -68,8 +68,9 @@ class BlockPostingsList {
   /// postings_scanned / blocks_decoded accounting.
   Status DecodeBlockInto(size_t i, std::vector<Posting>& out) const;
 
-  /// Decodes the whole list (tf-cache builds, compaction, the oracle
-  /// tests, serialization).
+  /// Decodes the whole list (compaction, serialization, digests,
+  /// invariant checks and the oracle tests). Scorers read postings
+  /// through PostingsCursor instead.
   StatusOr<std::vector<Posting>> DecodeAll() const;
 
   /// Main-memory footprint: block metadata plus encoded payloads.
@@ -143,6 +144,19 @@ class PostingsCursor {
   size_t decoded_block_ = static_cast<size_t>(-1);
   Status status_;
 };
+
+/// Walks `cursor` to its end, calling fn(doc, tf) for every posting in
+/// doc order: each block is decoded exactly once and none is skipped.
+/// Returns the cursor's decode status (OK for a healthy list).
+template <typename Fn>
+Status WalkPostings(PostingsCursor cursor, Fn&& fn) {
+  for (; !cursor.AtEnd(); cursor.Next()) {
+    DocId doc = cursor.doc();
+    if (cursor.AtEnd()) break;  // decode failure latched by doc()
+    fn(doc, cursor.tf());
+  }
+  return cursor.status();
+}
 
 }  // namespace sdms::irs
 

@@ -279,13 +279,6 @@ PostingsCursor InvertedIndex::OpenCursor(const std::string& term) const {
   return PostingsCursor(GetPostingsList(term));
 }
 
-StatusOr<std::vector<Posting>> InvertedIndex::DecodePostings(
-    const std::string& term) const {
-  const BlockPostingsList* list = GetPostingsList(term);
-  if (list == nullptr) return std::vector<Posting>{};
-  return list->DecodeAll();
-}
-
 uint32_t InvertedIndex::DocFreq(const std::string& term) const {
   // Metadata-only: the old flat index walked (and charged) the whole
   // list here; block metadata answers df without decoding anything.

@@ -129,10 +129,6 @@ class InvertedIndex {
   /// Lazy cursor over `term`'s postings (empty cursor if unknown).
   PostingsCursor OpenCursor(const std::string& term) const;
 
-  /// Fully decodes `term`'s postings (tf caches, feedback, tests).
-  /// An empty vector when the term is unknown.
-  StatusOr<std::vector<Posting>> DecodePostings(const std::string& term) const;
-
   /// Document frequency of `term` (including tombstones, see above).
   /// Served from list metadata — no block is decoded.
   uint32_t DocFreq(const std::string& term) const;

@@ -1,7 +1,6 @@
 #include "irs/index/postings_kernels.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/obs/metrics.h"
 #include "common/obs/profile.h"
@@ -25,96 +24,6 @@ obs::Counter& EarlyExits() {
 }
 
 }  // namespace
-
-size_t GallopTo(const std::vector<Posting>& postings, size_t lo,
-                DocId target) {
-  size_t n = postings.size();
-  if (lo >= n || postings[lo].doc >= target) return lo;
-  // Exponential probe: double the step until we overshoot.
-  size_t step = 1;
-  size_t prev = lo;
-  size_t probe = lo + 1;
-  while (probe < n && postings[probe].doc < target) {
-    prev = probe;
-    step <<= 1;
-    probe = lo + step;
-  }
-  size_t hi = std::min(probe + 1, n);
-  auto it = std::lower_bound(
-      postings.begin() + static_cast<ptrdiff_t>(prev + 1),
-      postings.begin() + static_cast<ptrdiff_t>(hi), target,
-      [](const Posting& p, DocId d) { return p.doc < d; });
-  return static_cast<size_t>(it - postings.begin());
-}
-
-std::vector<DocId> IntersectPostings(
-    std::vector<const std::vector<Posting>*> lists) {
-  std::vector<DocId> out;
-  if (lists.empty()) return out;
-  for (const auto* l : lists) {
-    if (l == nullptr || l->empty()) return out;
-  }
-  // Rarest first: the smallest list drives, the others confirm.
-  std::sort(lists.begin(), lists.end(),
-            [](const std::vector<Posting>* a, const std::vector<Posting>* b) {
-              return a->size() < b->size();
-            });
-  const std::vector<Posting>& driver = *lists[0];
-  out.reserve(driver.size());
-  std::vector<size_t> cursors(lists.size(), 0);
-  size_t steps = 0;
-  for (const Posting& p : driver) {
-    if (++steps % kCancelCheckStride == 0 && QueryShouldStop()) {
-      EarlyExits().Increment();
-      obs::ProfileCount("early_exits");
-      return out;  // partial; the caller re-checks the context's status
-    }
-    DocId doc = p.doc;
-    bool in_all = true;
-    for (size_t i = 1; i < lists.size(); ++i) {
-      size_t pos = GallopTo(*lists[i], cursors[i], doc);
-      cursors[i] = pos;
-      if (pos >= lists[i]->size() || (*lists[i])[pos].doc != doc) {
-        in_all = false;
-        break;
-      }
-    }
-    if (in_all) out.push_back(doc);
-  }
-  return out;
-}
-
-std::vector<DocId> UnionPostings(
-    const std::vector<const std::vector<Posting>*>& lists) {
-  // (doc at cursor, list index) min-heap for the k-way merge.
-  using HeapItem = std::pair<DocId, size_t>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-      heap;
-  std::vector<size_t> cursors(lists.size(), 0);
-  size_t total = 0;
-  for (size_t i = 0; i < lists.size(); ++i) {
-    if (lists[i] != nullptr && !lists[i]->empty()) {
-      heap.emplace((*lists[i])[0].doc, i);
-      total += lists[i]->size();
-    }
-  }
-  std::vector<DocId> out;
-  out.reserve(total);
-  size_t steps = 0;
-  while (!heap.empty()) {
-    if (++steps % kCancelCheckStride == 0 && QueryShouldStop()) {
-      EarlyExits().Increment();
-      obs::ProfileCount("early_exits");
-      return out;  // partial; the caller re-checks the context's status
-    }
-    auto [doc, i] = heap.top();
-    heap.pop();
-    if (out.empty() || out.back() != doc) out.push_back(doc);
-    size_t next = ++cursors[i];
-    if (next < lists[i]->size()) heap.emplace((*lists[i])[next].doc, i);
-  }
-  return out;
-}
 
 Status IntersectCursorsVisit(std::vector<PostingsCursor>& cursors,
                              const std::function<void(DocId)>& visit) {
@@ -165,91 +74,6 @@ StatusOr<std::vector<DocId>> IntersectCursors(
   std::vector<DocId> out;
   SDMS_RETURN_IF_ERROR(IntersectCursorsVisit(
       cursors, [&out](DocId doc) { out.push_back(doc); }));
-  return out;
-}
-
-StatusOr<std::vector<DocId>> UnionCursors(
-    std::vector<PostingsCursor> cursors) {
-  // (doc at cursor, cursor index) min-heap for the k-way merge.
-  using HeapItem = std::pair<DocId, size_t>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-      heap;
-  size_t total = 0;
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    if (cursors[i].AtEnd()) {
-      SDMS_RETURN_IF_ERROR(cursors[i].status());
-      continue;
-    }
-    DocId d = cursors[i].doc();
-    if (cursors[i].AtEnd()) return cursors[i].status();
-    heap.emplace(d, i);
-    total += cursors[i].size();
-  }
-  std::vector<DocId> out;
-  out.reserve(total);
-  size_t steps = 0;
-  while (!heap.empty()) {
-    if (++steps % kCancelCheckStride == 0 && QueryShouldStop()) {
-      EarlyExits().Increment();
-      obs::ProfileCount("early_exits");
-      return out;  // partial; the caller re-checks the context's status
-    }
-    auto [doc, i] = heap.top();
-    heap.pop();
-    if (out.empty() || out.back() != doc) out.push_back(doc);
-    cursors[i].Next();
-    if (!cursors[i].AtEnd()) {
-      DocId d = cursors[i].doc();
-      if (cursors[i].AtEnd()) return cursors[i].status();
-      heap.emplace(d, i);
-    } else {
-      SDMS_RETURN_IF_ERROR(cursors[i].status());
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<DocId, double>> TopK(
-    const std::vector<std::pair<DocId, double>>& scored, size_t k) {
-  // "Worse" = lower score, then higher doc id; the heap keeps the worst
-  // retained entry on top so a better candidate can displace it.
-  auto worse = [](const std::pair<DocId, double>& a,
-                  const std::pair<DocId, double>& b) {
-    if (a.second != b.second) return a.second < b.second;
-    return a.first > b.first;
-  };
-  std::vector<std::pair<DocId, double>> out;
-  if (k == 0 || scored.size() <= k) {
-    out = scored;
-  } else {
-    out.reserve(k + 1);
-    // Min-heap on `worse`: out.front() is the weakest retained hit.
-    auto heap_cmp = [&worse](const std::pair<DocId, double>& a,
-                             const std::pair<DocId, double>& b) {
-      return worse(b, a);
-    };
-    size_t steps = 0;
-    for (const auto& s : scored) {
-      if (++steps % kCancelCheckStride == 0 && QueryShouldStop()) {
-        EarlyExits().Increment();
-        obs::ProfileCount("early_exits");
-        break;  // partial; the caller re-checks the context's status
-      }
-      if (out.size() < k) {
-        out.push_back(s);
-        std::push_heap(out.begin(), out.end(), heap_cmp);
-      } else if (worse(out.front(), s)) {
-        std::pop_heap(out.begin(), out.end(), heap_cmp);
-        out.back() = s;
-        std::push_heap(out.begin(), out.end(), heap_cmp);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [&worse](const std::pair<DocId, double>& a,
-                     const std::pair<DocId, double>& b) {
-              return worse(b, a);
-            });
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef SDMS_IRS_INDEX_POSTINGS_KERNELS_H_
 #define SDMS_IRS_INDEX_POSTINGS_KERNELS_H_
 
-#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -10,39 +9,11 @@
 
 namespace sdms::irs {
 
-/// Doc-at-a-time kernels over sorted postings lists. These back the
-/// conjunctive operators (#and in the boolean model, candidate
-/// generation for #odN/#uwN windows) and replace set-based merges with
-/// galloping (exponential search) intersection: cost is
-/// O(k · |smallest| · log(|largest| / |smallest|)) instead of a full
-/// scan-and-sort of every list.
-///
-/// Two tiers exist:
-///   * cursor kernels (IntersectCursors / UnionCursors / …) operate on
-///     block-compressed lists through PostingsCursor, skipping whole
-///     blocks via last_doc metadata without decoding them — the
-///     production query path;
-///   * flat kernels (GallopTo / IntersectPostings / UnionPostings)
-///     operate on decoded `std::vector<Posting>` and are retained as
-///     the reference implementation — the oracle the block path is
-///     tested bit-identical against — and for callers that already
-///     hold decoded lists.
-
-/// Smallest index i in [lo, postings.size()) with postings[i].doc >=
-/// target, found by exponential probing followed by binary search.
-/// Returns postings.size() when no such element exists.
-size_t GallopTo(const std::vector<Posting>& postings, size_t lo, DocId target);
-
-/// Documents present in *every* list (ascending). Lists are processed
-/// rarest-first; candidates from the smallest list are confirmed by
-/// galloping through the others. Empty input yields an empty result.
-std::vector<DocId> IntersectPostings(
-    std::vector<const std::vector<Posting>*> lists);
-
-/// Documents present in *any* list (ascending, deduplicated) — a k-way
-/// merge producing a sorted candidate vector without a std::set.
-std::vector<DocId> UnionPostings(
-    const std::vector<const std::vector<Posting>*>& lists);
+/// Doc-at-a-time conjunction over block-compressed postings lists,
+/// read through PostingsCursor — the access path every retrieval model
+/// uses. It backs the boolean #and and the candidate generation of the
+/// #odN/#uwN windows. The loop polls the current QueryContext every
+/// 1024 steps and counts each stop in irs.kernel.early_exits.
 
 /// Conjunction over block cursors, driving a visitor: `visit(doc)` is
 /// invoked for every doc present in all lists, with every cursor in
@@ -58,17 +29,6 @@ Status IntersectCursorsVisit(std::vector<PostingsCursor>& cursors,
 /// Documents present in *every* cursor's list (ascending).
 StatusOr<std::vector<DocId>> IntersectCursors(
     std::vector<PostingsCursor> cursors);
-
-/// Documents present in *any* cursor's list (ascending, deduplicated)
-/// — the k-way merge over lazily decoded blocks.
-StatusOr<std::vector<DocId>> UnionCursors(std::vector<PostingsCursor> cursors);
-
-/// Keeps the k best (score, doc) pairs with a bounded min-heap instead
-/// of materializing and fully sorting every scored document. Orders by
-/// descending score, ties broken by ascending doc id. k == 0 returns
-/// everything sorted.
-std::vector<std::pair<DocId, double>> TopK(
-    const std::vector<std::pair<DocId, double>>& scored, size_t k);
 
 }  // namespace sdms::irs
 

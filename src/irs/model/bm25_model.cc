@@ -40,13 +40,13 @@ class Bm25Model : public RetrievalModel {
           corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
       if (df == 0) continue;
       double idf = Idf(n, static_cast<double>(df));
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(term));
-      for (const Posting& p : postings) {
-        auto info = index.GetDoc(p.doc);
-        double dl = info.ok() ? static_cast<double>((*info)->length) : avgdl;
-        scores[p.doc] += Contribution(tf_q, idf, p.tf, dl, avgdl);
-      }
+      SDMS_RETURN_IF_ERROR(WalkPostings(
+          index.OpenCursor(term), [&](DocId doc, uint32_t tf) {
+            auto info = index.GetDoc(doc);
+            double dl =
+                info.ok() ? static_cast<double>((*info)->length) : avgdl;
+            scores[doc] += Contribution(tf_q, idf, tf, dl, avgdl);
+          }));
     }
     return scores;
   }

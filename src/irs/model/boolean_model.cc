@@ -55,11 +55,11 @@ class BooleanModel : public RetrievalModel {
                            const QueryNode& node) const {
     switch (node.op) {
       case QueryOp::kTerm: {
-        SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                              index.DecodePostings(node.term));
         DocSet out;
-        out.reserve(postings.size());
-        for (const Posting& p : postings) out.push_back(p.doc);
+        out.reserve(index.DocFreq(node.term));
+        SDMS_RETURN_IF_ERROR(WalkPostings(
+            index.OpenCursor(node.term),
+            [&out](DocId doc, uint32_t) { out.push_back(doc); }));
         return out;
       }
       case QueryOp::kAnd: {

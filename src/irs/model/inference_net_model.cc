@@ -1,11 +1,9 @@
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <unordered_map>
 
 #include "common/query_context.h"
-#include "irs/index/postings_kernels.h"
 #include "irs/index/proximity.h"
 #include "irs/model/retrieval_model.h"
 
@@ -39,91 +37,107 @@ class InferenceNetModel : public RetrievalModel {
     // Candidate generation: every document providing evidence for some
     // evidence node — containing a plain query term, or matching a
     // window expression. Other documents keep the all-default belief,
-    // which is constant across documents and rank-irrelevant. The
-    // candidate set is a sorted-vector k-way union of the evidence
-    // postings (doc-at-a-time), not a std::set accumulation. Each
-    // unique query term is decoded exactly once; `decoded` owns the
-    // lists (deque: growth never invalidates the pointers in
-    // `term_lists`).
-    TfCache tf_cache;
-    std::deque<std::vector<Posting>> decoded;
-    std::vector<const std::vector<Posting>*> term_lists;
-    std::vector<DocId> window_docs;
-    SDMS_RETURN_IF_ERROR(CollectEvidence(index, query, window_cache, decoded,
-                                         term_lists, window_docs, tf_cache));
-    std::vector<DocId> candidates = UnionPostings(term_lists);
-    if (!window_docs.empty()) {
-      std::sort(window_docs.begin(), window_docs.end());
-      window_docs.erase(std::unique(window_docs.begin(), window_docs.end()),
-                        window_docs.end());
-      std::vector<DocId> merged;
-      merged.reserve(candidates.size() + window_docs.size());
-      std::set_union(candidates.begin(), candidates.end(), window_docs.begin(),
-                     window_docs.end(), std::back_inserter(merged));
-      candidates = std::move(merged);
+    // which is constant across documents and rank-irrelevant. The walk
+    // is doc-at-a-time over one cursor per distinct evidence term (a
+    // repeated term shares its cursor, so every block of every list is
+    // decoded exactly once) merged with the window matches.
+    TermCursors terms;
+    CollectTerms(index, query, terms);
+    // The longest evidence list is a lower bound on the candidates.
+    size_t min_candidates = 0;
+    for (const PostingsCursor& c : terms.cursors) {
+      min_candidates = std::max(min_candidates, c.size());
+    }
+    using WindowIt = std::map<DocId, uint32_t>::const_iterator;
+    std::vector<std::pair<WindowIt, WindowIt>> windows;
+    windows.reserve(window_cache.size());
+    for (const auto& [node, matches] : window_cache) {
+      windows.emplace_back(matches.begin(), matches.end());
+      min_candidates = std::max(min_candidates, matches.size());
     }
 
     ScoreMap out;
-    out.reserve(candidates.size());
+    out.reserve(min_candidates);
     const double n = std::max<double>(
         corpus != nullptr ? corpus->doc_count : index.doc_count(), 1.0);
     const double avgdl = std::max(corpus != nullptr ? corpus->avg_doc_length()
                                                     : index.avg_doc_length(),
                                   1e-9);
     size_t steps = 0;
-    for (DocId d : candidates) {
+    while (true) {
+      // Next candidate: the smallest doc any cursor or window sits on.
+      bool have = false;
+      DocId d = 0;
+      for (PostingsCursor& c : terms.cursors) {
+        if (c.AtEnd()) continue;
+        DocId cd = c.doc();
+        if (c.AtEnd()) return c.status();  // decode failure latched
+        if (!have || cd < d) {
+          d = cd;
+          have = true;
+        }
+      }
+      for (const auto& [it, end] : windows) {
+        if (it != end && (!have || it->first < d)) {
+          d = it->first;
+          have = true;
+        }
+      }
+      if (!have) break;
       // The per-candidate belief walk is the scoring hot loop; stop
       // promptly once the query's deadline/cancellation fires.
       if (++steps % 256 == 0 && QueryShouldStop()) {
         return CurrentQueryStatus();
       }
+      // Read each term's tf at `d` and step the cursors sitting on it.
+      for (size_t i = 0; i < terms.cursors.size(); ++i) {
+        PostingsCursor& c = terms.cursors[i];
+        terms.tf[i] = 0;
+        if (c.AtEnd() || c.doc() != d) continue;
+        terms.tf[i] = c.tf();
+        c.Next();
+      }
+      for (auto& [it, end] : windows) {
+        if (it != end && it->first == d) ++it;
+      }
       if (!index.IsAlive(d)) continue;  // tombstoned, awaiting compaction
       auto info = index.GetDoc(d);
       double dl = info.ok() ? static_cast<double>((*info)->length) : avgdl;
-      out[d] = Belief(index, query, d, dl, n, avgdl, tf_cache, window_cache,
+      out[d] = Belief(index, query, d, dl, n, avgdl, terms, window_cache,
                       corpus);
     }
     return out;
   }
 
  private:
-  using TfCache =
-      std::unordered_map<std::string, std::unordered_map<DocId, uint32_t>>;
   using WindowCache = std::map<const QueryNode*, std::map<DocId, uint32_t>>;
 
-  static Status CollectEvidence(const InvertedIndex& index,
-                                const QueryNode& node,
-                                const WindowCache& window_cache,
-                                std::deque<std::vector<Posting>>& decoded,
-                                std::vector<const std::vector<Posting>*>& lists,
-                                std::vector<DocId>& window_docs,
-                                TfCache& tf_cache) {
+  /// The evidence terms of one Score() walk: a cursor per distinct
+  /// term with its tf at the current candidate (0 when absent there),
+  /// and the cursor slot of every term node.
+  struct TermCursors {
+    std::vector<PostingsCursor> cursors;
+    std::vector<uint32_t> tf;
+    std::unordered_map<std::string, size_t> by_term;
+    std::unordered_map<const QueryNode*, size_t> slot;
+  };
+
+  static void CollectTerms(const InvertedIndex& index, const QueryNode& node,
+                           TermCursors& terms) {
     if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
-      auto it = window_cache.find(&node);
-      if (it != window_cache.end()) {
-        for (const auto& [doc, tf] : it->second) window_docs.push_back(doc);
-      }
-      return Status::OK();  // Terms in a window contribute via matches.
+      return;  // Terms in a window contribute via matches.
     }
     if (node.op == QueryOp::kTerm) {
-      if (tf_cache.count(node.term) > 0) {
-        return Status::OK();  // repeated query term, already decoded
+      auto [it, inserted] =
+          terms.by_term.emplace(node.term, terms.cursors.size());
+      if (inserted) {
+        terms.cursors.push_back(index.OpenCursor(node.term));
+        terms.tf.push_back(0);
       }
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(node.term));
-      if (postings.empty()) return Status::OK();
-      auto& per_doc = tf_cache[node.term];
-      per_doc.reserve(postings.size());
-      for (const Posting& p : postings) per_doc[p.doc] = p.tf;
-      decoded.push_back(std::move(postings));
-      lists.push_back(&decoded.back());
-      return Status::OK();
+      terms.slot[&node] = it->second;
+      return;
     }
-    for (const auto& c : node.children) {
-      SDMS_RETURN_IF_ERROR(CollectEvidence(index, *c, window_cache, decoded,
-                                           lists, window_docs, tf_cache));
-    }
-    return Status::OK();
+    for (const auto& c : node.children) CollectTerms(index, *c, terms);
   }
 
   static Status CollectWindows(const InvertedIndex& index,
@@ -143,17 +157,14 @@ class InferenceNetModel : public RetrievalModel {
     return Status::OK();
   }
 
-  double TermBelief(const InvertedIndex& index, const std::string& term,
-                    DocId doc, double dl, double n, double avgdl,
-                    const TfCache& tf_cache,
+  double TermBelief(const InvertedIndex& index, const QueryNode& node,
+                    double dl, double n, double avgdl,
+                    const TermCursors& terms,
                     const CorpusStats* corpus) const {
-    auto it = tf_cache.find(term);
-    uint32_t tf = 0;
-    if (it != tf_cache.end()) {
-      auto dit = it->second.find(doc);
-      if (dit != it->second.end()) tf = dit->second;
-    }
+    auto it = terms.slot.find(&node);
+    uint32_t tf = it != terms.slot.end() ? terms.tf[it->second] : 0;
     if (tf == 0) return default_belief_;
+    const std::string& term = node.term;
     uint64_t df = corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
     double ntf = static_cast<double>(tf) /
                  (static_cast<double>(tf) + 0.5 + 1.5 * dl / avgdl);
@@ -164,7 +175,7 @@ class InferenceNetModel : public RetrievalModel {
   }
 
   double Belief(const InvertedIndex& index, const QueryNode& node, DocId doc,
-                double dl, double n, double avgdl, const TfCache& tf_cache,
+                double dl, double n, double avgdl, const TermCursors& terms,
                 const WindowCache& window_cache,
                 const CorpusStats* corpus) const {
     if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
@@ -188,12 +199,11 @@ class InferenceNetModel : public RetrievalModel {
     }
     switch (node.op) {
       case QueryOp::kTerm:
-        return TermBelief(index, node.term, doc, dl, n, avgdl, tf_cache,
-                          corpus);
+        return TermBelief(index, node, dl, n, avgdl, terms, corpus);
       case QueryOp::kAnd: {
         double b = 1.0;
         for (const auto& c : node.children) {
-          b *= Belief(index, *c, doc, dl, n, avgdl, tf_cache, window_cache,
+          b *= Belief(index, *c, doc, dl, n, avgdl, terms, window_cache,
                       corpus);
         }
         return node.children.empty() ? default_belief_ : b;
@@ -201,7 +211,7 @@ class InferenceNetModel : public RetrievalModel {
       case QueryOp::kOr: {
         double b = 1.0;
         for (const auto& c : node.children) {
-          b *= 1.0 - Belief(index, *c, doc, dl, n, avgdl, tf_cache,
+          b *= 1.0 - Belief(index, *c, doc, dl, n, avgdl, terms,
                             window_cache, corpus);
         }
         return node.children.empty() ? default_belief_ : 1.0 - b;
@@ -210,12 +220,12 @@ class InferenceNetModel : public RetrievalModel {
         return node.children.empty()
                    ? default_belief_
                    : 1.0 - Belief(index, *node.children[0], doc, dl, n, avgdl,
-                                  tf_cache, window_cache, corpus);
+                                  terms, window_cache, corpus);
       case QueryOp::kSum: {
         if (node.children.empty()) return 0.0;
         double sum = 0.0;
         for (const auto& c : node.children) {
-          sum += Belief(index, *c, doc, dl, n, avgdl, tf_cache, window_cache,
+          sum += Belief(index, *c, doc, dl, n, avgdl, terms, window_cache,
                         corpus);
         }
         return sum / static_cast<double>(node.children.size());
@@ -227,7 +237,7 @@ class InferenceNetModel : public RetrievalModel {
         for (size_t i = 0; i < node.children.size(); ++i) {
           double w = i < node.weights.size() ? node.weights[i] : 1.0;
           sum += w * Belief(index, *node.children[i], doc, dl, n, avgdl,
-                            tf_cache, window_cache, corpus);
+                            terms, window_cache, corpus);
           wsum += w;
         }
         return wsum > 0.0 ? sum / wsum : 0.0;
@@ -235,7 +245,7 @@ class InferenceNetModel : public RetrievalModel {
       case QueryOp::kMax: {
         double best = 0.0;
         for (const auto& c : node.children) {
-          best = std::max(best, Belief(index, *c, doc, dl, n, avgdl, tf_cache,
+          best = std::max(best, Belief(index, *c, doc, dl, n, avgdl, terms,
                                        window_cache, corpus));
         }
         return best;

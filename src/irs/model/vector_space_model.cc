@@ -37,12 +37,11 @@ class VectorSpaceModel : public RetrievalModel {
       double idf = std::log(n / static_cast<double>(df)) + 1.0;
       double wq = static_cast<double>(tf_q) * idf;
       query_norm_sq += wq * wq;
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(term));
-      for (const Posting& p : postings) {
-        double wd = (1.0 + std::log(static_cast<double>(p.tf))) * idf;
-        scores[p.doc] += wq * wd;
-      }
+      SDMS_RETURN_IF_ERROR(WalkPostings(
+          index.OpenCursor(term), [&](DocId doc, uint32_t tf) {
+            double wd = (1.0 + std::log(static_cast<double>(tf))) * idf;
+            scores[doc] += wq * wd;
+          }));
     }
     if (scores.empty()) return scores;
     // Cosine: normalize by query norm and document length proxy.

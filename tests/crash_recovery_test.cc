@@ -42,10 +42,12 @@ TEST_F(CrashRecoveryTest, ChecksumEnvelopeRoundTrip) {
   auto stripped = StripChecksumEnvelope(WithChecksumEnvelope(payload));
   ASSERT_TRUE(stripped.ok());
   EXPECT_EQ(*stripped, payload);
-  // Legacy data without the magic passes through unchanged.
-  auto legacy = StripChecksumEnvelope("plain old file contents");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(*legacy, "plain old file contents");
+  // Every writer envelopes its files, so data without the magic —
+  // empty or never enveloped — is corruption, not a format to accept.
+  EXPECT_EQ(StripChecksumEnvelope("plain old file contents").status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(StripChecksumEnvelope("").status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(CrashRecoveryTest, ChecksumEnvelopeDetectsCorruptionAndTruncation) {
@@ -146,6 +148,49 @@ TEST_F(CrashRecoveryTest, TornIndexFileIsCorruptionNotSilentBadState) {
   ASSERT_TRUE(WriteFileAtomic(idx_path, damaged).ok());
   irs::IrsEngine engine;
   EXPECT_EQ(engine.LoadFrom(irs_dir).code(), StatusCode::kCorruption);
+}
+
+TEST_F(CrashRecoveryTest, EmptyOrUnenvelopedSnapshotFilesAreCorruption) {
+  std::string irs_dir = dir_ + "/irs";
+  {
+    irs::IrsEngine engine;
+    auto coll = engine.CreateCollection("docs", {}, "inquery");
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->AddDocument("oid:1", "some indexed text").ok());
+    ASSERT_TRUE(engine.SaveTo(irs_dir).ok());
+  }
+  const std::string manifest_path = irs_dir + "/collections.manifest";
+  const std::string idx_path = irs_dir + "/docs.idx";
+  auto manifest = ReadFile(manifest_path);
+  auto idx = ReadFile(idx_path);
+  ASSERT_TRUE(manifest.ok());
+  ASSERT_TRUE(idx.ok());
+  auto expect_load = [&](StatusCode code) {
+    irs::IrsEngine engine;
+    EXPECT_EQ(engine.LoadFrom(irs_dir).code(), code);
+  };
+  expect_load(StatusCode::kOk);
+
+  // A zero-byte manifest must not load as "no collections".
+  ASSERT_TRUE(WriteFileAtomic(manifest_path, "").ok());
+  expect_load(StatusCode::kCorruption);
+  // Nor may an unenveloped one that parses as a valid manifest.
+  ASSERT_TRUE(WriteFileAtomic(manifest_path, "docs\tinquery\n").ok());
+  expect_load(StatusCode::kCorruption);
+  ASSERT_TRUE(WriteFileAtomic(manifest_path, *manifest).ok());
+
+  ASSERT_TRUE(WriteFileAtomic(idx_path, "").ok());
+  expect_load(StatusCode::kCorruption);
+  ASSERT_TRUE(WriteFileAtomic(idx_path, *idx).ok());
+  expect_load(StatusCode::kOk);
+
+  std::string exchange = dir_ + "/result.txt";
+  ASSERT_TRUE(WriteFileAtomic(exchange, "").ok());
+  EXPECT_EQ(irs::IrsEngine::ParseResultFile(exchange).status().code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(WriteFileAtomic(exchange, "oid:1\t0.5\n").ok());
+  EXPECT_EQ(irs::IrsEngine::ParseResultFile(exchange).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(CrashRecoveryTest, CorruptExchangeFileIsDetected) {

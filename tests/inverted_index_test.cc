@@ -28,7 +28,8 @@ TEST(InvertedIndexTest, AddAndLookup) {
   EXPECT_EQ(index.total_tokens(), 5u);
   EXPECT_EQ(index.term_count(), 3u);
 
-  auto postings = index.DecodePostings("www");
+  ASSERT_NE(index.GetPostingsList("www"), nullptr);
+  auto postings = index.GetPostingsList("www")->DecodeAll();
   ASSERT_TRUE(postings.ok());
   ASSERT_EQ(postings->size(), 1u);
   EXPECT_EQ((*postings)[0].doc, a);
@@ -83,7 +84,8 @@ TEST(InvertedIndexTest, SerializeRoundTrip) {
   EXPECT_TRUE(restored->FindByKey("oid:1").ok());
   EXPECT_FALSE(restored->FindByKey("oid:3").ok());
   // Positions survive delta-coding.
-  auto postings = restored->DecodePostings("alpha");
+  ASSERT_NE(restored->GetPostingsList("alpha"), nullptr);
+  auto postings = restored->GetPostingsList("alpha")->DecodeAll();
   ASSERT_TRUE(postings.ok());
   ASSERT_EQ((*postings)[0].positions.size(), 2u);
   EXPECT_EQ((*postings)[0].positions[1], 2u);

@@ -308,7 +308,7 @@ TEST(MixedQueryTest, BoundScanBooksOneHitPerEvaluation) {
   QueryContext ctx;
   auto profile = std::make_shared<obs::QueryProfile>(ctx.query_id());
   ctx.set_profile(profile);
-  StatusOr<oodb::vql::QueryResult> r = Status::OK();
+  StatusOr<oodb::vql::QueryResult> r = Status::Internal("not run");
   {
     QueryContext::Scope scope(&ctx);
     r = eval.Run(vql, Strategy::kIndependent);

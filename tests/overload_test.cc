@@ -23,6 +23,8 @@
 #include "coupling/result_buffer.h"
 #include "coupling_test_util.h"
 #include "irs/index/postings_kernels.h"
+#include "irs/model/retrieval_model.h"
+#include "irs/query/query_node.h"
 
 namespace sdms::coupling {
 namespace {
@@ -134,16 +136,21 @@ TEST(QueryContextTest, ParallelForPropagatesContextIntoWorkers) {
 // Kernel-level cancellation
 // ---------------------------------------------------------------------------
 
-std::vector<irs::Posting> MakePostings(size_t n, uint32_t stride) {
-  std::vector<irs::Posting> out;
-  out.reserve(n);
+/// An index of `n` documents "alpha beta": both lists hold every document, so
+/// their intersection and the inquery candidate set are all n docs.
+irs::InvertedIndex MakeTwoTermIndex(size_t n) {
+  irs::InvertedIndex index;
   for (size_t i = 0; i < n; ++i) {
-    irs::Posting p;
-    p.doc = static_cast<irs::DocId>(i * stride);
-    p.tf = 1;
-    out.push_back(std::move(p));
+    index.AddDocument("oid:" + std::to_string(i), {"alpha", "beta"});
   }
-  return out;
+  return index;
+}
+
+std::vector<irs::PostingsCursor> OpenCursors(const irs::InvertedIndex& index) {
+  std::vector<irs::PostingsCursor> cursors;
+  cursors.push_back(index.OpenCursor("alpha"));
+  cursors.push_back(index.OpenCursor("beta"));
+  return cursors;
 }
 
 TEST(KernelCancellationTest, IntersectExitsEarlyWithPartialOutput) {
@@ -151,44 +158,40 @@ TEST(KernelCancellationTest, IntersectExitsEarlyWithPartialOutput) {
   // 10k-entry identical lists: the full intersection would return all
   // 10k docs; a pre-cancelled context must truncate at the first
   // stride poll.
-  std::vector<irs::Posting> a = MakePostings(10000, 1);
-  std::vector<irs::Posting> b = a;
+  irs::InvertedIndex index = MakeTwoTermIndex(10000);
   QueryContext ctx;
   ctx.RequestCancel();
   QueryContext::Scope scope(&ctx);
   uint64_t before = early.value();
-  std::vector<irs::DocId> out = irs::IntersectPostings({&a, &b});
-  EXPECT_LT(out.size(), 10000u);
+  auto out = irs::IntersectCursors(OpenCursors(index));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_LT(out->size(), 10000u);
   EXPECT_GT(early.value(), before);
 }
 
-TEST(KernelCancellationTest, UnionAndTopKExitEarly) {
-  obs::Counter& early = obs::GetCounter("irs.kernel.early_exits");
-  std::vector<irs::Posting> a = MakePostings(8000, 2);
-  std::vector<irs::Posting> b = MakePostings(8000, 3);
-  // Ascending scores: the true best entries live at the *end*, so a
-  // truncated scan provably returns a worse top hit than a full one.
-  std::vector<std::pair<irs::DocId, double>> scored;
-  for (size_t i = 0; i < 8000; ++i) {
-    scored.emplace_back(static_cast<irs::DocId>(i), double(i));
-  }
+TEST(KernelCancellationTest, InqueryScoreStopsWithTheStopStatus) {
+  // The inquery doc-at-a-time walk polls per candidate: a cancelled
+  // context ends the scoring with kCancelled instead of a partial map.
+  irs::InvertedIndex index = MakeTwoTermIndex(5000);
+  irs::Analyzer analyzer;
+  auto tree = irs::ParseIrsQuery("alpha beta", analyzer);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ((*tree)->children.size(), 2u);
+  std::unique_ptr<irs::RetrievalModel> model = irs::MakeInferenceNetModel();
+  ASSERT_TRUE(model->Score(index, **tree).ok());
   QueryContext ctx;
   ctx.RequestCancel();
   QueryContext::Scope scope(&ctx);
-  uint64_t before = early.value();
-  EXPECT_LT(irs::UnionPostings({&a, &b}).size(), 12000u);
-  auto top = irs::TopK(scored, 100);
-  ASSERT_FALSE(top.empty());
-  EXPECT_LT(top.front().second, 7999.0);
-  EXPECT_GE(early.value(), before + 2);
+  auto scores = model->Score(index, **tree);
+  EXPECT_EQ(scores.status().code(), StatusCode::kCancelled);
 }
 
 TEST(KernelCancellationTest, UncancelledKernelsAreExact) {
   // The strided poll must not change results when nothing stops.
-  std::vector<irs::Posting> a = MakePostings(5000, 1);
-  std::vector<irs::Posting> b = MakePostings(5000, 1);
-  EXPECT_EQ(irs::IntersectPostings({&a, &b}).size(), 5000u);
-  EXPECT_EQ(irs::UnionPostings({&a, &b}).size(), 5000u);
+  irs::InvertedIndex index = MakeTwoTermIndex(5000);
+  auto out = irs::IntersectCursors(OpenCursors(index));
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 5000u);
 }
 
 // ---------------------------------------------------------------------------
