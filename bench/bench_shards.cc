@@ -19,17 +19,14 @@
 // differ — the local fan-out has no per-shard deadline, so a stalled
 // shard silently inflates every "ok" answer; the remote channel's
 // deadline surfaces it as an explicitly degraded answer with the
-// stalled shard named and a hedge issued (the hedged-p99 column
-// prices exactly the queries that needed one). Note the injected
-// stall sleeps on the calling thread before the request goes out, so
-// the remote one-stalled latencies price stall + hedged-stall rather
-// than the deadline-bounded wait a genuinely unresponsive peer would
-// cost.
+// stalled shard named failed. Note the injected stall sleeps on the
+// calling thread before the request goes out, so the remote
+// one-stalled latencies price the full stall rather than the
+// deadline-bounded wait a genuinely unresponsive peer would cost.
 //
 // Artifacts: BENCH_shards.json carries the per-config latency
 // histograms under bench.shards.latency_us.n<N>.<transport>.<mode>
-// and the outcome counters / degraded-rate / hedge gauges next to
-// them.
+// and the outcome counters / degraded-rate gauges next to them.
 
 #include <algorithm>
 #include <chrono>
@@ -88,10 +85,8 @@ struct ConfigResult {
   uint64_t ok = 0;
   uint64_t degraded = 0;  // answered, but with a non-kOk shard
   uint64_t failed = 0;    // no answer at all
-  uint64_t hedged = 0;    // queries that issued at least one hedge
   double p50_us = 0;
   double p99_us = 0;
-  double hedged_p99_us = 0;  // p99 over the hedged queries only
 };
 
 double Percentile(std::vector<double>& sorted_us, double p) {
@@ -214,11 +209,9 @@ ConfigResult RunConfig(uint32_t shards, bool remote, Mode mode) {
       mode == Mode::kOneStalled ? kQueriesStalled : kQueriesPerConfig;
   std::vector<double> latencies;
   latencies.reserve(queries);
-  std::vector<double> hedged_latencies;
 
   for (int i = 0; i < queries; ++i) {
     const char* query = kQueryMix[i % std::size(kQueryMix)];
-    uint64_t hedges_before = coll->stats().shard_hedges;
     QueryContext ctx;
     QueryContext::Scope scope(&ctx);
     auto start = std::chrono::steady_clock::now();
@@ -228,10 +221,6 @@ ConfigResult RunConfig(uint32_t shards, bool remote, Mode mode) {
                            .count());
     latencies.push_back(us);
     latency_hist.Record(us);
-    if (coll->stats().shard_hedges > hedges_before) {
-      ++out.hedged;
-      hedged_latencies.push_back(us);
-    }
     if (!result.ok()) {
       ++out.failed;
       continue;
@@ -251,18 +240,13 @@ ConfigResult RunConfig(uint32_t shards, bool remote, Mode mode) {
   std::sort(latencies.begin(), latencies.end());
   out.p50_us = Percentile(latencies, 0.50);
   out.p99_us = Percentile(latencies, 0.99);
-  std::sort(hedged_latencies.begin(), hedged_latencies.end());
-  out.hedged_p99_us = Percentile(hedged_latencies, 0.99);
 
   obs::GetCounter("bench.shards.ok." + tag).Add(out.ok);
   obs::GetCounter("bench.shards.degraded." + tag).Add(out.degraded);
   obs::GetCounter("bench.shards.failed." + tag).Add(out.failed);
-  obs::GetCounter("bench.shards.hedged." + tag).Add(out.hedged);
   uint64_t total = out.ok + out.degraded + out.failed;
   obs::GetGauge("bench.shards.degraded_rate_pct." + tag)
       .Set(total ? static_cast<int64_t>(100 * out.degraded / total) : 0);
-  obs::GetGauge("bench.shards.hedged_p99_us." + tag)
-      .Set(static_cast<int64_t>(out.hedged_p99_us));
 
   // Local shutdown of remote servers before `sys` (and the channels it
   // owns) is NOT needed for correctness — channels tolerate a vanished
@@ -279,7 +263,7 @@ void Run() {
       static_cast<unsigned long long>(kStallMicros / 1000),
       static_cast<long long>(kRemoteSearchDeadlineMs));
   Table table({"shards", "transport", "mode", "ok", "degraded", "failed",
-               "hedged", "degr-rate", "p50-us", "p99-us", "hedged-p99"});
+               "degr-rate", "p50-us", "p99-us"});
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     for (bool remote : {false, true}) {
       for (Mode mode :
@@ -288,11 +272,10 @@ void Run() {
         uint64_t total = r.ok + r.degraded + r.failed;
         table.AddRow({FmtInt(r.shards), remote ? "remote" : "local",
                       ModeLabel(mode), FmtInt(r.ok), FmtInt(r.degraded),
-                      FmtInt(r.failed), FmtInt(r.hedged),
+                      FmtInt(r.failed),
                       Fmt("%.2f", total ? double(r.degraded) / double(total)
                                         : 0.0),
-                      Fmt("%.0f", r.p50_us), Fmt("%.0f", r.p99_us),
-                      Fmt("%.0f", r.hedged_p99_us)});
+                      Fmt("%.0f", r.p50_us), Fmt("%.0f", r.p99_us)});
       }
     }
   }

@@ -155,8 +155,8 @@ bool ConsumeExplainAnalyze(std::string& line) {
 }
 
 /// Prints the non-ok entries of a fan-out search's per-shard report:
-/// degraded answers name exactly which collection shard failed, was
-/// skipped by its breaker, or only answered on the hedged retry.
+/// degraded answers name exactly which collection shard failed or was
+/// skipped by its breaker.
 void PrintShardStatus(const std::vector<ShardStatusEntry>& entries) {
   for (const ShardStatusEntry& e : entries) {
     if (e.state == ShardState::kOk) continue;

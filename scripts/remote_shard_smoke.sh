@@ -5,8 +5,9 @@
 # with SIGKILL while a query load is running; every query must still
 # answer with exit code 0 — degraded, with the dead shard named in the
 # shard-status report — and after the shard server restarts on the
-# same port, the router's applied-seq catch-up must restore complete
-# (non-degraded) answers with the healthy baseline row count.
+# same port, the router's applied-seq catch-up — a full install, the
+# one catch-up path — must restore complete (non-degraded) answers with
+# the healthy baseline row count.
 #
 # Usage: scripts/remote_shard_smoke.sh [build_dir]   (default: build)
 set -eu
@@ -102,6 +103,11 @@ grep -Eq '^shard paras/1 (failed|skipped)' "$WORK/degraded.log" ||
 echo "degraded answer with shard paras/1 named: OK"
 
 # --- 5. Restart the shard server on the same port; catch up. ---------
+installs() {  # full installs of shard 1 the router has logged so far
+  grep -c 'remote shard paras/1 caught up by full install' \
+    "$WORK/router_err.log" || true
+}
+INSTALLS_BEFORE=$(installs)
 start_proc "$WORK/shard1b.log" \
   "$SERVER" --shard paras/1 --port "${SHARD_PORT[1]}"
 echo "shard 1 restarted: pid $LAST_PID port $PORT"
@@ -122,5 +128,12 @@ done
 test "$recovered" -eq 1 ||
   fail "answers did not return to complete $BASELINE_ROWS after restart"
 echo "caught up: complete $BASELINE_ROWS after shard 1 restart"
+# A restarted server comes back at applied_seq 0, so the catch-up must
+# have been a full install of shard 1.
+INSTALLS_AFTER=$(installs)
+test "$INSTALLS_AFTER" -gt "$INSTALLS_BEFORE" ||
+  fail "restarted shard 1 was not caught up by a full install" \
+    "($INSTALLS_BEFORE installs logged before restart, $INSTALLS_AFTER after)"
+echo "shard 1 caught up by full install: OK"
 
 echo "remote shard smoke: PASS"

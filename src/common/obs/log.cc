@@ -66,43 +66,11 @@ class StderrSink : public LogSink {
   std::mutex mu_;
 };
 
-class FileSink : public LogSink {
- public:
-  explicit FileSink(const std::string& path)
-      : file_(std::fopen(path.c_str(), "ab")) {}
-  ~FileSink() override {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  void Write(const LogRecord& record) override {
-    if (file_ == nullptr) return;
-    std::string line = FormatRecord(record);
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fflush(file_);
-  }
-
- private:
-  std::FILE* file_;
-  std::mutex mu_;
-};
-
-class NullSink : public LogSink {
- public:
-  void Write(const LogRecord&) override {}
-};
-
 }  // namespace
 
 std::unique_ptr<LogSink> MakeStderrSink() {
   return std::make_unique<StderrSink>();
 }
-
-std::unique_ptr<LogSink> MakeFileSink(const std::string& path) {
-  return std::make_unique<FileSink>(path);
-}
-
-std::unique_ptr<LogSink> MakeNullSink() { return std::make_unique<NullSink>(); }
 
 Logger::Logger() : level_(LogLevel::kInfo), sink_(MakeStderrSink()) {}
 

@@ -41,8 +41,6 @@ class LogSink {
 };
 
 std::unique_ptr<LogSink> MakeStderrSink();
-std::unique_ptr<LogSink> MakeFileSink(const std::string& path);
-std::unique_ptr<LogSink> MakeNullSink();
 
 /// Process-wide leveled logger with a pluggable sink. Default: kInfo
 /// to stderr. The SDMS_LOG macro below is the entry point; Logger is

@@ -26,7 +26,6 @@ StopMetrics& Metrics() {
 const char* ShardStateName(ShardState state) {
   switch (state) {
     case ShardState::kOk: return "ok";
-    case ShardState::kDegraded: return "degraded";
     case ShardState::kFailed: return "failed";
     case ShardState::kSkipped: return "skipped";
   }
@@ -42,16 +41,6 @@ int64_t QueryContext::RemainingMicros() const {
 bool QueryContext::ChargeRows(uint64_t n) {
   uint64_t total = rows_.fetch_add(n, std::memory_order_relaxed) + n;
   uint64_t max = max_rows_.load(std::memory_order_relaxed);
-  if (max != 0 && total > max) {
-    LatchStop(StopReason::kBudget);
-    return false;
-  }
-  return true;
-}
-
-bool QueryContext::ChargeBytes(uint64_t n) {
-  uint64_t total = bytes_.fetch_add(n, std::memory_order_relaxed) + n;
-  uint64_t max = max_result_bytes_.load(std::memory_order_relaxed);
   if (max != 0 && total > max) {
     LatchStop(StopReason::kBudget);
     return false;

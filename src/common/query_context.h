@@ -14,12 +14,13 @@
 
 namespace sdms {
 
-/// Outcome of one shard of a fan-out IRS search.
+/// Outcome of one shard of a fan-out IRS search. The values are wire
+/// numbers. 1 is retired and must not be reused: an older server may
+/// still send it, and the decoder reads it as kFailed.
 enum class ShardState : uint8_t {
-  kOk = 0,        // answered on the first guarded attempt
-  kDegraded = 1,  // answered, but only via the hedged re-issue
-  kFailed = 2,    // no answer (fault, deadline, corrupt result)
-  kSkipped = 3,   // not attempted — circuit breaker open
+  kOk = 0,       // answered within the shard's guarded call
+  kFailed = 2,   // no answer (fault, deadline, corrupt result)
+  kSkipped = 3,  // not attempted — circuit breaker open
 };
 
 const char* ShardStateName(ShardState state);
@@ -133,20 +134,13 @@ class QueryContext {
   void set_max_rows(uint64_t n) {
     max_rows_.store(n, std::memory_order_relaxed);
   }
-  void set_max_result_bytes(uint64_t n) {
-    max_result_bytes_.store(n, std::memory_order_relaxed);
-  }
 
-  /// Charges `n` rows/bytes against the budget; returns false (and
-  /// latches StopReason::kBudget) once the budget is exceeded.
+  /// Charges `n` rows against the budget; returns false (and latches
+  /// StopReason::kBudget) once the budget is exceeded.
   bool ChargeRows(uint64_t n);
-  bool ChargeBytes(uint64_t n);
 
   uint64_t rows_charged() const {
     return rows_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_charged() const {
-    return bytes_.load(std::memory_order_relaxed);
   }
 
   // --- Degradation --------------------------------------------------------
@@ -234,9 +228,7 @@ class QueryContext {
   std::atomic<CancelToken*> external_cancel_{nullptr};
   CancelToken internal_cancel_;
   std::atomic<uint64_t> max_rows_{0};
-  std::atomic<uint64_t> max_result_bytes_{0};
   std::atomic<uint64_t> rows_{0};
-  std::atomic<uint64_t> bytes_{0};
   std::atomic<bool> allow_partial_{false};
   std::atomic<bool> degraded_{false};
   std::atomic<int> stop_reason_{static_cast<int>(StopReason::kNone)};

@@ -58,7 +58,6 @@ struct CollectionMetrics {
   // Fan-out search over shards.
   obs::Counter& shard_degraded =
       obs::GetCounter("coupling.shard.degraded_queries");
-  obs::Counter& shard_hedges = obs::GetCounter("coupling.shard.hedges");
   obs::Counter& shard_failures = obs::GetCounter("coupling.shard.failures");
 };
 
@@ -312,7 +311,7 @@ void Collection::TeeOpsToRemote(irs::IrsCollection* coll, size_t shard,
     // the next search/sync, never a propagation failure.
     SDMS_LOG(WARN) << "remote tee for '" << irs_name_ << "' shard " << shard
                    << " failed (" << ops.size()
-                   << " op(s), server will be caught up by replay/install): "
+                   << " op(s), server will be caught up by a full install): "
                    << pushed.ToString();
   }
 }
@@ -332,12 +331,12 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
     std::vector<irs::SearchHit> hits;
     Status status = Status::OK();
     bool breaker_rejected = false;
-    bool hedged = false;
     int64_t micros = 0;
   };
   std::vector<ShardRun> runs(n);
   // One guarded search per shard. Each shard is its own failure
-  // domain: its guard retries/trips independently, and the
+  // domain: its guard retries/trips independently — the guard's retry
+  // budget is the only retry a shard gets — and the
   // "coupling.irs_call" + "irs.search.shard<i>" fault points fire per
   // shard, so an injected fault takes out one shard's call, not the
   // whole query.
@@ -349,9 +348,9 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
     // — never silently from the local copy: the remote server is the
     // serving tier, and masking its outage would hide a dead node
     // behind bit-identical answers. Remote transport failures surface
-    // as kIoError/kDeadlineExceeded, the same retriable/hedgeable
-    // classes the in-process fault points produce, so the guard,
-    // hedge, and partial-merge machinery below applies unchanged.
+    // as kIoError/kDeadlineExceeded, the same failure classes the
+    // in-process fault points produce, so the guard and partial-merge
+    // machinery below applies unchanged.
     RemoteShardChannel* remote =
         s < remote_channels_.size() ? remote_channels_[s].get() : nullptr;
     r.status = shard_guards_[s]->Run(
@@ -367,7 +366,7 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
           return Status::OK();
         },
         &r.breaker_rejected);
-    r.micros += QueryContext::NowMicros() - start;
+    r.micros = QueryContext::NowMicros() - start;
   };
   if (n > 1) {
     if (ThreadPool* pool = DefaultThreadPool()) {
@@ -387,21 +386,6 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
       ctx->stop_reason() == QueryContext::StopReason::kCancelled) {
     return ctx->StopStatus();
   }
-  // Hedged re-issue: a shard that failed transiently gets one more
-  // chance while the healthy shards' results are already in hand.
-  // Breaker-rejected shards are not hedged (the breaker said stop),
-  // and neither is anything once the caller's own budget expired.
-  for (size_t s = 0; s < n; ++s) {
-    ShardRun& r = runs[s];
-    if (r.status.ok() || r.breaker_rejected || !IsUnavailable(r.status)) {
-      continue;
-    }
-    if (ctx != nullptr && !ctx->CheckStatus().ok()) break;
-    r.hedged = true;
-    ++stats_.shard_hedges;
-    Metrics().shard_hedges.Increment();
-    attempt_shard(s);
-  }
 
   std::vector<ShardStatusEntry> report(n);
   std::vector<std::vector<irs::SearchHit>> per_shard;
@@ -416,7 +400,7 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
     e.shard = static_cast<uint32_t>(s);
     e.micros = r.micros;
     if (r.status.ok()) {
-      e.state = r.hedged ? ShardState::kDegraded : ShardState::kOk;
+      e.state = ShardState::kOk;
       ++ok_shards;
       per_shard.push_back(std::move(r.hits));
     } else {

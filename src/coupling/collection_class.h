@@ -238,7 +238,8 @@ class Collection {
   /// the shard's full index — it is the indexing/durability tier; the
   /// remote server is the serving tier — so healthy remote rankings
   /// are bit-identical to local ones, and a dead server is caught up
-  /// (replay or install) rather than rebuilt from source objects.
+  /// by a full install of the local shard rather than rebuilt from
+  /// source objects.
   ///
   /// Performs the initial sync; on failure the channel stays attached
   /// (searches on that shard degrade visibly until the server comes

@@ -1217,7 +1217,6 @@ CouplingStats Coupling::AggregateStats() const {
     total.stale_serves += s.stale_serves;
     total.degraded_reads += s.degraded_reads;
     total.shard_degraded_queries += s.shard_degraded_queries;
-    total.shard_hedges += s.shard_hedges;
   }
   return total;
 }

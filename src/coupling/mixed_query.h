@@ -66,8 +66,8 @@ class MixedQueryEvaluator {
     std::shared_ptr<obs::QueryProfile> profile;
     /// Per-shard outcomes of every fan-out IRS search the run issued
     /// (one entry per shard per search). Names the failure domain when
-    /// `degraded`: which collection's shard failed, was skipped by its
-    /// breaker, or only answered on the hedged retry. Empty when every
+    /// `degraded`: which collection's shard failed or was skipped by
+    /// its breaker. Empty when every
     /// IRS answer came from the buffer or a single healthy shard path.
     std::vector<ShardStatusEntry> shard_status;
   };

@@ -140,6 +140,17 @@ void RemoteShardChannel::ScheduleBackoffLocked() {
   Metric("reconnect_backoffs").Increment();
 }
 
+std::string RemoteShardChannel::HelloPayload() const {
+  ShardHello hello;
+  hello.collection = options_.collection;
+  hello.shard = options_.shard;
+  hello.num_shards = options_.num_shards;
+  hello.model_name = options_.model_name;
+  hello.analyzer = options_.analyzer;
+  hello.peer = "remote_shard_channel";
+  return EncodeShardHello(hello);
+}
+
 Status RemoteShardChannel::ConnectLocked() {
   if (fd_ >= 0) return Status::OK();
   int64_t now = QueryContext::NowMicros();
@@ -168,16 +179,8 @@ Status RemoteShardChannel::ConnectLocked() {
     return fd.status();
   }
   fd_ = fd.value();
-  ShardHello hello;
-  hello.collection = options_.collection;
-  hello.shard = options_.shard;
-  hello.num_shards = options_.num_shards;
-  hello.model_name = options_.model_name;
-  hello.analyzer = options_.analyzer;
-  hello.peer = "remote_shard_channel";
-  Status s = net::WriteFrame(fd_, net::FrameType::kShardHello,
-                             EncodeShardHello(hello), options_.io_timeout_ms,
-                             options_.max_frame_bytes);
+  Status s = net::WriteFrame(fd_, net::FrameType::kShardHello, HelloPayload(),
+                             options_.io_timeout_ms, options_.max_frame_bytes);
   if (s.ok()) {
     auto frame = net::ReadFrame(fd_, options_.io_timeout_ms,
                                 options_.io_timeout_ms,
@@ -289,22 +292,6 @@ StatusOr<net::Frame> RemoteShardChannel::RoundTripLocked(
   return frame;
 }
 
-void RemoteShardChannel::RetainOpLocked(const ShardOp& op) {
-  ring_.push_back(op);
-  while (ring_.size() > options_.retained_ops) {
-    const ShardOp& dropped = ring_.front();
-    if (dropped.seq == 0) {
-      // An unsequenced op fell off: replay can no longer prove it
-      // covers the gap from any floor. Installs only, until the next
-      // install resets the ring.
-      ring_usable_ = false;
-    } else {
-      ring_base_seq_ = std::max(ring_base_seq_, dropped.seq);
-    }
-    ring_.pop_front();
-  }
-}
-
 Status RemoteShardChannel::SendCatchUpLocked(net::FrameType type,
                                              const std::string& payload) {
   auto frame = RoundTripLocked(type, payload, options_.io_catchup_timeout_ms);
@@ -331,46 +318,15 @@ Status RemoteShardChannel::EnsureSyncedLocked(irs::IrsCollection* local) {
   if (!have_peer_status_) {
     // Connected but the cached status was invalidated (MarkUnsynced):
     // re-hello on the live stream to learn where the server stands.
-    ShardHello hello;
-    hello.collection = options_.collection;
-    hello.shard = options_.shard;
-    hello.num_shards = options_.num_shards;
-    hello.model_name = options_.model_name;
-    hello.analyzer = options_.analyzer;
-    hello.peer = "remote_shard_channel";
-    SDMS_RETURN_IF_ERROR(SendCatchUpLocked(net::FrameType::kShardHello,
-                                           EncodeShardHello(hello)));
+    SDMS_RETURN_IF_ERROR(
+        SendCatchUpLocked(net::FrameType::kShardHello, HelloPayload()));
   }
   const uint64_t local_seq = local->shard_applied_seq(options_.shard);
   const uint64_t local_docs = local->shard(options_.shard).doc_count();
-  if (have_peer_status_ && peer_status_.applied_seq == local_seq &&
+  if (peer_status_.applied_seq == local_seq &&
       peer_status_.doc_count == local_docs) {
     synced_ = true;
     return Status::OK();
-  }
-  // Replay when the retained tail provably covers the server's gap:
-  // every op applied locally after ring_base_seq_ is still in the
-  // ring, and the server's floor is at or past that base.
-  if (have_peer_status_ && ring_usable_ &&
-      peer_status_.applied_seq >= ring_base_seq_ &&
-      peer_status_.applied_seq <= local_seq) {
-    ShardOpsBatch batch;
-    batch.high = local_seq;
-    for (const ShardOp& op : ring_) batch.ops.push_back(op);
-    SDMS_RETURN_IF_ERROR(SendCatchUpLocked(net::FrameType::kShardOps,
-                                           EncodeShardOpsBatch(batch)));
-    if (peer_status_.applied_seq == local_seq &&
-        peer_status_.doc_count == local_docs) {
-      synced_ = true;
-      ++stats_.catchup_replays;
-      Metric("catchup_replays").Increment();
-      SDMS_LOG(INFO) << "remote shard " << options_.collection << "/"
-                     << options_.shard << " caught up by replaying "
-                     << batch.ops.size() << " ops to seq " << local_seq;
-      return Status::OK();
-    }
-    // Replay did not converge (e.g. divergence the ring cannot
-    // explain) — fall through to the always-correct full install.
   }
   SDMS_ASSIGN_OR_RETURN(std::string image,
                         local->SerializeShard(options_.shard));
@@ -389,9 +345,6 @@ Status RemoteShardChannel::EnsureSyncedLocked(irs::IrsCollection* local) {
         " local docs=" + std::to_string(local_docs) + ")");
   }
   synced_ = true;
-  ring_.clear();
-  ring_base_seq_ = local_seq;
-  ring_usable_ = true;
   ++stats_.catchup_installs;
   Metric("catchup_installs").Increment();
   SDMS_LOG(INFO) << "remote shard " << options_.collection << "/"
@@ -474,7 +427,6 @@ Status RemoteShardChannel::PushOps(const std::vector<ShardOp>& ops,
                                    uint64_t high,
                                    const irs::IrsCollection* local) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const ShardOp& op : ops) RetainOpLocked(op);
   auto fail = [this](Status s) {
     ++stats_.push_failures;
     Metric("push_failures").Increment();
@@ -508,75 +460,6 @@ Status RemoteShardChannel::PushOps(const std::vector<ShardOp>& ops,
   stats_.ops_pushed += ops.size();
   Metric("ops_pushed").Increment();
   return Status::OK();
-}
-
-Status RemoteShardChannel::Probe() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.probes;
-  Metric("probes").Increment();
-  auto fail = [this](Status s) {
-    ++stats_.probe_failures;
-    Metric("probe_failures").Increment();
-    return s;
-  };
-  if (fd_ < 0) {
-    Status s = ConnectLocked();
-    if (!s.ok()) return fail(std::move(s));
-  }
-  auto frame = RoundTripLocked(net::FrameType::kPing, std::string(),
-                               options_.io_timeout_ms);
-  if (!frame.ok()) return fail(frame.status());
-  if (frame.value().type != net::FrameType::kPong) {
-    CloseLocked();
-    return fail(Status::Corruption(std::string("unexpected ") +
-                                   net::FrameTypeName(frame.value().type) +
-                                   " frame answering ping"));
-  }
-  return Status::OK();
-}
-
-ShardHealthMonitor::ShardHealthMonitor(std::vector<Target> targets,
-                                       int interval_ms)
-    : targets_(std::move(targets)), interval_ms_(interval_ms) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-ShardHealthMonitor::~ShardHealthMonitor() { Stop(); }
-
-void ShardHealthMonitor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void ShardHealthMonitor::ProbeRound() {
-  for (const Target& t : targets_) {
-    if (t.channel == nullptr) continue;
-    Status s = t.channel->Probe();
-    if (t.guard != nullptr) {
-      if (s.ok()) {
-        t.guard->breaker().RecordSuccess();
-      } else {
-        t.guard->breaker().RecordFailure();
-      }
-    }
-  }
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardHealthMonitor::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    lock.unlock();
-    ProbeRound();
-    lock.lock();
-    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                 [this] { return stop_; });
-  }
 }
 
 }  // namespace sdms::coupling

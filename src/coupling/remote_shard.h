@@ -1,20 +1,15 @@
 #ifndef SDMS_COUPLING_REMOTE_SHARD_H_
 #define SDMS_COUPLING_REMOTE_SHARD_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/net/frame.h"
 #include "common/status.h"
-#include "coupling/call_guard.h"
 #include "coupling/shard_protocol.h"
 #include "irs/collection.h"
 
@@ -76,11 +71,6 @@ struct RemoteShardOptions {
   /// tests that pin it explicitly).
   uint64_t jitter_seed = 0;
 
-  /// Update ops retained for replay catch-up. A reconnecting server
-  /// whose applied-seq gap is covered by this tail is caught up by
-  /// replay; anything older falls back to a full install.
-  size_t retained_ops = 4096;
-
   uint32_t max_frame_bytes = net::kDefaultMaxFrameBytes;
 };
 
@@ -92,39 +82,36 @@ struct RemoteShardChannelStats {
   uint64_t backoff_skips = 0;
   uint64_t searches = 0;
   uint64_t search_failures = 0;
-  uint64_t catchup_replays = 0;
   uint64_t catchup_installs = 0;
   uint64_t ops_pushed = 0;
   uint64_t push_failures = 0;
-  uint64_t probes = 0;
-  uint64_t probe_failures = 0;
 };
 
 /// A scatter-gather client for one remote shard: the network twin of
 /// an in-process SearchShard call, slotted behind the same per-shard
-/// CallGuard so the fan-out/hedge/partial-merge machinery treats a
-/// remote shard exactly like a local one.
+/// CallGuard so the fan-out/partial-merge machinery treats a remote
+/// shard exactly like a local one.
 ///
 /// The router keeps the full local collection (it is the indexing and
 /// durability tier); the channel mirrors one shard of it to a
 /// `sdms_server --shard` process and routes that shard's searches over
 /// the wire. Search failures surface as kIoError (retriable — the
 /// guard's retry reconnects and re-issues; searches are idempotent) or
-/// kDeadlineExceeded (hedge-eligible); they are never silently served
-/// from the local copy, so a dead remote shard degrades the query
-/// visibly instead of masking the outage.
+/// kDeadlineExceeded; once the guard's retries are spent the shard is
+/// reported failed. They are never silently served from the local
+/// copy, so a dead remote shard degrades the query visibly instead of
+/// masking the outage.
 ///
 /// Catch-up: every connection starts with a ShardHello / ShardStatus
 /// handshake comparing the server's applied_seq + doc_count against
-/// the local shard. A behind server is caught up by replaying the
-/// retained op tail when it covers the gap, else by a full index
-/// install (SerializeShard) — either way exactly-once with respect to
-/// the propagation journal's seq floors.
+/// the local shard. A behind server, whatever the size of its gap, is
+/// caught up by a full index install (SerializeShard), which sets its
+/// floor to the local applied_seq — exactly-once with respect to the
+/// propagation journal's seq floors.
 ///
-/// Thread safety: all methods are serialized on an internal mutex (a
-/// probe thread and a query thread may share a channel). Calls that
-/// take the local collection must not race with writers to it — the
-/// same external discipline IrsCollection itself requires.
+/// Thread safety: all methods are serialized on an internal mutex.
+/// Calls that take the local collection must not race with writers to
+/// it — the same external discipline IrsCollection itself requires.
 class RemoteShardChannel {
  public:
   explicit RemoteShardChannel(RemoteShardOptions options);
@@ -143,18 +130,12 @@ class RemoteShardChannel {
       irs::IrsCollection* local);
 
   /// Forwards applied update ops (materialized text) to the server and
-  /// advances its floor to `high`. Ops are retained for replay
-  /// catch-up whether or not the push succeeds; a failed push leaves
-  /// the channel unsynced, to be caught up by the next Search/
-  /// EnsureSynced. When `local` is given, the server's post-apply
-  /// doc_count is verified against it.
+  /// advances its floor to `high`. A failed push (or one made while the
+  /// channel is down) leaves the channel unsynced, to be caught up by a
+  /// full install on the next Search/EnsureSynced. When `local` is
+  /// given, the server's post-apply doc_count is verified against it.
   Status PushOps(const std::vector<ShardOp>& ops, uint64_t high,
                  const irs::IrsCollection* local);
-
-  /// Connection-only health probe (ping/pong; reconnects through the
-  /// backoff gate when down). Never touches the local collection, so a
-  /// monitor thread can run it concurrently with queries and updates.
-  Status Probe();
 
   /// Connects and catches the server up to the local shard.
   Status EnsureSynced(irs::IrsCollection* local);
@@ -178,6 +159,8 @@ class RemoteShardChannel {
                              const char* shard_point);
   /// Partition rule check applied to every network operation.
   Status CheckPartitionLocked();
+  /// Encoded ShardHello carrying this channel's identity and config.
+  std::string HelloPayload() const;
   Status ConnectLocked();
   void CloseLocked();
   void ScheduleBackoffLocked();
@@ -191,7 +174,6 @@ class RemoteShardChannel {
   /// Sends ops/install and folds the ShardStatus answer into
   /// peer_status_.
   Status SendCatchUpLocked(net::FrameType type, const std::string& payload);
-  void RetainOpLocked(const ShardOp& op);
 
   const RemoteShardOptions options_;
 
@@ -202,55 +184,12 @@ class RemoteShardChannel {
   bool have_peer_status_ = false;
   uint64_t next_request_id_ = 0;
 
-  /// Replay ring: ops applied locally after ring_base_seq_, in apply
-  /// order. `ring_usable_` drops to false when an unsequenced op falls
-  /// off the ring (the gap can no longer be proven covered); a full
-  /// install resets the ring.
-  std::deque<ShardOp> ring_;
-  uint64_t ring_base_seq_ = 0;
-  bool ring_usable_ = true;
-
   /// Reconnect backoff state (steady-clock micros).
   int64_t next_connect_micros_ = 0;
   int consecutive_connect_failures_ = 0;
   uint64_t jitter_state_ = 0;
 
   RemoteShardChannelStats stats_;
-};
-
-/// Periodically probes a set of channels and feeds the outcomes into
-/// the corresponding per-shard CallGuard breakers: a dead shard server
-/// opens its breaker between queries (fan-out skips it instantly), and
-/// a recovered one closes it again without waiting for a query-path
-/// probe.
-class ShardHealthMonitor {
- public:
-  struct Target {
-    RemoteShardChannel* channel = nullptr;
-    CallGuard* guard = nullptr;
-  };
-
-  ShardHealthMonitor(std::vector<Target> targets, int interval_ms);
-  ~ShardHealthMonitor();
-
-  /// Stops the probe thread (idempotent).
-  void Stop();
-
-  /// One synchronous probe round (tests drive this directly).
-  void ProbeRound();
-
-  uint64_t rounds() const { return rounds_.load(std::memory_order_relaxed); }
-
- private:
-  void Loop();
-
-  const std::vector<Target> targets_;
-  const int interval_ms_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::atomic<uint64_t> rounds_{0};
-  std::thread thread_;
 };
 
 }  // namespace sdms::coupling

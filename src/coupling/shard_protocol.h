@@ -61,9 +61,8 @@ StatusOr<ShardHello> DecodeShardHello(const std::string& payload);
 
 /// The shard server's applied state: answers ShardHello, ShardOps and
 /// ShardInstall. The router compares applied_seq/doc_count against its
-/// local copy of the shard to decide whether catch-up is needed
-/// (op replay when the retained tail covers the gap, else a full
-/// install).
+/// local copy of the shard to decide whether catch-up (a full install)
+/// is needed.
 struct ShardStatusMsg {
   uint64_t applied_seq = 0;
   uint64_t doc_count = 0;

@@ -99,8 +99,6 @@ struct CouplingStats {
   /// Fan-out searches answered partially: at least one shard failed or
   /// was skipped while the others produced the (degraded) result.
   uint64_t shard_degraded_queries = 0;
-  /// Straggler/failed shards re-issued once after the fan-out joined.
-  uint64_t shard_hedges = 0;
 };
 
 }  // namespace sdms::coupling

@@ -40,13 +40,6 @@ Status IrsEngine::DropCollection(const std::string& name) {
   return Status::OK();
 }
 
-std::vector<std::string> IrsEngine::CollectionNames() const {
-  std::vector<std::string> out;
-  out.reserve(collections_.size());
-  for (const auto& [name, coll] : collections_) out.push_back(name);
-  return out;
-}
-
 Status IrsEngine::SaveTo(const std::string& dir) const {
   SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.save"));
   SDMS_RETURN_IF_ERROR(MakeDirs(dir));

@@ -30,8 +30,6 @@ class IrsEngine {
 
   Status DropCollection(const std::string& name);
 
-  std::vector<std::string> CollectionNames() const;
-
   size_t collection_count() const { return collections_.size(); }
 
   /// Persists every collection's index into `dir` (one file each plus a

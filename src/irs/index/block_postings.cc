@@ -183,13 +183,6 @@ bool PostingsCursor::AdvanceBlocksTo(DocId target) {
   return true;
 }
 
-void PostingsCursor::SkipCurrentBlock() {
-  if (AtEnd()) return;
-  if (decoded_block_ != block_) CountSkipped(1);
-  ++block_;
-  pos_ = 0;
-}
-
 bool PostingsCursor::SkipTo(DocId target) {
   if (AtEnd()) return false;
   // Fast path: the target is inside the block we are positioned in.

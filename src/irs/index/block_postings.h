@@ -115,8 +115,6 @@ class PostingsCursor {
   /// Advances the block position until block_last_doc() >= target.
   /// Returns false (cursor exhausted) when no block qualifies.
   bool AdvanceBlocksTo(DocId target);
-  /// Abandons the rest of the current block and moves to the next one.
-  void SkipCurrentBlock();
 
   DocId block_first_doc() const { return Meta().first_doc; }
   DocId block_last_doc() const { return Meta().last_doc; }

@@ -98,14 +98,6 @@ std::vector<PostingsCursor> OpenCursors(const InvertedIndex& index,
   return cursors;
 }
 
-/// Places every cursor on `doc`; false when any term misses it.
-bool PlaceOn(std::vector<PostingsCursor>& cursors, DocId doc) {
-  for (PostingsCursor& c : cursors) {
-    if (!c.SkipTo(doc) || c.doc() != doc) return false;
-  }
-  return true;
-}
-
 /// Position-list pointers for cursors already placed on one document.
 /// The references stay valid until a cursor moves again, so they are
 /// collected only after *all* cursors are placed.
@@ -118,24 +110,6 @@ std::vector<const std::vector<uint32_t>*> PositionsView(
 }
 
 }  // namespace
-
-uint32_t CountOrderedMatches(const InvertedIndex& index,
-                             const std::vector<std::string>& terms, DocId doc,
-                             uint32_t max_gap) {
-  if (terms.size() < 2) return 0;
-  std::vector<PostingsCursor> cursors = OpenCursors(index, terms);
-  if (cursors.empty() || !PlaceOn(cursors, doc)) return 0;
-  return OrderedMatchesIn(PositionsView(cursors), max_gap);
-}
-
-uint32_t CountUnorderedMatches(const InvertedIndex& index,
-                               const std::vector<std::string>& terms,
-                               DocId doc, uint32_t span) {
-  if (terms.size() < 2) return 0;
-  std::vector<PostingsCursor> cursors = OpenCursors(index, terms);
-  if (cursors.empty() || !PlaceOn(cursors, doc)) return 0;
-  return UnorderedMatchesIn(PositionsView(cursors), span);
-}
 
 StatusOr<std::map<DocId, uint32_t>> WindowMatchFrequencies(
     const InvertedIndex& index, const std::vector<std::string>& terms,

@@ -16,26 +16,14 @@ namespace sdms::irs {
 /// over block cursors, so only the blocks containing candidate
 /// documents are ever decoded.
 
-/// Counts non-overlapping *ordered* window matches of `terms` in `doc`:
-/// the terms appear in the given order with at most `max_gap` positions
-/// between adjacent terms (#phrase == max_gap 1, i.e. adjacent).
-/// Returns 0 when any term is absent from the document (including on a
-/// block decode failure — single-doc probes have no error channel).
-uint32_t CountOrderedMatches(const InvertedIndex& index,
-                             const std::vector<std::string>& terms, DocId doc,
-                             uint32_t max_gap);
-
-/// Counts non-overlapping *unordered* window matches: all terms occur
-/// (in any order) within a window of `span` positions.
-uint32_t CountUnorderedMatches(const InvertedIndex& index,
-                               const std::vector<std::string>& terms,
-                               DocId doc, uint32_t span);
-
-/// Match frequencies for every document with at least one match.
-/// `ordered` selects ordered vs unordered matching; `window` is the
-/// max gap (ordered) or span (unordered). Candidates come from the
-/// block-skipping cursor intersection; a block decode failure surfaces
-/// as an error status.
+/// Match frequencies for every document with at least one match: the
+/// count of non-overlapping window matches of `terms` in it. `ordered`
+/// selects ordered matching (the terms appear in the given order with
+/// at most `window` positions between adjacent terms; #phrase ==
+/// window 1, i.e. adjacent) vs unordered matching (all terms occur, in
+/// any order, within a span of `window` positions). Candidates come
+/// from the block-skipping cursor intersection; a block decode failure
+/// surfaces as an error status.
 StatusOr<std::map<DocId, uint32_t>> WindowMatchFrequencies(
     const InvertedIndex& index, const std::vector<std::string>& terms,
     bool ordered, uint32_t window);

@@ -48,10 +48,6 @@ void Encoder::PutString(std::string_view s) {
   buf_.append(s.data(), s.size());
 }
 
-void Encoder::PutRaw(const void* data, size_t n) {
-  buf_.append(static_cast<const char*>(data), n);
-}
-
 void Encoder::PutValue(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:

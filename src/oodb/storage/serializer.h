@@ -25,8 +25,6 @@ class Encoder {
   void PutString(std::string_view s);
   void PutValue(const Value& v);
   void PutObject(const DbObject& obj);
-  /// Appends raw bytes without a length prefix.
-  void PutRaw(const void* data, size_t n);
 
   const std::string& data() const { return buf_; }
   std::string Release() { return std::move(buf_); }

@@ -210,12 +210,14 @@ StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload) {
     SDMS_ASSIGN_OR_RETURN(e.collection, dec.GetString());
     SDMS_ASSIGN_OR_RETURN(e.shard, dec.GetU32());
     SDMS_ASSIGN_OR_RETURN(uint8_t state, dec.GetU8());
-    // Unknown future states degrade to kFailed (the conservative
+    // Any state other than ok/skipped — the retired value 1 and unknown
+    // future ones included — reads as kFailed (the conservative
     // reading: the shard did not answer normally) instead of failing
     // the whole frame.
-    e.state = state > static_cast<uint8_t>(ShardState::kSkipped)
-                  ? ShardState::kFailed
-                  : static_cast<ShardState>(state);
+    e.state = state == static_cast<uint8_t>(ShardState::kOk) ||
+                      state == static_cast<uint8_t>(ShardState::kSkipped)
+                  ? static_cast<ShardState>(state)
+                  : ShardState::kFailed;
     SDMS_ASSIGN_OR_RETURN(e.detail, dec.GetString());
     SDMS_ASSIGN_OR_RETURN(e.micros, dec.GetI64());
     r.info.shard_status.push_back(std::move(e));

@@ -1,6 +1,5 @@
 #include "server/session.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/fault/fault.h"
@@ -248,12 +247,6 @@ bool Session::HandleQuery(const std::string& payload) {
   raw->request_id = req->request_id;
   if (req->deadline_ms > 0) raw->ctx.SetDeadlineAfterMs(req->deadline_ms);
   if (req->max_rows > 0) raw->ctx.set_max_rows(req->max_rows);
-  // The byte budget can never exceed what one result frame can carry.
-  uint64_t byte_budget = host_.options->max_frame_bytes;
-  if (req->max_result_bytes > 0) {
-    byte_budget = std::min<uint64_t>(byte_budget, req->max_result_bytes);
-  }
-  raw->ctx.set_max_result_bytes(byte_budget);
   // The wire form of EXPLAIN ANALYZE: attach a profile up front (the
   // same pattern the shell uses) so the evaluator fills it even when
   // global profiling is off, and ToWire ships it as JSON.
@@ -367,13 +360,23 @@ void Session::RunQuery(QueryRequest req, InFlight* in_flight) {
         resp.result = std::move(*result);
         resp.info = ToWire(eval.last_run(), req.want_profile);
         std::string payload = EncodeQueryResponse(resp);
-        if (payload.size() + 1 > host_.options->max_frame_bytes) {
+        // The byte budget is the client's max_result_bytes, never more
+        // than one result frame carries (the cap counts the type byte).
+        const uint64_t frame_budget = host_.options->max_frame_bytes - 1;
+        const bool client_budget = req.max_result_bytes > 0 &&
+                                   req.max_result_bytes < frame_budget;
+        const uint64_t budget =
+            client_budget ? req.max_result_bytes : frame_budget;
+        if (payload.size() > budget) {
           Metrics().queries_error.Increment();
           finish();
           SendError(req.request_id,
                     Status::ResourceExhausted(
                         "result (" + std::to_string(payload.size()) +
-                        " bytes) exceeds the frame cap; lower max_rows"));
+                        " bytes) exceeds " +
+                        (client_budget ? "max_result_bytes" : "the frame cap") +
+                        " (" + std::to_string(budget) +
+                        " bytes); lower max_rows"));
         } else {
           Metrics().queries_ok.Increment();
           finish();

@@ -252,7 +252,6 @@ void Simulation::HarvestRemoteStats() {
     if (ch == nullptr) continue;
     coupling::RemoteShardChannelStats stats = ch->stats();
     report_.remote_catchup_installs += stats.catchup_installs;
-    report_.remote_catchup_replays += stats.catchup_replays;
   }
 }
 
@@ -551,7 +550,7 @@ Status Simulation::DoShardBurst() {
 
   // Fan-out invariant, faulted half: while exactly one shard is down,
   // every fresh merged answer is either complete (no shard reported
-  // failed — the fault budget ran out or the hedge re-issue landed) or
+  // failed — the fault budget ran out within the guard's retries) or
   // explicitly degraded with the failed shard named — and the named
   // shard must be the armed one. A healthy shard reported failed is an
   // invariant violation, not bad luck.

@@ -78,11 +78,10 @@ struct SimReport {
   /// ShardServers over loopback channels (enable_remote_shards and
   /// num_shards > 1).
   bool remote_shards = false;
-  /// Remote catch-ups observed across every router incarnation: full
-  /// shard installs and retained-op replays (crash recoveries and
-  /// failed tees both land here).
+  /// Remote catch-ups (full shard installs) observed across every
+  /// router incarnation: crash recoveries and failed tees both land
+  /// here.
   size_t remote_catchup_installs = 0;
-  size_t remote_catchup_replays = 0;
   size_t crash_restarts = 0;
   /// Fault firings observed across all bursts.
   size_t faults_fired = 0;

@@ -114,7 +114,7 @@ TEST(ProtocolRoundTripTest, QueryResponseBitIdentical) {
   r.info.shard_status = {
       {"paras", 0, ShardState::kOk, "", 120},
       {"paras", 1, ShardState::kFailed, "IoError: injected", 34'567},
-      {"paras", 2, ShardState::kDegraded, "answered via hedge", 9'001},
+      {"paras", 2, ShardState::kFailed, "DeadlineExceeded: 2000 ms", 9'001},
       {"figures", 0, ShardState::kSkipped, "circuit open", 0},
   };
 
@@ -165,8 +165,10 @@ TEST(ProtocolRoundTripTest, QueryResponseBitIdentical) {
 
 TEST(ProtocolRoundTripTest, UnknownShardStateDecodesAsFailed) {
   // A v2+ server may one day ship shard states this client does not
-  // know. The decoder must map them onto the conservative kFailed, not
-  // reject the frame — the rest of the response is still good.
+  // know, and an older one may still ship the retired state 1 ("answered
+  // via a post-join re-issue"). The decoder must map both onto the
+  // conservative kFailed, not reject the frame — the rest of the
+  // response is still good.
   QueryResponse r;
   r.request_id = 7;
   r.info.query_id = 7;
@@ -188,12 +190,15 @@ TEST(ProtocolRoundTripTest, UnknownShardStateDecodesAsFailed) {
   ASSERT_NE(state_pos, std::string::npos);
   ASSERT_EQ(static_cast<uint8_t>(wire[state_pos]),
             static_cast<uint8_t>(ShardState::kSkipped));
-  wire[state_pos] = static_cast<char>(250);
-  auto back = DecodeQueryResponse(wire);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->info.shard_status.size(), 1u);
-  EXPECT_EQ(back->info.shard_status[0].state, ShardState::kFailed);
-  EXPECT_EQ(back->info.shard_status[0].detail, "x");
+  for (uint8_t raw : {uint8_t{1}, uint8_t{250}}) {
+    wire[state_pos] = static_cast<char>(raw);
+    auto back = DecodeQueryResponse(wire);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->info.shard_status.size(), 1u);
+    EXPECT_EQ(back->info.shard_status[0].state, ShardState::kFailed)
+        << "state byte " << static_cast<int>(raw);
+    EXPECT_EQ(back->info.shard_status[0].detail, "x");
+  }
 }
 
 TEST(ProtocolRoundTripTest, NanRoundTripsBitIdentically) {

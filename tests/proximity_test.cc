@@ -24,65 +24,72 @@ class ProximityTest : public testing::Test {
     d_ = index_.AddDocument("d", {"unrelated", "words"});
   }
 
+  /// Window-match count of `terms` in `doc` (0 when it has no match),
+  /// read from the collection-wide WindowMatchFrequencies map.
+  uint32_t Freq(const std::vector<std::string>& terms, DocId doc,
+                bool ordered, uint32_t window) {
+    auto freqs = WindowMatchFrequencies(index_, terms, ordered, window);
+    EXPECT_TRUE(freqs.ok()) << freqs.status().ToString();
+    if (!freqs.ok()) return 0;
+    auto it = freqs->find(doc);
+    return it == freqs->end() ? 0 : it->second;
+  }
+  uint32_t Ordered(const std::vector<std::string>& terms, DocId doc,
+                   uint32_t max_gap) {
+    return Freq(terms, doc, /*ordered=*/true, max_gap);
+  }
+  uint32_t Unordered(const std::vector<std::string>& terms, DocId doc,
+                     uint32_t span) {
+    return Freq(terms, doc, /*ordered=*/false, span);
+  }
+
   InvertedIndex index_;
   DocId a_, b_, c_, d_;
 };
 
 TEST_F(ProximityTest, OrderedAdjacent) {
   // #phrase(information retrieval) = ordered, gap 1.
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, a_, 1),
-            1u);
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, b_, 1),
+  EXPECT_EQ(Ordered({"information", "retrieval"}, a_, 1), 1u);
+  EXPECT_EQ(Ordered({"information", "retrieval"}, b_, 1),
             0u);  // reversed order
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, c_, 1),
+  EXPECT_EQ(Ordered({"information", "retrieval"}, c_, 1),
             0u);  // too far apart
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, d_, 1),
-            0u);  // absent
+  EXPECT_EQ(Ordered({"information", "retrieval"}, d_, 1), 0u);  // absent
 }
 
 TEST_F(ProximityTest, OrderedLargestGapDoesNotWrap) {
   // In doc b "information" sits at position 2, and 2 + UINT32_MAX
   // wraps in 32 bits; the largest window must still accept any
   // forward gap.
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "systems"}, b_,
-                                UINT32_MAX),
-            1u);
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, b_,
-                                UINT32_MAX),
+  EXPECT_EQ(Ordered({"information", "systems"}, b_, UINT32_MAX), 1u);
+  EXPECT_EQ(Ordered({"information", "retrieval"}, b_, UINT32_MAX),
             0u);  // still ordered
 }
 
 TEST_F(ProximityTest, OrderedWiderGap) {
   // Gap 3 reaches across "shapes modern" in doc c.
-  EXPECT_EQ(CountOrderedMatches(index_, {"information", "retrieval"}, c_, 3),
-            1u);
+  EXPECT_EQ(Ordered({"information", "retrieval"}, c_, 3), 1u);
 }
 
 TEST_F(ProximityTest, OrderedThreeTerms) {
-  EXPECT_EQ(CountOrderedMatches(
-                index_, {"information", "retrieval", "systems"}, a_, 1),
-            1u);
-  EXPECT_EQ(CountOrderedMatches(
-                index_, {"information", "retrieval", "systems"}, b_, 1),
-            0u);
+  EXPECT_EQ(Ordered({"information", "retrieval", "systems"}, a_, 1), 1u);
+  EXPECT_EQ(Ordered({"information", "retrieval", "systems"}, b_, 1), 0u);
 }
 
 TEST_F(ProximityTest, OrderedNonOverlappingCount) {
   DocId doc = index_.AddDocument(
       "rep", {"x", "y", "pad", "x", "y", "pad", "x", "y"});
-  EXPECT_EQ(CountOrderedMatches(index_, {"x", "y"}, doc, 1), 3u);
+  EXPECT_EQ(Ordered({"x", "y"}, doc, 1), 3u);
   // Overlap suppressed: "x x y" counts once for (x y) with gap 2.
   DocId doc2 = index_.AddDocument("rep2", {"x", "x", "y"});
-  EXPECT_EQ(CountOrderedMatches(index_, {"x", "y"}, doc2, 2), 1u);
+  EXPECT_EQ(Ordered({"x", "y"}, doc2, 2), 1u);
 }
 
 TEST_F(ProximityTest, UnorderedWindow) {
   // Any order within span.
-  EXPECT_EQ(CountUnorderedMatches(index_, {"information", "retrieval"}, b_, 3),
-            1u);
-  EXPECT_EQ(CountUnorderedMatches(index_, {"information", "retrieval"}, c_, 4),
-            1u);
-  EXPECT_EQ(CountUnorderedMatches(index_, {"information", "retrieval"}, c_, 3),
+  EXPECT_EQ(Unordered({"information", "retrieval"}, b_, 3), 1u);
+  EXPECT_EQ(Unordered({"information", "retrieval"}, c_, 4), 1u);
+  EXPECT_EQ(Unordered({"information", "retrieval"}, c_, 3),
             0u);  // span 4 needed (positions 0 and 3)
 }
 

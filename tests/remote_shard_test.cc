@@ -4,8 +4,9 @@
 //   1. Oracle: a shard served by a remote `sdms_server --shard`
 //      process ranks BIT-identically to the in-process SearchShard of
 //      the same plan — across shard counts, through tombstones, and
-//      after a shard-server crash/restart (catch-up by op replay or by
-//      full install, exactly-once either way).
+//      after a shard-server crash/restart or a healed partition (both
+//      caught up by a full install, exactly-once with respect to the
+//      server's applied-seq floor).
 //   2. Fault matrix: any single network fault class (connect, read,
 //      stall, partition) on one shard degrades that shard only — the
 //      query answers partially with the failed shard named, never
@@ -35,7 +36,6 @@
 #include "common/net/socket.h"
 #include "common/obs/metrics.h"
 #include "common/query_context.h"
-#include "coupling/call_guard.h"
 #include "coupling/remote_shard.h"
 #include "coupling/shard_protocol.h"
 #include "coupling_test_util.h"
@@ -236,17 +236,16 @@ TEST_F(RemoteShardTest, CrashRestartCatchesUpByInstall) {
   server->Shutdown();
 }
 
-TEST_F(RemoteShardTest, FailedPushCatchesUpByReplayExactlyOnce) {
-  auto local = MakeLocalCollection("replay", 1);
+TEST_F(RemoteShardTest, FailedPushCatchesUpByInstallExactlyOnce) {
+  auto local = MakeLocalCollection("heal", 1);
   FillCorpus(*local, 20);
   auto server = StartShardServer();
   RemoteShardChannel channel(
-      FastChannelOptions(server->port(), "replay", 0, 1));
+      FastChannelOptions(server->port(), "heal", 0, 1));
   ASSERT_TRUE(channel.EnsureSynced(local.get()).ok());
 
   // Sequenced updates applied locally; the matching push hits a
-  // partition, so only the local side advances (the ops stay retained
-  // in the channel's replay ring).
+  // partition, so only the local side advances.
   fault::FaultRule partition;
   partition.kind = fault::FaultKind::kIoError;
   partition.probability = 1.0;
@@ -267,20 +266,20 @@ TEST_F(RemoteShardTest, FailedPushCatchesUpByReplayExactlyOnce) {
   EXPECT_FALSE(channel.synced());
   ASSERT_EQ(server->applied_seq(), 0u) << "partitioned push must not land";
 
-  // Heal the partition: the next search replays the retained tail —
-  // no full install — and the shard answers the post-update ranking.
+  // Heal the partition: the next search sees the server behind and
+  // catches it up by a second full install — the only catch-up path —
+  // and the shard answers the post-update ranking.
   fault::FaultRegistry::Instance().Clear();
   auto plan = local->PrepareSearch("omega", 0);
   ASSERT_TRUE(plan.ok());
   auto hits = channel.Search("omega", *plan, local.get());
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-  EXPECT_EQ(channel.stats().catchup_replays, 1u);
-  EXPECT_EQ(channel.stats().catchup_installs, 1u) << "replay, not reinstall";
+  EXPECT_EQ(channel.stats().catchup_installs, 2u);
   EXPECT_EQ(server->applied_seq(), 3u);
   EXPECT_EQ(server->doc_count(), local->doc_count());
   auto want = local->SearchShard(*plan, 0);
   ASSERT_TRUE(want.ok());
-  ExpectHitsBitIdentical(*want, *hits, "after replay catch-up");
+  ExpectHitsBitIdentical(*want, *hits, "after install catch-up");
 
   // Exactly-once: re-delivering the same sequenced batch is a no-op —
   // the server's floor filters every duplicate.
@@ -540,44 +539,6 @@ TEST_F(RemoteCouplingTest, ShardServerKillAndRestartHealsViaCatchUp) {
   EXPECT_EQ(fx->servers[1]->doc_count(), fx->irs_coll->shard(1).doc_count());
   EXPECT_EQ(fx->servers[1]->applied_seq(),
             fx->irs_coll->shard_applied_seq(1));
-}
-
-TEST_F(RemoteCouplingTest, HealthMonitorFeedsBreakersBothWays) {
-  // A channel pointing at a dead endpoint: probes fail, the fed
-  // breaker opens. Restarting a server there closes it again.
-  auto placeholder = StartShardServer();
-  uint16_t port = placeholder->port();
-  placeholder->Shutdown();
-  placeholder.reset();
-
-  auto channel = std::make_shared<RemoteShardChannel>(
-      FastChannelOptions(port, "probe", 0, 1));
-  CallGuardOptions guard_options;
-  guard_options.breaker.failure_threshold = 2;
-  guard_options.breaker.open_micros = 50'000'000;  // stays open unless probed
-  CallGuard guard(guard_options, "probe_shard0");
-  ShardHealthMonitor monitor(
-      {{channel.get(), &guard}}, /*interval_ms=*/60'000);
-  monitor.Stop();  // drive rounds synchronously
-
-  for (int i = 0; i < 4; ++i) {
-    monitor.ProbeRound();
-    // Outwait the reconnect backoff so every round really dials.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(channel->stats().probe_failures, 2u);
-  EXPECT_EQ(guard.breaker().state(), BreakerState::kOpen)
-      << "probe failures must trip the breaker between queries";
-
-  auto server = StartShardServer(port);
-  for (int i = 0; i < 50 && guard.breaker().state() != BreakerState::kClosed;
-       ++i) {
-    monitor.ProbeRound();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(guard.breaker().state(), BreakerState::kClosed)
-      << "a recovered server must close the breaker without a query";
-  server->Shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,40 @@ TEST(ServerTest, MaxRowsBudgetDegradesOverTheWire) {
   EXPECT_FALSE(resp->result.degraded_reason.empty());
 }
 
+TEST(ServerTest, MaxResultBytesBudgetIsATypedError) {
+  TestServer ts;
+  SdmsClient client(MakeClientOptions(ts.port()));
+  ASSERT_TRUE(client.Connect().ok());
+  // The unbudgeted answer's encoded size. Timings and ids in the run
+  // info vary by a few bytes between runs, so the budgets below keep
+  // a wide margin on either side of it.
+  auto full = client.Query(MakeRequest(kParaQuery));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  QueryResponse wire;
+  wire.result = full->result;
+  wire.info = full->info;
+  const uint64_t size = EncodeQueryResponse(wire).size();
+
+  // Half the answer's size: refused with a typed error naming the
+  // budget — the frame cap alone would have let it through.
+  QueryRequest req = MakeRequest(kParaQuery);
+  req.max_result_bytes = size / 2;
+  auto resp = client.Query(req);
+  ASSERT_FALSE(resp.ok()) << "a budget under the result must refuse it";
+  EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(resp.status().message().find("max_result_bytes"),
+            std::string::npos)
+      << resp.status().ToString();
+
+  // The refusal is per request: a budget the result fits in is served
+  // in full on the same connection.
+  req.max_result_bytes = size + 64;
+  auto fits = client.Query(req);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->result.rows.size(), 11u);
+  EXPECT_FALSE(fits->result.degraded);
+}
+
 // --- Malformed input never crashes a session ------------------------------
 
 /// Sends raw bytes on a fresh socket, then proves the server still

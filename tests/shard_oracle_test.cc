@@ -9,8 +9,8 @@
 //      statistics, so per-shard scoring must not depend on the layout.
 //   2. Faulted: killing one shard degrades that shard only — the query
 //      still answers from the survivors, the per-shard report names
-//      the failed shard, and a transiently failing shard is hedged
-//      back to a complete answer.
+//      the failed shard, and a transient fault inside the shard's
+//      CallGuard retry budget still gives the complete answer.
 // Plus the per-guard observability that makes a failing shard
 // attributable: `coupling.callguard.*.<name>` counters.
 
@@ -193,8 +193,8 @@ TEST_F(ShardFaultTest, KilledShardDegradesQueryAndIsNamed) {
   OidScoreMap complete = **complete_or;
   coll->buffer().Clear();
 
-  // Kill shard 1's search path hard: every attempt (retries and the
-  // hedged re-issue included) fails.
+  // Kill shard 1's search path hard: every attempt (the guard's
+  // retries included) fails.
   fault::FaultRule rule;
   rule.kind = fault::FaultKind::kIoError;
   rule.probability = 1.0;
@@ -246,7 +246,7 @@ TEST_F(ShardFaultTest, KilledShardDegradesQueryAndIsNamed) {
   }
 }
 
-TEST_F(ShardFaultTest, TransientShardFailureIsHedgedToCompletion) {
+TEST_F(ShardFaultTest, TransientShardFailureWithinRetryBudgetIsComplete) {
   auto sys = MakeFigure4System(FastGuardOptions());
   auto coll = *sys->coupling->GetCollectionByName("paras");
 
@@ -255,8 +255,41 @@ TEST_F(ShardFaultTest, TransientShardFailureIsHedgedToCompletion) {
   OidScoreMap complete = **complete_or;
   coll->buffer().Clear();
 
-  // Exactly two fires: the first guarded run (two attempts) consumes
-  // both, the hedged re-issue succeeds.
+  // One fire against a two-attempt guard: the guard's own retry
+  // absorbs it, so the shard answers inside its guarded call.
+  fault::FaultRule rule;
+  rule.kind = fault::FaultKind::kIoError;
+  rule.probability = 1.0;
+  rule.max_fires = 1;
+  fault::FaultRegistry::Instance().Arm(irs::ShardSearchFaultPoint(2), rule);
+
+  bool stale = false;
+  auto retried_or = coll->GetIrsResult("www", &stale);
+  ASSERT_TRUE(retried_or.ok());
+  EXPECT_FALSE(stale);
+  EXPECT_EQ(**retried_or, complete)
+      << "a fault inside the retry budget must not change the answer";
+
+  const std::vector<ShardStatusEntry>& report = coll->last_shard_report();
+  ASSERT_EQ(report.size(), 3u);
+  for (const ShardStatusEntry& e : report) {
+    EXPECT_EQ(e.state, ShardState::kOk) << "shard " << e.shard;
+  }
+  EXPECT_EQ(coll->stats().shard_degraded_queries, 0u);
+}
+
+TEST_F(ShardFaultTest, ShardFailureOutlastingRetryBudgetIsPartial) {
+  auto sys = MakeFigure4System(FastGuardOptions());
+  auto coll = *sys->coupling->GetCollectionByName("paras");
+
+  auto complete_or = coll->GetIrsResult("www");
+  ASSERT_TRUE(complete_or.ok());
+  OidScoreMap complete = **complete_or;
+  coll->buffer().Clear();
+
+  // Two fires spend both of the guard's attempts. The guard is the
+  // only retry layer — nothing re-issues the shard after the join —
+  // so the query degrades with shard 2 named failed.
   fault::FaultRule rule;
   rule.kind = fault::FaultKind::kIoError;
   rule.probability = 1.0;
@@ -264,19 +297,30 @@ TEST_F(ShardFaultTest, TransientShardFailureIsHedgedToCompletion) {
   fault::FaultRegistry::Instance().Arm(irs::ShardSearchFaultPoint(2), rule);
 
   bool stale = false;
-  auto hedged_or = coll->GetIrsResult("www", &stale);
-  ASSERT_TRUE(hedged_or.ok());
+  auto partial_or = coll->GetIrsResult("www", &stale);
+  ASSERT_TRUE(partial_or.ok()) << partial_or.status().ToString();
   EXPECT_FALSE(stale);
-  EXPECT_EQ(**hedged_or, complete)
-      << "a hedged shard must still produce the complete answer";
 
   const std::vector<ShardStatusEntry>& report = coll->last_shard_report();
   ASSERT_EQ(report.size(), 3u);
-  EXPECT_EQ(report[2].state, ShardState::kDegraded)
-      << "success-via-hedge reports the shard degraded, not ok";
-  EXPECT_GE(coll->stats().shard_hedges, 1u);
-  EXPECT_EQ(coll->stats().shard_degraded_queries, 0u)
-      << "a hedged-complete answer is not a degraded partial";
+  EXPECT_EQ(report[0].state, ShardState::kOk);
+  EXPECT_EQ(report[1].state, ShardState::kOk);
+  EXPECT_EQ(report[2].state, ShardState::kFailed);
+  EXPECT_FALSE(report[2].detail.empty());
+  EXPECT_EQ(coll->stats().shard_degraded_queries, 1u);
+  for (const auto& [oid, score] : **partial_or) {
+    auto it = complete.find(oid);
+    ASSERT_NE(it, complete.end()) << oid.ToString();
+    EXPECT_EQ(it->second, score) << oid.ToString();
+  }
+
+  // The fault is spent: the next query is complete and all-ok again.
+  auto healed_or = coll->GetIrsResult("www");
+  ASSERT_TRUE(healed_or.ok());
+  EXPECT_EQ(**healed_or, complete);
+  for (const ShardStatusEntry& e : coll->last_shard_report()) {
+    EXPECT_EQ(e.state, ShardState::kOk) << "shard " << e.shard;
+  }
 }
 
 // ---------------------------------------------------------------------------
