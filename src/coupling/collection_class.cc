@@ -153,6 +153,20 @@ Status Collection::IndexObjects(const std::string& spec_query, int text_mode) {
   return Status::OK();
 }
 
+Status Collection::ResyncRepresented(irs::IrsCollection* coll) {
+  represented_.clear();
+  const oodb::ObjectStore& store = coupling_->db().store();
+  Status status = Status::OK();
+  coll->ForEachDoc([&](size_t, irs::DocId, const irs::DocInfo& info) {
+    if (!status.ok()) return;
+    StatusOr<Oid> oid = ParseOidKey(info.key);
+    if (!oid.ok()) return;
+    status = store.CheckOidInRange(oid->raw());
+    if (status.ok()) represented_.insert(*oid);
+  });
+  return status;
+}
+
 bool Collection::IsSpecCandidate(Oid oid) const {
   auto cls_or = coupling_->db().ClassOf(oid);
   return cls_or.ok() && RepresentsClass(*cls_or);
@@ -640,9 +654,8 @@ StatusOr<double> Collection::ProbeIrsValue(const std::string& irs_query,
 }
 
 StatusOr<double> Collection::FindPinnedIrsValue(const std::string& irs_query,
-                                                const OidScoreMap& result,
                                                 double null_score, Oid obj) {
-  return ProbeIrsValue(irs_query, obj, ProbeIn(result, obj), &null_score,
+  return ProbeIrsValue(irs_query, obj, ResultBuffer::Probe{}, &null_score,
                        /*read_side_table=*/true, /*cache_derived=*/true);
 }
 
@@ -1245,11 +1258,7 @@ Status Collection::Repair() {
   }
   // Resync the represented set with what the IRS index now holds (it
   // can drift when a crash interrupted IndexObjects or a batch).
-  represented_.clear();
-  coll->ForEachDoc([&](size_t, irs::DocId, const irs::DocInfo& info) {
-    StatusOr<Oid> oid = ParseOidKey(info.key);
-    if (oid.ok()) represented_.insert(*oid);
-  });
+  SDMS_RETURN_IF_ERROR(ResyncRepresented(coll));
   if (!report.consistent()) {
     buffer_.Clear();
     Metrics().repairs.Increment();

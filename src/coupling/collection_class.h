@@ -112,12 +112,13 @@ class Collection {
   StatusOr<std::shared_ptr<const OidScoreMap>> WarmIrsResult(
       const std::string& irs_query);
 
-  /// FindIrsValue for a statement that pinned `result` (from
-  /// WarmIrsResult) and the query's `null_score`: the same probe order,
-  /// without resolving the buffer entry. Books nothing; the statement
-  /// books its evaluations with BookPinnedHits.
+  /// FindIrsValue for an object `obj` absent from the result a
+  /// statement pinned (from WarmIrsResult), given the query's
+  /// `null_score`: the rest of the same probe order, without resolving
+  /// the buffer entry. (An object the pinned result holds scores its
+  /// entry there, which the caller reads itself.) Books nothing; the
+  /// statement books its evaluations with BookPinnedHits.
   StatusOr<double> FindPinnedIrsValue(const std::string& irs_query,
-                                      const OidScoreMap& result,
                                       double null_score, Oid obj);
 
   /// Books `n` lookups answered from a pinned result as buffer hits, in
@@ -201,9 +202,10 @@ class Collection {
   void set_propagation_policy(PropagationPolicy policy) { policy_ = policy; }
   PropagationPolicy propagation_policy() const { return policy_; }
 
-  bool Represents(Oid oid) const { return represented_.count(oid) > 0; }
+  bool Represents(Oid oid) const { return represented_.contains(oid); }
   size_t represented_count() const { return represented_.size(); }
-  const std::set<Oid>& represented() const { return represented_; }
+  /// The represented objects; iterates in OID order.
+  const OidBitSet& represented() const { return represented_; }
 
   const std::string& spec_query() const { return spec_query_; }
   int text_mode() const { return text_mode_; }
@@ -354,6 +356,12 @@ class Collection {
   /// Evaluates whether `oid` currently satisfies the spec query.
   StatusOr<bool> SatisfiesSpec(Oid oid);
 
+  /// Rebuilds the represented set from the live keys of `coll`, across
+  /// every shard. A foreign key format leaves its document
+  /// unrepresented; a key naming an OID far above the database's OID
+  /// watermark is kCorruption, since the set is indexed by OID.
+  Status ResyncRepresented(irs::IrsCollection* coll);
+
   Coupling* coupling_;
   Oid self_;
   std::string irs_name_;
@@ -362,7 +370,7 @@ class Collection {
   int text_mode_ = 0;
   double missing_value_ = 0.0;
 
-  std::set<Oid> represented_;
+  OidBitSet represented_;
   ResultBuffer buffer_;
   CallGuard guard_;
   /// One guard per shard (named "<irs_name>/shard<i>"); see

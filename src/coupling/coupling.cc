@@ -263,14 +263,8 @@ StatusOr<size_t> Coupling::RestoreCollections() {
     if (mode.ok() && mode->is_int()) {
       collection->text_mode_ = static_cast<int>(mode->as_int());
     }
-    // The represented set is exactly the restored index's live keys,
-    // gathered across every shard.
-    (*irs_coll)->ForEachDoc(
-        [&](size_t, irs::DocId, const irs::DocInfo& info) {
-          // A foreign key format leaves the document unrepresented.
-          StatusOr<Oid> key_oid = ParseOidKey(info.key);
-          if (key_oid.ok()) collection->represented_.insert(*key_oid);
-        });
+    // The represented set is exactly the restored index's live keys.
+    SDMS_RETURN_IF_ERROR(collection->ResyncRepresented(*irs_coll));
     // Exactly-once floor: every sequenced event at or below the
     // snapshot's high-water mark is already reflected in (or cancelled
     // out of) the restored index, so recovery must not re-route it.
@@ -861,9 +855,10 @@ Status Coupling::PersistIrs() {
 namespace {
 
 /// `getIRSValue('<coll>', '<query>')` bound for one VQL statement to the
-/// IRS result PrepareIrsConjuncts pinned. Each evaluation is one buffer
-/// hit, as a FindIrsValue hit would be; the hits are booked together
-/// when the engine flushes the call.
+/// IRS result PrepareIrsConjuncts pinned. A cursor walks the pinned,
+/// OID-sorted result alongside the receivers. Each evaluation is one
+/// buffer hit, as a FindIrsValue hit would be; the hits are booked
+/// together when the engine flushes the call.
 class BoundIrsValue : public oodb::vql::BoundCall {
  public:
   BoundIrsValue(Collection* coll, const std::string& irs_query,
@@ -875,9 +870,18 @@ class BoundIrsValue : public oodb::vql::BoundCall {
 
   StatusOr<Value> Call(Oid self) override {
     ++hits_;
-    SDMS_ASSIGN_OR_RETURN(
-        double value,
-        coll_->FindPinnedIrsValue(irs_query_, *result_, null_score_, self));
+    // The join hands receivers over in OID order, so the cursor only
+    // moves forward. When they go backwards (an inner binding restarts)
+    // the search starts over from the front.
+    if (self < last_) cursor_ = result_->begin();
+    last_ = self;
+    cursor_ = result_->Seek(cursor_, self);
+    if (cursor_ != result_->end() && cursor_->first == self) {
+      return Value(cursor_->second);
+    }
+    SDMS_ASSIGN_OR_RETURN(double value,
+                          coll_->FindPinnedIrsValue(irs_query_, null_score_,
+                                                    self));
     return Value(value);
   }
 
@@ -893,6 +897,9 @@ class BoundIrsValue : public oodb::vql::BoundCall {
   std::shared_ptr<const OidScoreMap> result_;
   double null_score_;
   uint64_t hits_ = 0;
+  /// Lower bound of the last receiver in `result_`.
+  OidScoreMap::const_iterator cursor_ = result_->begin();
+  Oid last_;
 };
 
 /// Calls `fn` on every `getIRSValue(collection-literal, query-literal)`

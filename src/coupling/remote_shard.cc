@@ -32,6 +32,31 @@ obs::Counter& Metric(const char* name) {
   return obs::GetCounter(std::string("coupling.remote_shard.") + name);
 }
 
+/// Shard `shard` of `local` in the fields a ShardStatusMsg reports.
+ShardStatusMsg LocalShardStatus(const irs::IrsCollection& local,
+                                size_t shard) {
+  ShardStatusMsg s;
+  s.applied_seq = local.shard_applied_seq(shard);
+  s.doc_count = local.shard(shard).doc_count();
+  s.doc_table_size = local.shard(shard).doc_table_size();
+  return s;
+}
+
+/// True when a peer's reported state matches the local shard's. The
+/// doc-table size catches what doc_count alone misses: a lost delete
+/// plus a lost insert leave the live count equal.
+bool SameShardState(const ShardStatusMsg& peer, const ShardStatusMsg& local) {
+  return peer.applied_seq == local.applied_seq &&
+         peer.doc_count == local.doc_count &&
+         peer.doc_table_size == local.doc_table_size;
+}
+
+std::string DescribeShardState(const ShardStatusMsg& s) {
+  return "seq=" + std::to_string(s.applied_seq) +
+         " docs=" + std::to_string(s.doc_count) +
+         " table=" + std::to_string(s.doc_table_size);
+}
+
 }  // namespace
 
 const char* ShardNetConnectFaultPoint(size_t shard) {
@@ -321,10 +346,8 @@ Status RemoteShardChannel::EnsureSyncedLocked(irs::IrsCollection* local) {
     SDMS_RETURN_IF_ERROR(
         SendCatchUpLocked(net::FrameType::kShardHello, HelloPayload()));
   }
-  const uint64_t local_seq = local->shard_applied_seq(options_.shard);
-  const uint64_t local_docs = local->shard(options_.shard).doc_count();
-  if (peer_status_.applied_seq == local_seq &&
-      peer_status_.doc_count == local_docs) {
+  const ShardStatusMsg want = LocalShardStatus(*local, options_.shard);
+  if (SameShardState(peer_status_, want)) {
     synced_ = true;
     return Status::OK();
   }
@@ -332,25 +355,23 @@ Status RemoteShardChannel::EnsureSyncedLocked(irs::IrsCollection* local) {
                         local->SerializeShard(options_.shard));
   ShardInstall install;
   install.index_bytes = std::move(image);
-  install.applied_seq = local_seq;
+  install.applied_seq = want.applied_seq;
   SDMS_RETURN_IF_ERROR(SendCatchUpLocked(net::FrameType::kShardInstall,
                                          EncodeShardInstall(install)));
-  if (peer_status_.applied_seq != local_seq ||
-      peer_status_.doc_count != local_docs) {
+  if (!SameShardState(peer_status_, want)) {
     CloseLocked();
-    return Status::Internal(
-        "remote shard " + std::to_string(options_.shard) +
-        " diverged after full install (peer docs=" +
-        std::to_string(peer_status_.doc_count) +
-        " local docs=" + std::to_string(local_docs) + ")");
+    return Status::Internal("remote shard " + std::to_string(options_.shard) +
+                            " diverged after full install (peer " +
+                            DescribeShardState(peer_status_) + ", local " +
+                            DescribeShardState(want) + ")");
   }
   synced_ = true;
   ++stats_.catchup_installs;
   Metric("catchup_installs").Increment();
   SDMS_LOG(INFO) << "remote shard " << options_.collection << "/"
                  << options_.shard << " caught up by full install ("
-                 << install.index_bytes.size() << " bytes, seq " << local_seq
-                 << ", " << local_docs << " docs)";
+                 << install.index_bytes.size() << " bytes, seq "
+                 << want.applied_seq << ", " << want.doc_count << " docs)";
   return Status::OK();
 }
 
@@ -444,17 +465,12 @@ Status RemoteShardChannel::PushOps(const std::vector<ShardOp>& ops,
       SendCatchUpLocked(net::FrameType::kShardOps, EncodeShardOpsBatch(batch));
   if (!s.ok()) return fail(std::move(s));
   if (local != nullptr) {
-    const uint64_t local_docs = local->shard(options_.shard).doc_count();
-    const uint64_t local_seq = local->shard_applied_seq(options_.shard);
-    if (peer_status_.doc_count != local_docs ||
-        peer_status_.applied_seq != local_seq) {
+    const ShardStatusMsg want = LocalShardStatus(*local, options_.shard);
+    if (!SameShardState(peer_status_, want)) {
       return fail(Status::Internal(
           "remote shard " + std::to_string(options_.shard) +
-          " diverged after op push (peer docs=" +
-          std::to_string(peer_status_.doc_count) +
-          " seq=" + std::to_string(peer_status_.applied_seq) +
-          ", local docs=" + std::to_string(local_docs) +
-          " seq=" + std::to_string(local_seq) + ")"));
+          " diverged after op push (peer " + DescribeShardState(peer_status_) +
+          ", local " + DescribeShardState(want) + ")"));
     }
   }
   stats_.ops_pushed += ops.size();

@@ -60,7 +60,7 @@ StatusOr<ShardHello> DecodeShardHello(const std::string& payload);
 // --- ShardStatus (shard -> router) ----------------------------------------
 
 /// The shard server's applied state: answers ShardHello, ShardOps and
-/// ShardInstall. The router compares applied_seq/doc_count against its
+/// ShardInstall. The router compares all three fields against its
 /// local copy of the shard to decide whether catch-up (a full install)
 /// is needed.
 struct ShardStatusMsg {

@@ -1,6 +1,7 @@
 #include "coupling/types.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <stdexcept>
 #include <string>
@@ -54,12 +55,57 @@ OidScoreMap::const_iterator OidScoreMap::find(Oid oid) const {
   return it != pairs_.end() && it->first == oid ? it : pairs_.end();
 }
 
+OidScoreMap::const_iterator OidScoreMap::Seek(const_iterator from,
+                                              Oid oid) const {
+  size_t lo = static_cast<size_t>(from - pairs_.begin());
+  size_t hi = lo;
+  size_t step = 1;
+  // Invariant: every pair before `lo` has an OID below `oid`.
+  while (hi < pairs_.size() && pairs_[hi].first < oid) {
+    lo = hi + 1;
+    hi += step;
+    step *= 2;
+  }
+  hi = std::min(hi, pairs_.size());
+  return std::lower_bound(
+      pairs_.begin() + static_cast<std::ptrdiff_t>(lo),
+      pairs_.begin() + static_cast<std::ptrdiff_t>(hi), oid,
+      [](const value_type& p, Oid o) { return p.first < o; });
+}
+
 double OidScoreMap::at(Oid oid) const {
   auto it = find(oid);
   if (it == end()) {
     throw std::out_of_range("OidScoreMap::at: " + oid.ToString());
   }
   return it->second;
+}
+
+void OidBitSet::insert(Oid oid) {
+  uint64_t raw = oid.raw();
+  if (raw / 64 >= words_.size()) words_.resize(raw / 64 + 1);
+  uint64_t& word = words_[raw / 64];
+  uint64_t bit = uint64_t{1} << (raw % 64);
+  if ((word & bit) == 0) ++size_;
+  word |= bit;
+}
+
+void OidBitSet::erase(Oid oid) {
+  if (!contains(oid)) return;
+  words_[oid.raw() / 64] &= ~(uint64_t{1} << (oid.raw() % 64));
+  --size_;
+}
+
+uint64_t OidBitSet::NextFrom(uint64_t pos) const {
+  const uint64_t end = words_.size() * 64;
+  if (pos >= end) return end;
+  size_t w = pos / 64;
+  uint64_t word = words_[w] & (~uint64_t{0} << (pos % 64));
+  while (word == 0) {
+    if (++w == words_.size()) return end;
+    word = words_[w];
+  }
+  return w * 64 + static_cast<uint64_t>(std::countr_zero(word));
 }
 
 StatusOr<Oid> ParseOidKey(std::string_view key) {

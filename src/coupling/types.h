@@ -1,8 +1,10 @@
 #ifndef SDMS_COUPLING_TYPES_H_
 #define SDMS_COUPLING_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -27,8 +29,6 @@ class OidScoreMap {
  public:
   using value_type = std::pair<Oid, double>;
   using const_iterator = std::vector<value_type>::const_iterator;
-  using iterator = const_iterator;
-
   OidScoreMap() = default;
   /// Literal form. As with std::map, a repeated OID keeps its first
   /// pair.
@@ -48,6 +48,11 @@ class OidScoreMap {
 
   /// The pair for `oid`, or end().
   const_iterator find(Oid oid) const;
+  /// The first pair at or after `from` whose OID is not below `oid`,
+  /// found by galloping forward from `from`: a walk over receivers in
+  /// OID order costs time in the distance moved, not in the map's
+  /// size. Every pair before `from` must have an OID below `oid`.
+  const_iterator Seek(const_iterator from, Oid oid) const;
   size_t count(Oid oid) const { return find(oid) != end() ? 1 : 0; }
   /// The score of `oid`; throws std::out_of_range when absent, like
   /// std::map::at.
@@ -57,6 +62,70 @@ class OidScoreMap {
 
  private:
   std::vector<value_type> pairs_;
+};
+
+/// A set of OIDs held as one bit per raw OID. Membership is a single
+/// array index, which suits the dense OIDs the object store allocates;
+/// iteration runs in OID order. The set grows to hold the largest OID
+/// inserted, so callers bound untrusted OIDs before inserting them.
+class OidBitSet {
+ public:
+  /// Forward iterator over the members, in increasing OID order.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Oid;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Oid*;
+    using reference = Oid;
+
+    const_iterator() = default;
+    Oid operator*() const { return Oid(pos_); }
+    const_iterator& operator++() {
+      pos_ = set_->NextFrom(pos_ + 1);
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.pos_ == b.pos_;
+    }
+
+   private:
+    friend class OidBitSet;
+    const_iterator(const OidBitSet* set, uint64_t pos) : set_(set), pos_(pos) {}
+    const OidBitSet* set_ = nullptr;
+    uint64_t pos_ = 0;
+  };
+
+  bool contains(Oid oid) const {
+    uint64_t raw = oid.raw();
+    return raw / 64 < words_.size() && ((words_[raw / 64] >> (raw % 64)) & 1);
+  }
+  void insert(Oid oid);
+  template <typename It>
+  void insert(It first, It last) {
+    for (; first != last; ++first) insert(*first);
+  }
+  void erase(Oid oid);
+  void clear() {
+    words_.clear();
+    size_ = 0;
+  }
+  size_t size() const { return size_; }
+
+  const_iterator begin() const { return const_iterator(this, NextFrom(0)); }
+  const_iterator end() const { return const_iterator(this, words_.size() * 64); }
+
+ private:
+  /// The smallest member at or above raw OID `pos`, or the end position.
+  uint64_t NextFrom(uint64_t pos) const;
+
+  std::vector<uint64_t> words_;
+  size_t size_ = 0;
 };
 
 /// Parses an IRS document key "oid:<n>", where <n> is the whole rest of

@@ -206,8 +206,7 @@ Status Database::LoadSnapshot(const std::string& path) {
     SDMS_ASSIGN_OR_RETURN(DbObject obj, dec.GetObject());
     SDMS_RETURN_IF_ERROR(store_.Insert(std::move(obj)));
   }
-  store_.set_next_oid(std::max(next_oid, store_.next_oid()));
-  return Status::OK();
+  return store_.RaiseNextOid(next_oid);
 }
 
 Status Database::Checkpoint() {
@@ -529,10 +528,15 @@ Status Database::SetAttribute(Oid oid, const std::string& attr, Value value,
 
 StatusOr<Value> Database::GetAttribute(Oid oid, const std::string& attr) const {
   SDMS_ASSIGN_OR_RETURN(const DbObject* obj, store_.Get(oid));
-  if (obj->Has(attr)) return obj->GetOr(attr, Value());
-  // Declared but unset: null.
+  return AttributeOf(*obj, attr);
+}
+
+StatusOr<Value> Database::AttributeOf(const DbObject& obj,
+                                      const std::string& attr) const {
+  if (const Value* value = obj.Find(attr)) return *value;
+  // Declared but unset: the schema default.
   SDMS_ASSIGN_OR_RETURN(const AttributeDef* decl,
-                        schema_.FindAttribute(obj->class_name(), attr));
+                        schema_.FindAttribute(obj.class_name(), attr));
   return decl->default_value;
 }
 

@@ -114,6 +114,10 @@ class Database {
   /// Reads attribute `attr` of `oid` (falling back to schema default).
   StatusOr<Value> GetAttribute(Oid oid, const std::string& attr) const;
 
+  /// GetAttribute for an object already fetched from the store.
+  StatusOr<Value> AttributeOf(const DbObject& obj,
+                              const std::string& attr) const;
+
   /// Const access to a stored object.
   StatusOr<const DbObject*> GetObject(Oid oid) const;
 

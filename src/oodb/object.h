@@ -1,8 +1,9 @@
 #ifndef SDMS_OODB_OBJECT_H_
 #define SDMS_OODB_OBJECT_H_
 
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/oid.h"
 #include "common/status.h"
@@ -15,11 +16,18 @@ namespace sdms::oodb {
 /// dispatched by class name, so objects stay plain data on disk.
 class DbObject {
  public:
+  /// Attribute name/value pairs, sorted by name, each name once.
+  using Attributes = std::vector<std::pair<std::string, Value>>;
+
   DbObject(Oid oid, std::string class_name)
       : oid_(oid), class_name_(std::move(class_name)) {}
 
   Oid oid() const { return oid_; }
   const std::string& class_name() const { return class_name_; }
+
+  /// The value of `attr`, or null when it is not set. The pointer is
+  /// valid until the next Set or Unset on this object.
+  const Value* Find(const std::string& attr) const;
 
   /// Returns the value of `attr`, or NotFound.
   StatusOr<Value> Get(const std::string& attr) const;
@@ -27,26 +35,30 @@ class DbObject {
   /// Returns the value of `attr`, or `fallback` when absent.
   Value GetOr(const std::string& attr, Value fallback) const;
 
-  bool Has(const std::string& attr) const { return attrs_.count(attr) > 0; }
+  bool Has(const std::string& attr) const { return Find(attr) != nullptr; }
 
   /// Sets `attr` to `value` (no schema check here; Database::SetAttribute
   /// validates against the schema and records undo/redo).
-  void Set(const std::string& attr, Value value) {
-    attrs_[attr] = std::move(value);
-  }
+  void Set(const std::string& attr, Value value);
 
   /// Removes `attr` if present.
-  void Unset(const std::string& attr) { attrs_.erase(attr); }
+  void Unset(const std::string& attr);
 
-  const std::map<std::string, Value>& attributes() const { return attrs_; }
+  /// The set attributes in name order (the order snapshots encode).
+  const Attributes& attributes() const { return attrs_; }
 
   /// Debug rendering: "ClassName(oid:n){attr: value, ...}".
   std::string ToString() const;
 
  private:
+  Attributes::const_iterator LowerBound(const std::string& attr) const;
+
   Oid oid_;
   std::string class_name_;
-  std::map<std::string, Value> attrs_;
+  // One sorted vector rather than a tree: an object has a handful of
+  // attributes, so a binary search over contiguous pairs beats walking
+  // map nodes, and the object costs one allocation for all of them.
+  Attributes attrs_;
 };
 
 }  // namespace sdms::oodb

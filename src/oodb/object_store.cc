@@ -1,10 +1,22 @@
 #include "oodb/object_store.h"
 
+#include <algorithm>
+
 namespace sdms::oodb {
+
+Status ObjectStore::CheckOidInRange(uint64_t raw) const {
+  if (raw > next_oid_ + kMaxOidGap) {
+    return Status::Corruption("OID " + std::to_string(raw) +
+                              " is far above the OID watermark " +
+                              std::to_string(next_oid_));
+  }
+  return Status::OK();
+}
 
 Status ObjectStore::Insert(DbObject obj) {
   Oid oid = obj.oid();
   if (!oid.valid()) return Status::InvalidArgument("cannot insert null OID");
+  SDMS_RETURN_IF_ERROR(CheckOidInRange(oid.raw()));
   if (Contains(oid)) {
     return Status::AlreadyExists("object exists: " + oid.ToString());
   }
@@ -14,37 +26,36 @@ Status ObjectStore::Insert(DbObject obj) {
   } else {
     extent.insert(std::lower_bound(extent.begin(), extent.end(), oid), oid);
   }
-  BumpOidWatermark(oid);
-  objects_.emplace(oid, std::move(obj));
+  if (oid.raw() >= next_oid_) next_oid_ = oid.raw() + 1;
+  uint64_t page = oid.raw() >> kPageBits;
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  if (pages_[page] == nullptr) pages_[page] = std::make_unique<Page>();
+  (*pages_[page])[oid.raw() & kPageMask].emplace(std::move(obj));
+  ++size_;
   return Status::OK();
 }
 
 Status ObjectStore::Remove(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
-    return Status::NotFound("no object " + oid.ToString());
-  }
-  std::vector<Oid>& extent = extents_[it->second.class_name()];
+  DbObject* obj = Find(oid);
+  if (obj == nullptr) return Status::NotFound("no object " + oid.ToString());
+  std::vector<Oid>& extent = extents_[obj->class_name()];
   auto pos = std::lower_bound(extent.begin(), extent.end(), oid);
   if (pos != extent.end() && *pos == oid) extent.erase(pos);
-  objects_.erase(it);
+  (*pages_[oid.raw() >> kPageBits])[oid.raw() & kPageMask].reset();
+  --size_;
   return Status::OK();
 }
 
 StatusOr<DbObject*> ObjectStore::Get(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
-    return Status::NotFound("no object " + oid.ToString());
-  }
-  return &it->second;
+  DbObject* obj = Find(oid);
+  if (obj == nullptr) return Status::NotFound("no object " + oid.ToString());
+  return obj;
 }
 
 StatusOr<const DbObject*> ObjectStore::Get(Oid oid) const {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
-    return Status::NotFound("no object " + oid.ToString());
-  }
-  return &it->second;
+  const DbObject* obj = Find(oid);
+  if (obj == nullptr) return Status::NotFound("no object " + oid.ToString());
+  return obj;
 }
 
 std::vector<Oid> ObjectStore::DirectExtent(const std::string& cls) const {
@@ -59,9 +70,16 @@ size_t ObjectStore::DirectExtentSize(const std::string& cls) const {
 }
 
 void ObjectStore::Clear() {
-  objects_.clear();
+  pages_.clear();
+  size_ = 0;
   extents_.clear();
   next_oid_ = 1;
+}
+
+Status ObjectStore::RaiseNextOid(uint64_t next_oid) {
+  SDMS_RETURN_IF_ERROR(CheckOidInRange(next_oid));
+  next_oid_ = std::max(next_oid_, next_oid);
+  return Status::OK();
 }
 
 }  // namespace sdms::oodb

@@ -1,9 +1,12 @@
 #ifndef SDMS_OODB_OBJECT_STORE_H_
 #define SDMS_OODB_OBJECT_STORE_H_
 
-#include <algorithm>
+#include <array>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/oid.h"
@@ -17,6 +20,13 @@ namespace sdms::oodb {
 /// itself is a plain container with OID allocation.
 class ObjectStore {
  public:
+  /// The farthest above the OID watermark (next_oid()) an inserted OID,
+  /// or a raised watermark, may lie. OIDs come from AllocateOid, so
+  /// only OIDs allocated and never committed open a gap; an OID beyond
+  /// this bound (a WAL record or snapshot naming, say, OID 2^62) is
+  /// kCorruption rather than a table sized by it.
+  static constexpr uint64_t kMaxOidGap = uint64_t{1} << 24;
+
   ObjectStore() = default;
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
@@ -24,16 +34,25 @@ class ObjectStore {
   /// Allocates the next OID (monotonically increasing, never reused).
   Oid AllocateOid() { return Oid(next_oid_++); }
 
-  /// Ensures future allocations are above `oid` (used by recovery).
-  void BumpOidWatermark(Oid oid) {
-    if (oid.raw() >= next_oid_) next_oid_ = oid.raw() + 1;
-  }
-
-  /// Inserts `obj`; fails if its OID is taken.
+  /// Inserts `obj`; fails if its OID is taken, and with kCorruption if
+  /// it lies more than kMaxOidGap above the watermark.
   Status Insert(DbObject obj);
 
   /// Removes the object with `oid`.
   Status Remove(Oid oid);
+
+  /// The object with `oid`, or null. Two array indexes and no hashing:
+  /// the join fetches every binding's object through this.
+  const DbObject* Find(Oid oid) const {
+    uint64_t raw = oid.raw();
+    uint64_t page = raw >> kPageBits;
+    if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
+    const std::optional<DbObject>& slot = (*pages_[page])[raw & kPageMask];
+    return slot.has_value() ? &*slot : nullptr;
+  }
+  DbObject* Find(Oid oid) {
+    return const_cast<DbObject*>(std::as_const(*this).Find(oid));
+  }
 
   /// Mutable object lookup.
   StatusOr<DbObject*> Get(Oid oid);
@@ -41,7 +60,7 @@ class ObjectStore {
   /// Const object lookup.
   StatusOr<const DbObject*> Get(Oid oid) const;
 
-  bool Contains(Oid oid) const { return objects_.find(oid) != objects_.end(); }
+  bool Contains(Oid oid) const { return Find(oid) != nullptr; }
 
   /// OIDs of the *direct* extent of `cls` (no subclasses), in OID order.
   std::vector<Oid> DirectExtent(const std::string& cls) const;
@@ -49,31 +68,47 @@ class ObjectStore {
   /// Number of objects in the direct extent of `cls`.
   size_t DirectExtentSize(const std::string& cls) const;
 
-  size_t size() const { return objects_.size(); }
+  size_t size() const { return size_; }
 
-  /// Iterates all objects in OID order. Sorts the OIDs first, so it
-  /// costs O(n log n): meant for checkpoints, not for query paths.
+  /// Iterates all objects in OID order: the table is indexed by OID, so
+  /// this is a walk over it that skips the holes.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    std::vector<Oid> oids;
-    oids.reserve(objects_.size());
-    for (const auto& entry : objects_) oids.push_back(entry.first);
-    std::sort(oids.begin(), oids.end());
-    for (Oid oid : oids) fn(objects_.find(oid)->second);
+    for (const std::unique_ptr<Page>& page : pages_) {
+      if (page == nullptr) continue;
+      for (const std::optional<DbObject>& slot : *page) {
+        if (slot.has_value()) fn(*slot);
+      }
+    }
   }
 
   /// Drops all contents (used when loading a snapshot).
   void Clear();
 
   uint64_t next_oid() const { return next_oid_; }
-  void set_next_oid(uint64_t v) { next_oid_ = v; }
+
+  /// kCorruption unless raw OID `raw` lies within kMaxOidGap of the
+  /// watermark: the check for an OID read from untrusted bytes before
+  /// anything is sized by it.
+  Status CheckOidInRange(uint64_t raw) const;
+
+  /// Raises the watermark to `next_oid` (a snapshot's recorded value);
+  /// never lowers it. kCorruption when `next_oid` lies more than
+  /// kMaxOidGap above the watermark.
+  Status RaiseNextOid(uint64_t next_oid);
 
  private:
-  // Hash table: the join looks every binding up here, so lookup must be
-  // O(1). Nodes never move, so the DbObject pointers Get() hands out
-  // stay valid across later inserts. Ordered iteration (snapshots) goes
-  // through ForEach, which sorts.
-  std::unordered_map<Oid, DbObject> objects_;
+  static constexpr int kPageBits = 8;
+  static constexpr uint64_t kPageMask = (uint64_t{1} << kPageBits) - 1;
+  using Page = std::array<std::optional<DbObject>, size_t{1} << kPageBits>;
+
+  // The object table, indexed by raw OID. OIDs are allocated densely
+  // from next_oid_, so the table has few holes. It is paged so that a
+  // slot never moves: the pointers Get() and Find() hand out stay valid
+  // across later inserts and table growth, until the object is removed.
+  // A page is allocated when an OID in it is first inserted.
+  std::vector<std::unique_ptr<Page>> pages_;
+  size_t size_ = 0;
   // Direct extent of each class as a vector sorted by OID. OIDs are
   // allocated in increasing order, so an insert is normally an append;
   // recovery and aborted deletes re-insert in the middle.

@@ -341,11 +341,9 @@ void BoundCalls::Bind(const Expr* call, const MethodFn* method,
   entries_.push_back(Entry{call, method, std::move(bound), {}});
 }
 
-bool QueryEngine::BindingApplies(BoundCalls::Entry& entry, Oid self) {
-  auto obj = db_->store().Get(self);
-  // A missing receiver takes the Invoke path, which reports it.
-  if (!obj.ok()) return false;
-  const std::string& cls = (*obj)->class_name();
+bool QueryEngine::BindingApplies(BoundCalls::Entry& entry,
+                                 const DbObject& self) {
+  const std::string& cls = self.class_name();
   for (const auto& [name, applies] : entry.classes) {
     if (name == cls) return applies;
   }
@@ -360,12 +358,16 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr, Frame& frame) {
     case ExprKind::kLiteral:
       return expr.literal;
     case ExprKind::kVarRef: {
-      for (auto it = frame.env.rbegin(); it != frame.env.rend(); ++it) {
-        if (*it->first == expr.name) return it->second;
-      }
+      if (const Frame::Var* var = frame.Find(expr.name)) return var->value;
       return Status::InvalidArgument("unbound variable: " + expr.name);
     }
     case ExprKind::kAttrAccess: {
+      // A bound variable's object was fetched when it was bound.
+      if (expr.child->kind == ExprKind::kVarRef) {
+        if (const Frame::Var* var = frame.Find(expr.child->name)) {
+          return db_->AttributeOf(*var->object, expr.name);
+        }
+      }
       SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, frame));
       if (!recv.is_oid()) {
         return Status::TypeError("attribute access on non-object: " +
@@ -374,15 +376,27 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr, Frame& frame) {
       return db_->GetAttribute(recv.as_oid(), expr.name);
     }
     case ExprKind::kMethodCall: {
-      SDMS_ASSIGN_OR_RETURN(Value recv, Eval(*expr.child, frame));
+      const DbObject* recv_obj = nullptr;
+      Value recv;
+      if (const Frame::Var* var = expr.child->kind == ExprKind::kVarRef
+                                      ? frame.Find(expr.child->name)
+                                      : nullptr) {
+        recv = var->value;
+        recv_obj = var->object;
+      } else {
+        SDMS_ASSIGN_OR_RETURN(recv, Eval(*expr.child, frame));
+      }
       if (!recv.is_oid()) {
         return Status::TypeError("method call on non-object: " +
                                  expr.ToString());
       }
-      if (BoundCalls::Entry* bound = frame.calls.Find(&expr);
-          bound != nullptr && BindingApplies(*bound, recv.as_oid())) {
-        ++stats_.method_calls;
-        return bound->bound->Call(recv.as_oid());
+      if (BoundCalls::Entry* bound = frame.calls.Find(&expr); bound != nullptr) {
+        if (recv_obj == nullptr) recv_obj = db_->store().Find(recv.as_oid());
+        // A missing receiver takes the Invoke path, which reports it.
+        if (recv_obj != nullptr && BindingApplies(*bound, *recv_obj)) {
+          ++stats_.method_calls;
+          return bound->bound->Call(recv.as_oid());
+        }
       }
       std::vector<Value> args;
       args.reserve(expr.args.size());
@@ -678,7 +692,7 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
       bp.candidates.has_value() ? *bp.candidates : extent;
   QueryContext* ctx = QueryContext::Current();
   // This depth's variable occupies env[depth] while its candidates run.
-  frame.env.emplace_back(&bp.binding.var, Value());
+  frame.env.push_back(Frame::Var{&bp.binding.var, Value(), nullptr});
   for (Oid oid : candidates) {
     if (frame.partial_stop) break;
     if (ctx != nullptr && ctx->ShouldStop()) {
@@ -691,9 +705,11 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
       }
       return ctx->StopStatus();
     }
-    if (!db_->store().Contains(oid)) continue;
+    const DbObject* obj = db_->store().Find(oid);
+    if (obj == nullptr) continue;
     ++stats_.bindings_scanned;
-    frame.env.back().second = Value(oid);
+    frame.env.back().value = Value(oid);
+    frame.env.back().object = obj;
     bool pass = true;
     for (const Expr* f : bp.filters) {
       SDMS_ASSIGN_OR_RETURN(Value v, Eval(*f, frame));

@@ -162,10 +162,27 @@ class QueryEngine {
   /// Per-Run evaluation state (not a member: the engine is externally
   /// synchronized but keeps no per-call mutable state beyond stats).
   struct Frame {
+    /// One bound join variable.
+    struct Var {
+      /// Points into the Run's plan.
+      const std::string* name;
+      Value value;
+      /// The object `value` names, fetched once per binding. Objects
+      /// never move and no VQL method deletes one, so the pointer holds
+      /// for as long as the variable is bound.
+      const DbObject* object;
+    };
     /// Join variables bound so far, outermost first: a query binds a
-    /// handful, so a linear scan beats a tree. The names point into the
-    /// Run's plan.
-    std::vector<std::pair<const std::string*, Value>> env;
+    /// handful, so a linear scan beats a tree.
+    std::vector<Var> env;
+
+    /// The innermost binding of `name`, or null.
+    const Var* Find(const std::string& name) const {
+      for (auto it = env.rbegin(); it != env.rend(); ++it) {
+        if (*it->name == name) return &*it;
+      }
+      return nullptr;
+    }
     BoundCalls calls;
     /// Set when the current QueryContext demands a stop that degrades
     /// to a partial result instead of an error.
@@ -175,7 +192,7 @@ class QueryEngine {
   StatusOr<std::vector<BindingPlan>> BuildPlan(const ParsedQuery& query);
   StatusOr<Value> Eval(const Expr& expr, Frame& frame);
   /// True if the bound call `entry` applies to receiver `self`.
-  bool BindingApplies(BoundCalls::Entry& entry, Oid self);
+  bool BindingApplies(BoundCalls::Entry& entry, const DbObject& self);
   Status RunJoin(const ParsedQuery& query,
                  const std::vector<BindingPlan>& plan, size_t depth,
                  Frame& frame, QueryResult& result);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "coupling_test_util.h"
+#include "irs/collection.h"
 #include "oodb/builtins.h"
 
 namespace sdms::coupling {
@@ -106,6 +110,62 @@ TEST(CouplingTest, IndexObjectsRepresentsSpecResult) {
   for (Oid oid : coll->represented()) {
     EXPECT_EQ(*sys->db->ClassOf(oid), "PARA");
   }
+}
+
+/// The OIDs `name`'s IRS index holds live, in OID order: what the
+/// represented set held as a std::set<Oid>.
+std::vector<Oid> IndexedOids(CoupledSystem& sys, const std::string& name) {
+  std::set<Oid> keys;
+  auto irs_coll = sys.irs_engine->GetCollection(name);
+  EXPECT_TRUE(irs_coll.ok());
+  (*irs_coll)->ForEachDoc([&](size_t, irs::DocId, const irs::DocInfo& info) {
+    keys.insert(*ParseOidKey(info.key));
+  });
+  return std::vector<Oid>(keys.begin(), keys.end());
+}
+
+void ExpectRepresentedMatchesIndex(CoupledSystem& sys, const std::string& name) {
+  Collection* coll = *sys.coupling->GetCollectionByName(name);
+  std::vector<Oid> want = IndexedOids(sys, name);
+  std::vector<Oid> got(coll->represented().begin(), coll->represented().end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(coll->represented_count(), want.size());
+  for (Oid oid : want) EXPECT_TRUE(coll->Represents(oid)) << oid.ToString();
+  EXPECT_FALSE(coll->Represents(kNullOid));
+  EXPECT_FALSE(coll->Represents(Oid(sys.db->store().next_oid() + 1000)));
+  EXPECT_FALSE(coll->Represents(Oid(~uint64_t{0})));
+}
+
+TEST(CouplingTest, RepresentedIteratesIndexedOidsInOrder) {
+  auto sys = MakeFigure4System();
+  ExpectRepresentedMatchesIndex(*sys, "paras");
+  // A second collection over a generated corpus, restricted by a
+  // predicate so its OIDs are sparse.
+  sgml::CorpusOptions opts;
+  opts.num_docs = 10;
+  opts.seed = 5;
+  testutil::StoreCorpus(*sys, sgml::CorpusGenerator(opts).Generate());
+  auto coll = sys->coupling->CreateCollection("long_paras", "inquery");
+  ASSERT_TRUE(coll.ok());
+  ASSERT_TRUE((*coll)
+                  ->IndexObjects(
+                      "ACCESS p FROM p IN PARA WHERE p -> length() > 40",
+                      kTextModeSubtree)
+                  .ok());
+  ExpectRepresentedMatchesIndex(*sys, "long_paras");
+  // Deleting represented objects leaves holes; the set follows the
+  // index through propagation.
+  std::vector<Oid> before(
+      (*coll)->represented().begin(), (*coll)->represented().end());
+  ASSERT_GE(before.size(), 3u);
+  ASSERT_TRUE(sys->db->DeleteObject(before.front()).ok());
+  ASSERT_TRUE(sys->db->DeleteObject(before[before.size() / 2]).ok());
+  ASSERT_TRUE((*coll)->PropagateUpdates().ok());
+  EXPECT_EQ((*coll)->represented_count(), before.size() - 2);
+  EXPECT_FALSE((*coll)->Represents(before.front()));
+  ExpectRepresentedMatchesIndex(*sys, "long_paras");
+  ASSERT_TRUE((*coll)->Repair().ok());
+  ExpectRepresentedMatchesIndex(*sys, "long_paras");
 }
 
 TEST(CouplingTest, FindIrsValueForRepresentedObject) {

@@ -7,6 +7,8 @@
 
 #include "common/file_util.h"
 #include "oodb/builtins.h"
+#include "oodb/storage/serializer.h"
+#include "oodb/storage/wal.h"
 
 namespace sdms::oodb {
 namespace {
@@ -473,6 +475,115 @@ TEST_F(PersistentDatabaseTest, SnapshotRoundTripIsByteIdentical) {
     ASSERT_TRUE(bytes.ok());
     EXPECT_EQ(*bytes, first);
   }
+}
+
+TEST_F(PersistentDatabaseTest, ReplayOfCheckpointedWalRecreatesInPlace) {
+  // A crash between a checkpoint's snapshot rename and its WAL
+  // truncation leaves a WAL whose every record the snapshot already
+  // holds: replay then creates objects at OIDs that exist.
+  const std::string wal = dir_ + "/wal.log";
+  Oid a, b;
+  std::string saved_wal;
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok());
+    DefineDocSchema(**db);
+    a = *(*db)->CreateObject("PARA");
+    b = *(*db)->CreateObject("PARA");
+    ASSERT_TRUE((*db)->SetAttribute(a, "YEAR", Value(1994)).ok());
+    ASSERT_TRUE((*db)->SetAttribute(b, "TEXT", Value("kept")).ok());
+    ASSERT_TRUE((*db)->SetAttribute(a, "YEAR", Value(1996)).ok());
+  }
+  auto bytes = ReadFile(wal);
+  ASSERT_TRUE(bytes.ok());
+  saved_wal = *bytes;
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  ASSERT_TRUE(WriteFileAtomic(wal, saved_wal).ok());
+  auto db = Database::Open(Database::Options{dir_, false});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  DefineDocSchema(**db);
+  EXPECT_EQ((*db)->ExtentSize("PARA"), 2u);
+  EXPECT_EQ((*db)->store().size(), 2u);
+  EXPECT_TRUE((*db)->GetAttribute(a, "YEAR")->Equals(Value(1996)));
+  EXPECT_EQ((*db)->GetAttribute(b, "TEXT")->as_string(), "kept");
+  EXPECT_TRUE((*db)->GetAttribute(b, "YEAR")->is_null());
+  auto fresh = (*db)->CreateObject("PARA");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_GT(fresh->raw(), b.raw());
+}
+
+TEST_F(PersistentDatabaseTest, WalCreateFarAboveWatermarkIsCorruption) {
+  ASSERT_TRUE(MakeDirs(dir_).ok());
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(dir_ + "/wal.log").ok());
+    Encoder create;
+    create.PutU8(static_cast<uint8_t>(WalRecordType::kCreateObject));
+    create.PutU64(1);
+    create.PutU64(uint64_t{1} << 62);
+    create.PutString("PARA");
+    ASSERT_TRUE(wal.Append(create.data()).ok());
+    Encoder commit;
+    commit.PutU8(static_cast<uint8_t>(WalRecordType::kCommit));
+    commit.PutU64(1);
+    ASSERT_TRUE(wal.Append(commit.data()).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+  }
+  auto db = Database::Open(Database::Options{dir_, false});
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kCorruption)
+      << db.status().ToString();
+}
+
+/// Writes a CRC-framed v2 snapshot with watermark `next_oid` holding
+/// one PARA object per OID in `oids`.
+void WriteSnapshot(const std::string& dir, uint64_t next_oid,
+                   const std::vector<uint64_t>& oids) {
+  ASSERT_TRUE(MakeDirs(dir).ok());
+  Encoder enc;
+  enc.PutU32(0x53444d54);  // v2 magic
+  enc.PutU64(next_oid);
+  enc.PutU64(1);  // next update seq
+  enc.PutU64(oids.size());
+  for (uint64_t raw : oids) enc.PutObject(DbObject(Oid(raw), "PARA"));
+  std::string body = enc.Release();
+  uint32_t crc = Crc32(body);
+  std::string file;
+  for (int i = 0; i < 4; ++i) {
+    file.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  ASSERT_TRUE(WriteFileAtomic(dir + "/snapshot.db", file + body).ok());
+}
+
+TEST_F(PersistentDatabaseTest, SnapshotOidFarAboveWatermarkIsCorruption) {
+  const uint64_t far = uint64_t{1} << 62;
+  // The control: a well-formed snapshot of the same shape opens.
+  WriteSnapshot(dir_, 4, {1, 3});
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->store().size(), 2u);
+    EXPECT_EQ((*db)->store().next_oid(), 4u);
+  }
+  std::filesystem::remove_all(dir_);
+  // An object naming OID 2^62, with a header watermark to match.
+  WriteSnapshot(dir_, far + 1, {1, far});
+  auto object = Database::Open(Database::Options{dir_, false});
+  ASSERT_FALSE(object.ok());
+  EXPECT_EQ(object.status().code(), StatusCode::kCorruption)
+      << object.status().ToString();
+  std::filesystem::remove_all(dir_);
+  // A header watermark of 2^62 alone would size the table at the next
+  // allocation.
+  WriteSnapshot(dir_, far, {1});
+  auto header = Database::Open(Database::Options{dir_, false});
+  ASSERT_FALSE(header.ok());
+  EXPECT_EQ(header.status().code(), StatusCode::kCorruption)
+      << header.status().ToString();
 }
 
 TEST_F(PersistentDatabaseTest, SyncCommitsDurable) {

@@ -228,6 +228,57 @@ TEST(RestoreCollectionsTest, ReattachesPersistedCollections) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RestoreCollectionsTest, IrsKeyFarAboveOidWatermarkIsCorruption) {
+  // The represented set is indexed by OID, so a restored IRS document
+  // naming OID 2^62 must fail the restore instead of sizing the set.
+  std::string dir = testing::TempDir() + "/sdms_restore_far_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  auto define_schema = [](Coupling& coupling) {
+    ASSERT_TRUE(coupling.Initialize().ok());
+    auto dtd = sgml::LoadMmfDtd();
+    ASSERT_TRUE(dtd.ok());
+    ASSERT_TRUE(coupling.RegisterDtdClasses(*dtd).ok());
+  };
+  {
+    auto db = oodb::Database::Open({dir + "/db", false});
+    ASSERT_TRUE(db.ok());
+    irs::IrsEngine engine;
+    Coupling coupling(db->get(), &engine);
+    define_schema(coupling);
+    sgml::CorpusOptions opts;
+    opts.num_docs = 2;
+    for (const auto& doc : sgml::CorpusGenerator(opts).Generate().documents) {
+      ASSERT_TRUE(coupling.StoreDocument(doc).ok());
+    }
+    auto coll = coupling.CreateCollection("lib", "inquery");
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE(
+        (*coll)->IndexObjects("ACCESS p FROM p IN PARA", kTextModeSubtree).ok());
+    auto irs_coll = engine.GetCollection("lib");
+    ASSERT_TRUE(irs_coll.ok());
+    ASSERT_TRUE((*irs_coll)
+                    ->AddDocument(Oid(uint64_t{1} << 62).ToString(),
+                                  "a document from nowhere")
+                    .ok());
+    ASSERT_TRUE(db.value()->Checkpoint().ok());
+    ASSERT_TRUE(engine.SaveTo(dir + "/irs").ok());
+  }
+  {
+    auto db = oodb::Database::Open({dir + "/db", false});
+    ASSERT_TRUE(db.ok());
+    irs::IrsEngine engine;
+    ASSERT_TRUE(engine.LoadFrom(dir + "/irs").ok());
+    Coupling coupling(db->get(), &engine);
+    define_schema(coupling);
+    auto restored = coupling.RestoreCollections();
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+        << restored.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // --- Range-index optimization -----------------------------------------
 
 TEST(RangeIndexTest, RangePredicateUsesIndex) {

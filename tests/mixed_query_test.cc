@@ -264,6 +264,59 @@ TEST(MixedQueryTest, BoundCallsMatchPerBindingEvaluation) {
   }
 }
 
+TEST(MixedQueryTest, BoundCallCursorRestartsForInnerBindings) {
+  // Fewer MMFDOCs than PARAs, so the plan binds d outside p: the
+  // receivers of the bound p-call restart from the first PARA for every
+  // document. Each value must equal FindIrsValue's, bit for bit, and
+  // every evaluation is still booked as one buffer hit.
+  auto sys = MakeCorpusSystem();
+  Collection* coll = *sys->coupling->GetCollectionByName("paras");
+  MixedQueryEvaluator eval(sys->coupling.get());
+  const std::string call = "p -> getIRSValue('paras', 'www')";
+  const std::string doc_call = "d -> getIRSValue('paras', 'www')";
+  const std::string vql = "ACCESS d, p, " + call + ", " + doc_call +
+                          " FROM d IN MMFDOC, p IN PARA WHERE " + call +
+                          " > 0.4 AND " + doc_call + " > 0.45";
+  ASSERT_TRUE(eval.Run(vql, Strategy::kIndependent).ok());  // buffers www
+  const uint64_t hits_before = coll->buffer().hits();
+  auto r = eval.Run(vql, Strategy::kIndependent);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const uint64_t bound_hits = coll->buffer().hits() - hits_before;
+  ASSERT_FALSE(r->rows.empty());
+  std::set<uint64_t> docs = RowOids(*r, 0);
+  EXPECT_GT(docs.size(), 1u) << "inner receivers never restarted";
+  for (const auto& row : r->rows) {
+    for (auto [obj_col, value_col] : {std::pair{1, 2}, std::pair{0, 3}}) {
+      auto want = coll->FindIrsValue("www", row[obj_col].as_oid());
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      double got = row[value_col].as_real();
+      EXPECT_EQ(std::memcmp(&got, &*want, sizeof got), 0)
+          << row[obj_col].as_oid().ToString() << ": " << got << " vs "
+          << *want;
+    }
+  }
+  // WHERE evaluates the d-call once per document and the p-call once
+  // per (qualifying document, paragraph) pair; SELECT evaluates both
+  // per row; the prepare stage reads the buffer once per call.
+  size_t qualifying_docs = 0;
+  for (Oid d : sys->db->Extent("MMFDOC")) {
+    if (*coll->FindIrsValue("www", d) > 0.45) ++qualifying_docs;
+  }
+  EXPECT_EQ(qualifying_docs, docs.size());
+  const uint64_t evaluations = sys->db->ExtentSize("MMFDOC") +
+                               qualifying_docs * sys->db->ExtentSize("PARA") +
+                               2 * r->rows.size();
+  EXPECT_EQ(bound_hits, evaluations + 2);
+  // The same statement evaluated per binding, without a pinned result.
+  CouplingOptions unbuffered;
+  unbuffered.disable_buffering = true;
+  auto per_binding = MakeCorpusSystem(unbuffered);
+  MixedQueryEvaluator per_binding_eval(per_binding->coupling.get());
+  auto want = per_binding_eval.Run(vql, Strategy::kIndependent);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectBitIdenticalRows(*r, *want);
+}
+
 TEST(MixedQueryTest, BoundCallKeepsSubclassOverride) {
   auto sys = MakeFigure4System();
   // PARA overrides getIRSValue; the other IRSObject classes inherit it.

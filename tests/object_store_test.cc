@@ -138,14 +138,84 @@ TEST(ObjectStoreTest, GetPointerStableAcrossInserts) {
   auto got = store.Get(first);
   ASSERT_TRUE(got.ok());
   DbObject* ptr = *got;
-  // Enough inserts to rehash the table several times.
-  for (int i = 0; i < 1000; ++i) {
+  ptr->Set("X", Value(7));
+  // Enough inserts to grow the table, and its page directory, many
+  // times over, plus one far insert that grows the directory at once.
+  for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
   }
+  ASSERT_TRUE(store.Insert(DbObject(Oid(store.next_oid() + 100000), "A")).ok());
   auto again = store.Get(first);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, ptr);
+  EXPECT_EQ(store.Find(first), ptr);
   EXPECT_EQ(ptr->oid(), first);
+  EXPECT_EQ(ptr->GetOr("X", Value()).as_int(), 7);
+}
+
+TEST(ObjectStoreTest, HolesAndPastTheEndAreAbsent) {
+  ObjectStore store;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
+  }
+  ASSERT_TRUE(store.Remove(Oid(4)).ok());
+  ASSERT_TRUE(store.Remove(Oid(10)).ok());
+  EXPECT_EQ(store.size(), 8u);
+  // A hole inside the table and one at its end.
+  for (uint64_t raw : {4, 10}) {
+    EXPECT_FALSE(store.Contains(Oid(raw))) << raw;
+    EXPECT_EQ(store.Find(Oid(raw)), nullptr) << raw;
+    EXPECT_TRUE(store.Get(Oid(raw)).status().IsNotFound()) << raw;
+    EXPECT_TRUE(store.Remove(Oid(raw)).IsNotFound()) << raw;
+  }
+  // The null OID, just past the last slot, past the last page, and
+  // far beyond it: absent, and looking never grows the table.
+  for (uint64_t raw : {uint64_t{0}, uint64_t{11}, uint64_t{1000},
+                       uint64_t{1} << 62, ~uint64_t{0}}) {
+    EXPECT_FALSE(store.Contains(Oid(raw))) << raw;
+    EXPECT_TRUE(store.Get(Oid(raw)).status().IsNotFound()) << raw;
+  }
+  EXPECT_EQ(store.next_oid(), 11u);
+  // A hole is refilled in place.
+  ASSERT_TRUE(store.Insert(DbObject(Oid(4), "B")).ok());
+  ASSERT_NE(store.Find(Oid(4)), nullptr);
+  EXPECT_EQ(store.Find(Oid(4))->class_name(), "B");
+  EXPECT_EQ(store.size(), 9u);
+}
+
+TEST(ObjectStoreTest, ForEachOidOrderOverHolesAcrossPages) {
+  ObjectStore store;
+  // Out of order, spanning several table pages, with whole pages empty.
+  for (uint64_t raw : {900, 3, 2000, 255, 256, 1, 5000, 257}) {
+    ASSERT_TRUE(store.Insert(DbObject(Oid(raw), "A")).ok());
+  }
+  ASSERT_TRUE(store.Remove(Oid(256)).ok());
+  ASSERT_TRUE(store.Remove(Oid(2000)).ok());
+  EXPECT_EQ(ForEachOids(store),
+            (std::vector<uint64_t>{1, 3, 255, 257, 900, 5000}));
+  EXPECT_EQ(Raw(store.DirectExtent("A")),
+            (std::vector<uint64_t>{1, 3, 255, 257, 900, 5000}));
+}
+
+TEST(ObjectStoreTest, OidFarAboveWatermarkIsCorruption) {
+  ObjectStore store;
+  ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
+  const uint64_t far = uint64_t{1} << 62;
+  Status s = store.Insert(DbObject(Oid(far), "A"));
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.next_oid(), 2u);
+  EXPECT_EQ(store.RaiseNextOid(far).code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.next_oid(), 2u);
+  EXPECT_EQ(store.CheckOidInRange(far).code(), StatusCode::kCorruption);
+  // The bound is relative to the watermark, not absolute.
+  const uint64_t edge = store.next_oid() + ObjectStore::kMaxOidGap;
+  EXPECT_TRUE(store.CheckOidInRange(edge).ok());
+  EXPECT_EQ(store.CheckOidInRange(edge + 1).code(), StatusCode::kCorruption);
+  ASSERT_TRUE(store.RaiseNextOid(100).ok());
+  EXPECT_EQ(store.next_oid(), 100u);
+  ASSERT_TRUE(store.RaiseNextOid(50).ok());  // Never lowers.
+  EXPECT_EQ(store.next_oid(), 100u);
 }
 
 TEST(ObjectStoreTest, Clear) {
@@ -163,6 +233,40 @@ TEST(DbObjectTest, GetMissingAttr) {
   EXPECT_TRUE(obj.Get("x").ok());
   obj.Unset("x");
   EXPECT_FALSE(obj.Has("x"));
+}
+
+std::vector<std::string> Names(const DbObject& obj) {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : obj.attributes()) out.push_back(name);
+  return out;
+}
+
+TEST(DbObjectTest, AttributesStaySortedThroughSetAndUnset) {
+  DbObject obj(Oid(1), "A");
+  for (const char* name : {"M", "B", "Z", "A", "Q"}) obj.Set(name, Value(name));
+  EXPECT_EQ(Names(obj), (std::vector<std::string>{"A", "B", "M", "Q", "Z"}));
+  // Overwrite keeps one entry per name.
+  obj.Set("M", Value(42));
+  EXPECT_EQ(obj.attributes().size(), 5u);
+  ASSERT_NE(obj.Find("M"), nullptr);
+  EXPECT_EQ(obj.Find("M")->as_int(), 42);
+  EXPECT_EQ(obj.GetOr("M", Value()).as_int(), 42);
+  // Unset in the middle, at either end, and of an absent name.
+  obj.Unset("M");
+  obj.Unset("A");
+  obj.Unset("Z");
+  obj.Unset("NOPE");
+  EXPECT_EQ(Names(obj), (std::vector<std::string>{"B", "Q"}));
+  EXPECT_FALSE(obj.Has("M"));
+  EXPECT_EQ(obj.Find("M"), nullptr);
+  EXPECT_TRUE(obj.Has("B"));
+  EXPECT_TRUE(obj.Has("Q"));
+  EXPECT_FALSE(obj.Has(""));
+  EXPECT_TRUE(obj.Get("Z").status().IsNotFound());
+  EXPECT_EQ(obj.GetOr("Z", Value(-1)).as_int(), -1);
+  obj.Set("C", Value(3));
+  EXPECT_EQ(Names(obj), (std::vector<std::string>{"B", "C", "Q"}));
+  EXPECT_EQ(obj.ToString(), "A(oid:1){B: 'B', C: 3, Q: 'Q'}");
 }
 
 }  // namespace

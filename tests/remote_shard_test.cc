@@ -293,6 +293,48 @@ TEST_F(RemoteShardTest, FailedPushCatchesUpByInstallExactlyOnce) {
   server->Shutdown();
 }
 
+TEST_F(RemoteShardTest, DocTableMismatchWithEqualDocCountIsInstalled) {
+  auto local = MakeLocalCollection("table", 1);
+  FillCorpus(*local, 20);
+  local->set_shard_applied_seq(0, 5);
+  auto server = StartShardServer();
+  RemoteShardChannel channel(
+      FastChannelOptions(server->port(), "table", 0, 1));
+  ASSERT_TRUE(channel.EnsureSynced(local.get()).ok());
+  ASSERT_EQ(channel.stats().catchup_installs, 1u);
+
+  // A lost delete plus a lost insert under the same applied seq: the
+  // peer's live doc count and seq still match, its doc table does not.
+  const uint64_t docs = local->shard(0).doc_count();
+  const uint64_t table = local->shard(0).doc_table_size();
+  ASSERT_TRUE(local->RemoveDocument("oid:3").ok());
+  ASSERT_TRUE(local->AddDocument("oid:99", "omega unicorn zeta").ok());
+  ASSERT_EQ(local->shard(0).doc_count(), docs);
+  ASSERT_EQ(local->shard_applied_seq(0), 5u);
+  ASSERT_EQ(server->doc_count(), docs);
+  ASSERT_EQ(server->applied_seq(), 5u);
+  ASSERT_NE(local->shard(0).doc_table_size(), table);
+
+  // The next search re-hellos, sees the table differ, and installs.
+  channel.MarkUnsynced();
+  for (const std::string& q : kOracleQueries) {
+    auto plan = local->PrepareSearch(q, 0);
+    ASSERT_TRUE(plan.ok());
+    auto got = channel.Search(q, *plan, local.get());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = local->SearchShard(*plan, 0);
+    ASSERT_TRUE(want.ok());
+    ExpectHitsBitIdentical(*want, *got, "after doc-table install: " + q);
+  }
+  EXPECT_EQ(channel.stats().catchup_installs, 2u);
+  EXPECT_TRUE(channel.synced());
+  // In step again: a further re-hello installs nothing.
+  channel.MarkUnsynced();
+  ASSERT_TRUE(channel.EnsureSynced(local.get()).ok());
+  EXPECT_EQ(channel.stats().catchup_installs, 2u);
+  server->Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Coupling-level: scatter-gather over remote shards
 // ---------------------------------------------------------------------------

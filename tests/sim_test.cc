@@ -106,6 +106,8 @@ TEST(SimulationTest, RemoteShardSchedules) {
   // across them the machinery under test actually ran — network
   // bursts, router crash recoveries, and at least the initial full
   // install per attached shard.
+  RecordProperty("remote_schedules", static_cast<int>(remote_schedules));
+  RecordProperty("catchup_installs", static_cast<int>(catchup_installs));
   EXPECT_GT(remote_schedules, schedules / 2);
   EXPECT_GT(shard_bursts, 0u);
   EXPECT_GT(crash_restarts, 0u);

@@ -236,6 +236,107 @@ TEST_F(VqlExecutorTest, BoundCallAnswersForClassesThatDispatchToIt) {
   EXPECT_EQ(flushes, 1);
 }
 
+// --- The join reads a bound variable's attributes from the object it
+// fetched for the binding; these pin that read to Database::GetAttribute.
+
+/// Defines NOTE (RANK defaults to 5, TAG to null) and stores two NOTEs:
+/// one created normally, and one inserted bare, without the schema
+/// defaults CreateObject applies (as an older snapshot may hold it).
+std::vector<Oid> AddNotes(Database& db) {
+  ClassDef note;
+  note.name = "NOTE";
+  note.super = kObjectClass;
+  note.attributes = {
+      AttributeDef{"RANK", ValueType::kInt, Value(5)},
+      AttributeDef{"TAG", ValueType::kString, Value()},
+  };
+  EXPECT_TRUE(db.schema().DefineClass(std::move(note)).ok());
+  Oid created = *db.CreateObject("NOTE");
+  EXPECT_TRUE(db.SetAttribute(created, "TAG", Value("x")).ok());
+  Oid bare = db.store().AllocateOid();
+  EXPECT_TRUE(db.store().Insert(DbObject(bare, "NOTE")).ok());
+  return {created, bare};
+}
+
+TEST_F(VqlExecutorTest, BoundVariableDeclaredButUnsetGivesSchemaDefault) {
+  std::vector<Oid> notes = AddNotes(*db_);
+  ASSERT_FALSE(db_->store().Find(notes[1])->Has("RANK"));
+  for (const std::string vql :
+       {"ACCESS n, n.RANK, n.TAG FROM n IN NOTE",
+        "ACCESS n, n -> getAttributeValue('RANK'), "
+        "n -> getAttributeValue('TAG') FROM n IN NOTE"}) {
+    SCOPED_TRACE(vql);
+    auto r = engine_->Run(vql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 2u);
+    for (const auto& row : r->rows) {
+      Oid oid = row[0].as_oid();
+      EXPECT_EQ(row[1].type(), ValueType::kInt);
+      EXPECT_EQ(row[1].as_int(), 5);
+      EXPECT_TRUE(row[1].Equals(*db_->GetAttribute(oid, "RANK")));
+      EXPECT_TRUE(row[2].Equals(*db_->GetAttribute(oid, "TAG")));
+      EXPECT_EQ(row[2].is_null(), oid == notes[1]);
+    }
+  }
+  // And in WHERE: the bare object passes on its default.
+  auto r = engine_->Run("ACCESS n FROM n IN NOTE WHERE n.RANK == 5");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 2u);
+}
+
+TEST_F(VqlExecutorTest, BoundVariableUndeclaredAttributeIsSameNotFound) {
+  StatusOr<Value> want = db_->GetAttribute(docs_[0], "NOPE");
+  ASSERT_TRUE(want.status().IsNotFound());
+  for (const std::string vql :
+       {"ACCESS d.NOPE FROM d IN DOC",
+        "ACCESS d FROM d IN DOC WHERE d.NOPE == 1",
+        "ACCESS d -> getAttributeValue('NOPE') FROM d IN DOC",
+        "ACCESS d FROM d IN DOC, p IN PARA WHERE p.DOC == d AND d.NOPE == 1"}) {
+    SCOPED_TRACE(vql);
+    auto r = engine_->Run(vql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), want.status().code());
+    EXPECT_EQ(r.status().message(), want.status().message());
+  }
+}
+
+TEST_F(VqlExecutorTest, NonVariableReceiverKeepsGetAttributePath) {
+  // `p.DOC` evaluates to an OID, not a bound variable: its attribute
+  // is read through Database::GetAttribute.
+  auto r = engine_->Run(
+      "ACCESS p.DOC.YEAR, p.DOC.TITLE FROM p IN PARA WHERE p.LEN == 21");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_TRUE(r->rows[0][0].Equals(Value(1995)));
+  EXPECT_EQ(r->rows[0][1].as_string(), "doc2");
+  auto missing = engine_->Run("ACCESS p.DOC.NOPE FROM p IN PARA");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(),
+            db_->GetAttribute(docs_[0], "NOPE").status().message());
+}
+
+TEST_F(VqlExecutorTest, SetAttributeValueOnBoundVariableIsSeenInSameStatement) {
+  auto r = engine_->Run(
+      "ACCESS d.YEAR, d.TITLE FROM d IN DOC "
+      "WHERE d -> setAttributeValue('YEAR', 2000) AND d.YEAR == 2000");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 3u);
+  for (const auto& row : r->rows) EXPECT_TRUE(row[0].Equals(Value(2000)));
+  EXPECT_EQ(r->rows[1][1].as_string(), "doc1");
+  // Setting an attribute an object did not hold adds it mid-statement.
+  std::vector<Oid> notes = AddNotes(*db_);
+  auto tagged = engine_->Run(
+      "ACCESS n, n.TAG, n.RANK FROM n IN NOTE "
+      "WHERE n -> setAttributeValue('TAG', 'y') AND n.TAG == 'y'");
+  ASSERT_TRUE(tagged.ok()) << tagged.status().ToString();
+  ASSERT_EQ(tagged->rows.size(), 2u);
+  for (const auto& row : tagged->rows) {
+    EXPECT_EQ(row[1].as_string(), "y");
+    EXPECT_EQ(row[2].as_int(), 5);
+  }
+  EXPECT_EQ(db_->GetAttribute(notes[1], "TAG")->as_string(), "y");
+}
+
 TEST_F(VqlExecutorTest, UnknownClassFails) {
   EXPECT_FALSE(engine_->Run("ACCESS x FROM x IN NOPE").ok());
 }
