@@ -875,7 +875,9 @@ class BoundIrsValue : public oodb::vql::BoundCall {
     // the search starts over from the front.
     if (self < last_) cursor_ = result_->begin();
     last_ = self;
-    cursor_ = result_->Seek(cursor_, self);
+    cursor_ = std::lower_bound(
+        cursor_, result_->end(), self,
+        [](const OidScoreMap::value_type& p, Oid o) { return p.first < o; });
     if (cursor_ != result_->end() && cursor_->first == self) {
       return Value(cursor_->second);
     }

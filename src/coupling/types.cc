@@ -55,24 +55,6 @@ OidScoreMap::const_iterator OidScoreMap::find(Oid oid) const {
   return it != pairs_.end() && it->first == oid ? it : pairs_.end();
 }
 
-OidScoreMap::const_iterator OidScoreMap::Seek(const_iterator from,
-                                              Oid oid) const {
-  size_t lo = static_cast<size_t>(from - pairs_.begin());
-  size_t hi = lo;
-  size_t step = 1;
-  // Invariant: every pair before `lo` has an OID below `oid`.
-  while (hi < pairs_.size() && pairs_[hi].first < oid) {
-    lo = hi + 1;
-    hi += step;
-    step *= 2;
-  }
-  hi = std::min(hi, pairs_.size());
-  return std::lower_bound(
-      pairs_.begin() + static_cast<std::ptrdiff_t>(lo),
-      pairs_.begin() + static_cast<std::ptrdiff_t>(hi), oid,
-      [](const value_type& p, Oid o) { return p.first < o; });
-}
-
 double OidScoreMap::at(Oid oid) const {
   auto it = find(oid);
   if (it == end()) {
@@ -83,29 +65,40 @@ double OidScoreMap::at(Oid oid) const {
 
 void OidBitSet::insert(Oid oid) {
   uint64_t raw = oid.raw();
-  if (raw / 64 >= words_.size()) words_.resize(raw / 64 + 1);
-  uint64_t& word = words_[raw / 64];
+  uint64_t c = raw >> kChunkBits;
+  if (c >= chunks_.size()) chunks_.resize(c + 1);
+  if (chunks_[c] == nullptr) chunks_[c] = std::make_unique<Chunk>();
+  uint64_t& word = chunks_[c]->words[(raw & kChunkMask) / 64];
   uint64_t bit = uint64_t{1} << (raw % 64);
-  if ((word & bit) == 0) ++size_;
+  if ((word & bit) != 0) return;
   word |= bit;
+  ++chunks_[c]->count;
+  ++size_;
 }
 
 void OidBitSet::erase(Oid oid) {
   if (!contains(oid)) return;
-  words_[oid.raw() / 64] &= ~(uint64_t{1} << (oid.raw() % 64));
+  uint64_t raw = oid.raw();
+  std::unique_ptr<Chunk>& chunk = chunks_[raw >> kChunkBits];
+  chunk->words[(raw & kChunkMask) / 64] &= ~(uint64_t{1} << (raw % 64));
   --size_;
+  if (--chunk->count == 0) chunk.reset();
 }
 
 uint64_t OidBitSet::NextFrom(uint64_t pos) const {
-  const uint64_t end = words_.size() * 64;
-  if (pos >= end) return end;
-  size_t w = pos / 64;
-  uint64_t word = words_[w] & (~uint64_t{0} << (pos % 64));
-  while (word == 0) {
-    if (++w == words_.size()) return end;
-    word = words_[w];
+  for (uint64_t c = pos >> kChunkBits; c < chunks_.size();
+       ++c, pos = c << kChunkBits) {
+    const Chunk* chunk = chunks_[c].get();
+    if (chunk == nullptr) continue;
+    size_t w = (pos & kChunkMask) / 64;
+    uint64_t word = chunk->words[w] & (~uint64_t{0} << (pos % 64));
+    while (word == 0 && ++w < chunk->words.size()) word = chunk->words[w];
+    if (word != 0) {
+      return (c << kChunkBits) + w * 64 +
+             static_cast<uint64_t>(std::countr_zero(word));
+    }
   }
-  return w * 64 + static_cast<uint64_t>(std::countr_zero(word));
+  return EndPos();
 }
 
 StatusOr<Oid> ParseOidKey(std::string_view key) {

@@ -1,10 +1,12 @@
 #ifndef SDMS_COUPLING_TYPES_H_
 #define SDMS_COUPLING_TYPES_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -48,11 +50,6 @@ class OidScoreMap {
 
   /// The pair for `oid`, or end().
   const_iterator find(Oid oid) const;
-  /// The first pair at or after `from` whose OID is not below `oid`,
-  /// found by galloping forward from `from`: a walk over receivers in
-  /// OID order costs time in the distance moved, not in the map's
-  /// size. Every pair before `from` must have an OID below `oid`.
-  const_iterator Seek(const_iterator from, Oid oid) const;
   size_t count(Oid oid) const { return find(oid) != end() ? 1 : 0; }
   /// The score of `oid`; throws std::out_of_range when absent, like
   /// std::map::at.
@@ -64,10 +61,13 @@ class OidScoreMap {
   std::vector<value_type> pairs_;
 };
 
-/// A set of OIDs held as one bit per raw OID. Membership is a single
-/// array index, which suits the dense OIDs the object store allocates;
-/// iteration runs in OID order. The set grows to hold the largest OID
-/// inserted, so callers bound untrusted OIDs before inserting them.
+/// A set of OIDs held as one bit per raw OID, in chunks of 2^18 OIDs.
+/// Membership is two array indexes, which suits the dense OIDs the
+/// object store allocates; iteration runs in OID order. A chunk is
+/// allocated by its first member and freed with its last, so memory
+/// follows the members rather than the largest OID ever inserted. The
+/// chunk directory grows to the largest member, so callers bound
+/// untrusted OIDs before inserting them.
 class OidBitSet {
  public:
   /// Forward iterator over the members, in increasing OID order.
@@ -103,7 +103,9 @@ class OidBitSet {
 
   bool contains(Oid oid) const {
     uint64_t raw = oid.raw();
-    return raw / 64 < words_.size() && ((words_[raw / 64] >> (raw % 64)) & 1);
+    uint64_t c = raw >> kChunkBits;
+    return c < chunks_.size() && chunks_[c] != nullptr &&
+           ((chunks_[c]->words[(raw & kChunkMask) / 64] >> (raw % 64)) & 1);
   }
   void insert(Oid oid);
   template <typename It>
@@ -112,19 +114,28 @@ class OidBitSet {
   }
   void erase(Oid oid);
   void clear() {
-    words_.clear();
+    chunks_.clear();
     size_ = 0;
   }
   size_t size() const { return size_; }
 
   const_iterator begin() const { return const_iterator(this, NextFrom(0)); }
-  const_iterator end() const { return const_iterator(this, words_.size() * 64); }
+  const_iterator end() const { return const_iterator(this, EndPos()); }
 
  private:
-  /// The smallest member at or above raw OID `pos`, or the end position.
+  static constexpr int kChunkBits = 18;
+  static constexpr uint64_t kChunkMask = (uint64_t{1} << kChunkBits) - 1;
+
+  struct Chunk {
+    std::array<uint64_t, (kChunkMask + 1) / 64> words{};
+    size_t count = 0;  // Members in this chunk.
+  };
+
+  uint64_t EndPos() const { return uint64_t{chunks_.size()} << kChunkBits; }
+  /// The smallest member at or above raw OID `pos`, or EndPos().
   uint64_t NextFrom(uint64_t pos) const;
 
-  std::vector<uint64_t> words_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   size_t size_ = 0;
 };
 

@@ -202,11 +202,20 @@ Status Database::LoadSnapshot(const std::string& path) {
   }
   SDMS_ASSIGN_OR_RETURN(uint64_t count, dec.GetU64());
   store_.Clear();
+  // The checksummed header watermark bounds every object: deletes leave
+  // gaps of any size below it, so objects are not held to the gap rule
+  // of a running watermark.
+  SDMS_RETURN_IF_ERROR(store_.RaiseNextOid(next_oid));
   for (uint64_t i = 0; i < count; ++i) {
     SDMS_ASSIGN_OR_RETURN(DbObject obj, dec.GetObject());
+    if (obj.oid().raw() >= next_oid) {
+      return Status::Corruption("snapshot object " + obj.oid().ToString() +
+                                " is above its OID watermark " +
+                                std::to_string(next_oid));
+    }
     SDMS_RETURN_IF_ERROR(store_.Insert(std::move(obj)));
   }
-  return store_.RaiseNextOid(next_oid);
+  return Status::OK();
 }
 
 Status Database::Checkpoint() {

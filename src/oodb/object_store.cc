@@ -5,7 +5,7 @@
 namespace sdms::oodb {
 
 Status ObjectStore::CheckOidInRange(uint64_t raw) const {
-  if (raw > next_oid_ + kMaxOidGap) {
+  if (raw >= kMaxOid || raw > next_oid_ + kMaxOidGap) {
     return Status::Corruption("OID " + std::to_string(raw) +
                               " is far above the OID watermark " +
                               std::to_string(next_oid_));
@@ -26,11 +26,20 @@ Status ObjectStore::Insert(DbObject obj) {
   } else {
     extent.insert(std::lower_bound(extent.begin(), extent.end(), oid), oid);
   }
-  if (oid.raw() >= next_oid_) next_oid_ = oid.raw() + 1;
-  uint64_t page = oid.raw() >> kPageBits;
-  if (page >= pages_.size()) pages_.resize(page + 1);
-  if (pages_[page] == nullptr) pages_[page] = std::make_unique<Page>();
-  (*pages_[page])[oid.raw() & kPageMask].emplace(std::move(obj));
+  uint64_t raw = oid.raw();
+  if (raw >= next_oid_) next_oid_ = raw + 1;
+  uint64_t b = raw >> kBlockShift;
+  if (b >= blocks_.size()) blocks_.resize(b + 1);
+  if (blocks_[b] == nullptr) blocks_[b] = std::make_unique<Block>();
+  Block& block = *blocks_[b];
+  std::unique_ptr<Page>& page = block.pages[(raw >> kPageBits) & kBlockMask];
+  if (page == nullptr) {
+    page = std::make_unique<Page>();
+    ++block.live;
+    ++page_count_;
+  }
+  page->slots[raw & kPageMask].emplace(std::move(obj));
+  ++page->live;
   ++size_;
   return Status::OK();
 }
@@ -41,8 +50,16 @@ Status ObjectStore::Remove(Oid oid) {
   std::vector<Oid>& extent = extents_[obj->class_name()];
   auto pos = std::lower_bound(extent.begin(), extent.end(), oid);
   if (pos != extent.end() && *pos == oid) extent.erase(pos);
-  (*pages_[oid.raw() >> kPageBits])[oid.raw() & kPageMask].reset();
+  uint64_t raw = oid.raw();
+  std::unique_ptr<Block>& block = blocks_[raw >> kBlockShift];
+  std::unique_ptr<Page>& page = block->pages[(raw >> kPageBits) & kBlockMask];
+  page->slots[raw & kPageMask].reset();
   --size_;
+  if (--page->live == 0) {
+    page.reset();
+    --page_count_;
+    if (--block->live == 0) block.reset();
+  }
   return Status::OK();
 }
 
@@ -70,14 +87,18 @@ size_t ObjectStore::DirectExtentSize(const std::string& cls) const {
 }
 
 void ObjectStore::Clear() {
-  pages_.clear();
+  blocks_.clear();
+  page_count_ = 0;
   size_ = 0;
   extents_.clear();
   next_oid_ = 1;
 }
 
 Status ObjectStore::RaiseNextOid(uint64_t next_oid) {
-  SDMS_RETURN_IF_ERROR(CheckOidInRange(next_oid));
+  if (next_oid > kMaxOid) {
+    return Status::Corruption("OID watermark " + std::to_string(next_oid) +
+                              " is beyond the object table");
+  }
   next_oid_ = std::max(next_oid_, next_oid);
   return Status::OK();
 }

@@ -586,6 +586,50 @@ TEST_F(PersistentDatabaseTest, SnapshotOidFarAboveWatermarkIsCorruption) {
       << header.status().ToString();
 }
 
+TEST_F(PersistentDatabaseTest, SnapshotWithDeletedOidGapsOpens) {
+  const uint64_t gap = uint64_t{1} << 24;
+  // Everything below OID 2^24 + 10 was deleted before the checkpoint.
+  WriteSnapshot(dir_, gap + 11, {gap + 10});
+  Oid created;
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    DefineDocSchema(**db);
+    EXPECT_EQ((*db)->store().size(), 1u);
+    EXPECT_EQ((*db)->store().next_oid(), gap + 11);
+    ASSERT_NE((*db)->store().Find(Oid(gap + 10)), nullptr);
+    // New objects continue from the header, and survive WAL replay.
+    auto fresh = (*db)->CreateObject("PARA");
+    ASSERT_TRUE(fresh.ok());
+    created = *fresh;
+    EXPECT_EQ(created.raw(), gap + 11);
+  }
+  {
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->store().size(), 2u);
+    EXPECT_NE((*db)->store().Find(created), nullptr);
+  }
+  std::filesystem::remove_all(dir_);
+  // The newest 2^24 OIDs were all deleted before the checkpoint.
+  WriteSnapshot(dir_, gap + 100, {1, 2});
+  auto db = Database::Open(Database::Options{dir_, false});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->store().size(), 2u);
+  EXPECT_EQ((*db)->store().next_oid(), gap + 100);
+}
+
+TEST_F(PersistentDatabaseTest, SnapshotObjectAtOrAboveItsWatermarkIsCorruption) {
+  for (uint64_t raw : {uint64_t{10}, uint64_t{11}, uint64_t{1000}}) {
+    WriteSnapshot(dir_, 10, {1, raw});
+    auto db = Database::Open(Database::Options{dir_, false});
+    ASSERT_FALSE(db.ok()) << raw;
+    EXPECT_EQ(db.status().code(), StatusCode::kCorruption)
+        << db.status().ToString();
+    std::filesystem::remove_all(dir_);
+  }
+}
+
 TEST_F(PersistentDatabaseTest, SyncCommitsDurable) {
   Oid oid;
   {

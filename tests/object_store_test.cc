@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace sdms::oodb {
 namespace {
 
@@ -216,6 +219,84 @@ TEST(ObjectStoreTest, OidFarAboveWatermarkIsCorruption) {
   EXPECT_EQ(store.next_oid(), 100u);
   ASSERT_TRUE(store.RaiseNextOid(50).ok());  // Never lowers.
   EXPECT_EQ(store.next_oid(), 100u);
+}
+
+TEST(ObjectStoreTest, HighestAddressableOidCostsOnePage) {
+  ObjectStore store;
+  // A snapshot header may name any watermark the table can address;
+  // gaps below it come from deletes, so the gap rule does not bound it.
+  ASSERT_TRUE(store.RaiseNextOid(ObjectStore::kMaxOid).ok());
+  EXPECT_EQ(store.next_oid(), ObjectStore::kMaxOid);
+  EXPECT_EQ(store.RaiseNextOid(ObjectStore::kMaxOid + 1).code(),
+            StatusCode::kCorruption);
+  const uint64_t top = ObjectStore::kMaxOid - 1;
+  ASSERT_TRUE(store.Insert(DbObject(Oid(top), "A")).ok());
+  EXPECT_EQ(store.page_count(), 1u);
+  ASSERT_NE(store.Find(Oid(top)), nullptr);
+  EXPECT_EQ(ForEachOids(store), (std::vector<uint64_t>{top}));
+  Status past = store.Insert(DbObject(Oid(ObjectStore::kMaxOid), "A"));
+  EXPECT_EQ(past.code(), StatusCode::kCorruption) << past.ToString();
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(ObjectStoreTest, RemovingAPagesLastObjectFreesThePage) {
+  constexpr uint64_t kSlots = ObjectStore::kPageSlots;
+  ObjectStore store;
+  // OIDs 1..5*kSlots fill pages 0..4 (page 0 has no OID 0) and start
+  // page 5.
+  for (uint64_t i = 0; i < 5 * kSlots; ++i) {
+    ASSERT_TRUE(store.Insert(DbObject(store.AllocateOid(), "A")).ok());
+  }
+  EXPECT_EQ(store.page_count(), 6u);
+  // Emptying pages 1..3 frees them; a page with one object left stays.
+  for (uint64_t raw = kSlots; raw < 4 * kSlots; ++raw) {
+    ASSERT_TRUE(store.Remove(Oid(raw)).ok()) << raw;
+  }
+  for (uint64_t raw = 1; raw < kSlots - 1; ++raw) {
+    ASSERT_TRUE(store.Remove(Oid(raw)).ok()) << raw;
+  }
+  EXPECT_EQ(store.page_count(), 3u);
+  EXPECT_EQ(store.size(), 5 * kSlots - 3 * kSlots - (kSlots - 2));
+  for (uint64_t raw : {uint64_t{1}, kSlots, 2 * kSlots + 3, 4 * kSlots - 1}) {
+    EXPECT_EQ(store.Find(Oid(raw)), nullptr) << raw;
+    EXPECT_TRUE(store.Get(Oid(raw)).status().IsNotFound()) << raw;
+  }
+  ASSERT_NE(store.Find(Oid(kSlots - 1)), nullptr);
+  ASSERT_NE(store.Find(Oid(4 * kSlots)), nullptr);
+  EXPECT_EQ(store.DirectExtentSize("A"), store.size());
+  // A freed page comes back on re-insert, with only the new object.
+  ASSERT_TRUE(store.Insert(DbObject(Oid(2 * kSlots + 3), "B")).ok());
+  EXPECT_EQ(store.page_count(), 4u);
+  EXPECT_EQ(store.Find(Oid(2 * kSlots + 3))->class_name(), "B");
+  EXPECT_EQ(store.Find(Oid(2 * kSlots + 4)), nullptr);
+  // Removing everything frees every page.
+  std::vector<uint64_t> left = ForEachOids(store);
+  for (uint64_t raw : left) ASSERT_TRUE(store.Remove(Oid(raw)).ok()) << raw;
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.page_count(), 0u);
+  EXPECT_TRUE(ForEachOids(store).empty());
+  EXPECT_EQ(store.next_oid(), 5 * kSlots + 1);
+}
+
+TEST(ObjectStoreTest, PagesFollowTheLiveObjectsUnderChurn) {
+  ObjectStore store;
+  // Create 200,000 objects, each deleted 1,000 creations later: the live
+  // set stays at 1,000 objects while the OIDs run far ahead.
+  constexpr uint64_t kLive = 1000;
+  const size_t most_allowed = kLive / ObjectStore::kPageSlots + 2;
+  size_t most_pages = 0;
+  for (uint64_t i = 0; i < 200000; ++i) {
+    Oid oid = store.AllocateOid();
+    ASSERT_TRUE(store.Insert(DbObject(oid, "A")).ok());
+    if (oid.raw() > kLive) {
+      ASSERT_TRUE(store.Remove(Oid(oid.raw() - kLive)).ok());
+    }
+    most_pages = std::max(most_pages, store.page_count());
+  }
+  EXPECT_EQ(store.size(), kLive);
+  // 1,000 consecutive OIDs span at most 1000 / kPageSlots + 2 pages.
+  EXPECT_LE(most_pages, most_allowed);
+  EXPECT_LE(store.page_count(), most_allowed);
 }
 
 TEST(ObjectStoreTest, Clear) {

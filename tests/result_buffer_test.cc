@@ -247,6 +247,56 @@ TEST(OidScoreMapTest, DuplicateOidIsCorruption) {
   EXPECT_EQ(direct.status().code(), StatusCode::kCorruption);
 }
 
+TEST(OidBitSetTest, MembersIterateInOrderAcrossChunks) {
+  // OIDs spread over several 2^18-OID chunks, with empty chunks between
+  // them, inserted out of order and once twice.
+  const uint64_t chunk = uint64_t{1} << 18;
+  const std::vector<uint64_t> raws = {3 * chunk + 7, 1,      chunk - 1,
+                                      chunk,         63,     64,
+                                      5 * chunk,     chunk - 1};
+  OidBitSet set;
+  for (uint64_t raw : raws) set.insert(Oid(raw));
+  const std::vector<uint64_t> want = {1,     63,        64,       chunk - 1,
+                                      chunk, 3 * chunk + 7, 5 * chunk};
+  std::vector<uint64_t> got;
+  for (Oid oid : set) got.push_back(oid.raw());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(set.size(), want.size());
+  for (uint64_t raw : want) EXPECT_TRUE(set.contains(Oid(raw))) << raw;
+  for (uint64_t raw : {uint64_t{0}, uint64_t{2}, chunk + 1, 4 * chunk,
+                       9 * chunk, uint64_t{1} << 62}) {
+    EXPECT_FALSE(set.contains(Oid(raw))) << raw;
+  }
+}
+
+TEST(OidBitSetTest, EmptiedChunksAreSkippedAndRefilled) {
+  const uint64_t chunk = uint64_t{1} << 18;
+  OidBitSet set;
+  for (uint64_t raw : {uint64_t{5}, chunk + 1, chunk + 2, 2 * chunk}) {
+    set.insert(Oid(raw));
+  }
+  // Emptying the middle chunk frees it; iteration and lookups step over
+  // the gap, and erasing an absent OID is a no-op.
+  set.erase(Oid(chunk + 1));
+  set.erase(Oid(chunk + 2));
+  set.erase(Oid(chunk + 2));
+  set.erase(Oid(7 * chunk));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_FALSE(set.contains(Oid(chunk + 1)));
+  EXPECT_EQ(std::vector<Oid>(set.begin(), set.end()),
+            (std::vector<Oid>{Oid(5), Oid(2 * chunk)}));
+  set.insert(Oid(chunk + 2));
+  EXPECT_EQ(std::vector<Oid>(set.begin(), set.end()),
+            (std::vector<Oid>{Oid(5), Oid(chunk + 2), Oid(2 * chunk)}));
+  set.erase(Oid(5));
+  set.erase(Oid(chunk + 2));
+  set.erase(Oid(2 * chunk));
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.begin() == set.end());
+  set.clear();
+  EXPECT_TRUE(set.begin() == set.end());
+}
+
 /// Degraded-read behaviour of the buffer inside a live coupling: when
 /// the IRS is unavailable the buffer is the stale fallback store.
 class DegradedReadTest : public testing::Test {
