@@ -14,7 +14,7 @@
 //  * DBMS evaluation, warm: operand results already buffered — no IRS
 //    contact at all.
 // Scores are verified identical (the coupling knows the operators'
-// exact semantics).
+// exact semantics): the bench exits non-zero on any difference.
 
 #include <cmath>
 
@@ -25,7 +25,8 @@ namespace {
 
 constexpr int kRepetitions = 20;
 
-void Run() {
+/// Returns false when a DBMS-side score differs from the IRS's.
+bool Run() {
   std::printf("E6 (Section 4.5.4): IRS operators inside the DBMS\n\n");
   sgml::CorpusOptions copts;
   copts.num_docs = 200;
@@ -36,6 +37,7 @@ void Run() {
                                      "ACCESS p FROM p IN PARA",
                                      coupling::kTextModeSubtree);
 
+  bool identical = true;
   Table table({"compound query", "IRS eval ms", "DBMS cold ms",
                "DBMS warm ms", "max |diff|", "IRS calls warm"});
 
@@ -86,23 +88,29 @@ void Run() {
       double other = it == dbms_result.end() ? -1.0 : it->second;
       max_diff = std::max(max_diff, std::fabs(score - other));
     }
+    identical = identical && max_diff == 0.0;
     table.AddRow({q, Fmt("%.3f", irs_ms), Fmt("%.3f", cold_ms),
                   Fmt("%.3f", warm_ms), Fmt("%.2e", max_diff),
                   FmtInt(warm_irs_calls)});
   }
   table.Print();
   std::printf(
-      "\nExpected shape: identical scores everywhere (|diff| ~ 1e-15);\n"
+      "\nExpected shape: bit-identical scores everywhere (|diff| = 0);\n"
       "with buffered operands the DBMS-side combination needs zero IRS\n"
       "calls and is the cheapest way to evaluate a compound whose parts\n"
       "were already asked — the inter-query case the paper highlights.\n");
+  return identical;
 }
 
 }  // namespace
 }  // namespace sdms::bench
 
 int main() {
-  sdms::bench::Run();
+  const bool identical = sdms::bench::Run();
   sdms::bench::EmitMetricsJson("e6_operators");
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: DBMS-side scores differ from the IRS's\n");
+    return 1;
+  }
   return 0;
 }

@@ -15,6 +15,7 @@
 #include "coupling/coupling.h"
 #include "coupling/remote_shard.h"
 #include "coupling/shard_protocol.h"
+#include "irs/query/belief_fold.h"
 #include "irs/query/query_node.h"
 #include "oodb/query/parser.h"
 
@@ -74,8 +75,7 @@ Collection::Collection(Coupling* coupling, Oid self,
       self_(self),
       irs_name_(std::move(irs_collection_name)),
       missing_value_(missing_value),
-      buffer_(coupling->options().buffer_capacity,
-              coupling->options().buffer_max_bytes),
+      buffer_(coupling->options().buffer_max_bytes),
       guard_(coupling->options().call_guard, irs_name_),
       // The paper's own tests used the component-maximum derivation
       // ("iterating through the elements components and determining the
@@ -561,8 +561,8 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
     // updates stay queued, the caller sees an explicitly flagged stale
     // answer instead of an error. Only transient failures degrade this
     // way — logic errors propagate.
-    if (!IsUnavailable(propagated) || !coupling_->options().serve_stale ||
-        coupling_->options().disable_buffering || !read_buffer()) {
+    if (!IsUnavailable(propagated) || coupling_->options().disable_buffering ||
+        !read_buffer()) {
       return propagated;
     }
     ++stats_.stale_serves;
@@ -756,61 +756,6 @@ StatusOr<double> Collection::DeriveIrsValue(const std::string& irs_query,
   return result;
 }
 
-namespace {
-
-/// Evaluates a query tree with every term belief pinned to `term_null`.
-double TreeNullScore(const irs::QueryNode& node, double term_null) {
-  switch (node.op) {
-    case irs::QueryOp::kTerm:
-    case irs::QueryOp::kOdn:
-    case irs::QueryOp::kUwn:
-      return term_null;
-    case irs::QueryOp::kAnd: {
-      double b = 1.0;
-      for (const auto& c : node.children) b *= TreeNullScore(*c, term_null);
-      return node.children.empty() ? term_null : b;
-    }
-    case irs::QueryOp::kOr: {
-      double b = 1.0;
-      for (const auto& c : node.children) {
-        b *= 1.0 - TreeNullScore(*c, term_null);
-      }
-      return node.children.empty() ? term_null : 1.0 - b;
-    }
-    case irs::QueryOp::kNot:
-      return node.children.empty()
-                 ? term_null
-                 : 1.0 - TreeNullScore(*node.children[0], term_null);
-    case irs::QueryOp::kSum: {
-      if (node.children.empty()) return 0.0;
-      double sum = 0.0;
-      for (const auto& c : node.children) sum += TreeNullScore(*c, term_null);
-      return sum / static_cast<double>(node.children.size());
-    }
-    case irs::QueryOp::kWsum: {
-      if (node.children.empty()) return 0.0;
-      double sum = 0.0;
-      double wsum = 0.0;
-      for (size_t i = 0; i < node.children.size(); ++i) {
-        double w = i < node.weights.size() ? node.weights[i] : 1.0;
-        sum += w * TreeNullScore(*node.children[i], term_null);
-        wsum += w;
-      }
-      return wsum > 0.0 ? sum / wsum : 0.0;
-    }
-    case irs::QueryOp::kMax: {
-      double best = 0.0;
-      for (const auto& c : node.children) {
-        best = std::max(best, TreeNullScore(*c, term_null));
-      }
-      return node.children.empty() ? term_null : best;
-    }
-  }
-  return term_null;
-}
-
-}  // namespace
-
 StatusOr<double> Collection::NullScore(const std::string& irs_query) {
   // Models without default beliefs score no-evidence documents zero.
   if (missing_value_ == 0.0) return 0.0;
@@ -820,7 +765,7 @@ StatusOr<double> Collection::NullScore(const std::string& irs_query) {
                         coupling_->irs().GetCollection(irs_name_));
   SDMS_ASSIGN_OR_RETURN(std::unique_ptr<irs::QueryNode> tree,
                         irs::ParseIrsQuery(irs_query, coll->analyzer()));
-  double score = TreeNullScore(*tree, missing_value_);
+  double score = irs::NullBelief(*tree, missing_value_);
   null_score_cache_[irs_query] = score;
   return score;
 }
@@ -1290,58 +1235,24 @@ Status Collection::Repair() {
 
 namespace {
 
-/// Belief of one candidate under `op`, from its value in each operand.
-double CombineBeliefs(irs::QueryOp op, const std::vector<double>& values,
-                      const std::vector<double>& weights) {
-  switch (op) {
-    case irs::QueryOp::kAnd: {
-      double b = 1.0;
-      for (double v : values) b *= v;
-      return b;
-    }
-    case irs::QueryOp::kOr: {
-      double b = 1.0;
-      for (double v : values) b *= 1.0 - v;
-      return 1.0 - b;
-    }
-    case irs::QueryOp::kSum: {
-      double sum = 0.0;
-      for (double v : values) sum += v;
-      return values.empty() ? 0.0
-                            : sum / static_cast<double>(values.size());
-    }
-    case irs::QueryOp::kWsum: {
-      double sum = 0.0;
-      double wsum = 0.0;
-      for (size_t i = 0; i < values.size(); ++i) {
-        double w = i < weights.size() ? weights[i] : 1.0;
-        sum += w * values[i];
-        wsum += w;
-      }
-      return wsum > 0.0 ? sum / wsum : 0.0;
-    }
-    case irs::QueryOp::kMax: {
-      double best = 0.0;
-      for (double v : values) best = std::max(best, v);
-      return best;
-    }
-    default:
-      return 0.0;
-  }
-}
-
-/// Combines operand score maps with the INQUERY operator semantics,
-/// using `missing` as the belief of a document absent from an operand.
-/// The candidates are the union of the operands' OIDs, found by one
-/// merge over the OID-sorted operands.
+/// Combines the score maps of `node`'s operands through the INQUERY
+/// operator fold. A document absent from an operand has no evidence for
+/// it and takes the operand's null belief (every leaf at
+/// `leaf_belief`), as in the IRS. The candidates are the union of the
+/// operands' OIDs, found by one merge over the OID-sorted operands.
 OidScoreMap CombineMaps(
-    irs::QueryOp op,
+    const irs::QueryNode& node,
     const std::vector<std::shared_ptr<const OidScoreMap>>& operands,
-    const std::vector<double>& weights, double missing) {
+    double leaf_belief) {
   const size_t n = operands.size();
   std::vector<OidScoreMap::const_iterator> pos(n);
-  for (size_t i = 0; i < n; ++i) pos[i] = operands[i]->begin();
+  std::vector<double> missing(n);
+  for (size_t i = 0; i < n; ++i) {
+    pos[i] = operands[i]->begin();
+    missing[i] = irs::NullBelief(*node.children[i], leaf_belief);
+  }
   std::vector<double> values(n);
+  auto value = [&values](size_t i) { return values[i]; };
   std::vector<OidScoreMap::value_type> out;
   while (true) {
     // The next candidate is the smallest OID any operand has left.
@@ -1359,10 +1270,10 @@ OidScoreMap CombineMaps(
         values[i] = pos[i]->second;
         ++pos[i];
       } else {
-        values[i] = missing;
+        values[i] = missing[i];
       }
     }
-    out.emplace_back(next, CombineBeliefs(op, values, weights));
+    out.emplace_back(next, irs::CombineBeliefs(node, leaf_belief, value));
   }
   return OidScoreMap::FromSorted(std::move(out));
 }
@@ -1388,30 +1299,31 @@ StatusOr<OidScoreMap> Collection::EvalOperatorsInDbms(
       // need positions); they are submitted to the IRS as a unit.
       return GetIrsResult(node.ToString());
     }
-    if (node.op == irs::QueryOp::kNot) {
-      if (node.children.size() != 1) {
-        return Status::InvalidArgument("#not takes exactly one argument");
-      }
-      SDMS_ASSIGN_OR_RETURN(Result inner, eval(*node.children[0]));
-      // Complement over the represented set, which is in OID order.
-      std::vector<OidScoreMap::value_type> out;
-      out.reserve(represented_.size());
-      for (Oid oid : represented_) {
-        auto it = inner->find(oid);
-        double b = it == inner->end() ? missing_value_ : it->second;
-        out.emplace_back(oid, 1.0 - b);
-      }
-      return std::make_shared<const OidScoreMap>(
-          OidScoreMap::FromSorted(std::move(out)));
-    }
     std::vector<Result> operands;
     operands.reserve(node.children.size());
     for (const auto& c : node.children) {
       SDMS_ASSIGN_OR_RETURN(Result m, eval(*c));
       operands.push_back(std::move(m));
     }
+    if (node.op != irs::QueryOp::kNot) {
+      return std::make_shared<const OidScoreMap>(
+          CombineMaps(node, operands, missing_value_));
+    }
+    // #not (the parser admits exactly one operand) complements over the
+    // represented set, which is in OID order.
+    const OidScoreMap& inner = *operands[0];
+    const double inner_null =
+        irs::NullBelief(*node.children[0], missing_value_);
+    std::vector<OidScoreMap::value_type> out;
+    out.reserve(represented_.size());
+    for (Oid oid : represented_) {
+      auto it = inner.find(oid);
+      double b = it == inner.end() ? inner_null : it->second;
+      out.emplace_back(oid, irs::CombineBeliefs(node, missing_value_,
+                                                [b](size_t) { return b; }));
+    }
     return std::make_shared<const OidScoreMap>(
-        CombineMaps(node.op, operands, node.weights, missing_value_));
+        OidScoreMap::FromSorted(std::move(out)));
   };
   SDMS_ASSIGN_OR_RETURN(Result result, eval(*tree));
   return *result;

@@ -192,7 +192,8 @@ class Collection {
 
   /// Evaluates a structured IRS query *inside the DBMS*: term leaves
   /// are resolved with (buffered) single-term IRS calls, operator
-  /// nodes are recombined with the INQUERY operator semantics. When
+  /// nodes are recombined through irs::CombineBeliefs, the operator
+  /// fold of the IRS's own model, so the scores equal the IRS's. When
   /// the single-term results are already buffered this avoids calling
   /// the IRS at all.
   StatusOr<OidScoreMap> EvalOperatorsInDbms(const std::string& irs_query);

@@ -42,8 +42,6 @@ struct CouplingOptions {
   bool file_exchange = false;
   /// Directory for exchange files.
   std::string exchange_dir = "/tmp";
-  /// Result-buffer capacity per collection, in entries (0 = unbounded).
-  size_t buffer_capacity = 0;
   /// Result-buffer byte budget per collection (approximate accounting
   /// of query strings, IRS results and derived values; 0 = unbounded).
   size_t buffer_max_bytes = 0;
@@ -52,9 +50,6 @@ struct CouplingOptions {
   /// Retry/deadline/circuit-breaker policy for every IRS call a
   /// Collection makes on behalf of the database.
   CallGuardOptions call_guard;
-  /// When the IRS is unavailable, getIRSResult may answer from the
-  /// (possibly stale) result buffer, flagging the result.
-  bool serve_stale = true;
   /// Path of the propagation journal — the coupling-owned WAL holding
   /// the prepare/commit records of the exactly-once protocol. Empty
   /// disables journaling (propagation still works; crash recovery then

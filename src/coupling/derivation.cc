@@ -1,7 +1,8 @@
 #include "coupling/derivation.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "irs/query/belief_fold.h"
 
 namespace sdms::coupling {
 
@@ -109,88 +110,33 @@ class SubqueryAwareScheme : public DerivationScheme {
   }
 
  private:
-  /// Evaluates the operator tree; leaves are scored as max over
-  /// components, inner nodes recombine with INQUERY semantics.
+  /// Evaluates the operator tree: a leaf subquery is scored as the max
+  /// over components (floored at the default), an inner node folds its
+  /// children's values with the INQUERY operator semantics.
   StatusOr<double> Combine(const DerivationContext& ctx,
                            const QueryNode& node,
                            const std::vector<Oid>& components) const {
-    switch (node.op) {
-      case QueryOp::kTerm: {
-        double best = ctx.default_value;
-        for (Oid c : components) {
-          SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(c, node.term));
-          best = std::max(best, v);
-        }
-        return best;
+    if (node.op == QueryOp::kTerm || node.op == QueryOp::kOdn ||
+        node.op == QueryOp::kUwn) {
+      // A term, or a window expression evaluated whole per component
+      // (a window match cannot span two components' texts).
+      const std::string query =
+          node.op == QueryOp::kTerm ? node.term : node.ToString();
+      double best = ctx.default_value;
+      for (Oid c : components) {
+        SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(c, query));
+        best = std::max(best, v);
       }
-      case QueryOp::kAnd: {
-        double b = 1.0;
-        for (const auto& child : node.children) {
-          SDMS_ASSIGN_OR_RETURN(double v, Combine(ctx, *child, components));
-          b *= v;
-        }
-        return node.children.empty() ? ctx.default_value : b;
-      }
-      case QueryOp::kOr: {
-        double b = 1.0;
-        for (const auto& child : node.children) {
-          SDMS_ASSIGN_OR_RETURN(double v, Combine(ctx, *child, components));
-          b *= 1.0 - v;
-        }
-        return node.children.empty() ? ctx.default_value : 1.0 - b;
-      }
-      case QueryOp::kNot: {
-        if (node.children.empty()) return ctx.default_value;
-        SDMS_ASSIGN_OR_RETURN(double v,
-                              Combine(ctx, *node.children[0], components));
-        return 1.0 - v;
-      }
-      case QueryOp::kSum: {
-        if (node.children.empty()) return ctx.default_value;
-        double sum = 0.0;
-        for (const auto& child : node.children) {
-          SDMS_ASSIGN_OR_RETURN(double v, Combine(ctx, *child, components));
-          sum += v;
-        }
-        return sum / static_cast<double>(node.children.size());
-      }
-      case QueryOp::kWsum: {
-        if (node.children.empty()) return ctx.default_value;
-        double sum = 0.0;
-        double wsum = 0.0;
-        for (size_t i = 0; i < node.children.size(); ++i) {
-          double w = i < node.weights.size() ? node.weights[i] : 1.0;
-          SDMS_ASSIGN_OR_RETURN(double v,
-                                Combine(ctx, *node.children[i], components));
-          sum += w * v;
-          wsum += w;
-        }
-        return wsum > 0.0 ? sum / wsum : ctx.default_value;
-      }
-      case QueryOp::kMax: {
-        double best = 0.0;
-        for (const auto& child : node.children) {
-          SDMS_ASSIGN_OR_RETURN(double v, Combine(ctx, *child, components));
-          best = std::max(best, v);
-        }
-        return node.children.empty() ? ctx.default_value : best;
-      }
-      case QueryOp::kOdn:
-      case QueryOp::kUwn: {
-        // Proximity subqueries are atomic: evaluate the whole window
-        // expression per component (a window match cannot span two
-        // components' texts).
-        std::string window_query = node.ToString();
-        double best = ctx.default_value;
-        for (Oid c : components) {
-          SDMS_ASSIGN_OR_RETURN(double v,
-                                ctx.component_value(c, window_query));
-          best = std::max(best, v);
-        }
-        return best;
-      }
+      return best;
     }
-    return ctx.default_value;
+    std::vector<double> values;
+    values.reserve(node.children.size());
+    for (const auto& child : node.children) {
+      SDMS_ASSIGN_OR_RETURN(double v, Combine(ctx, *child, components));
+      values.push_back(v);
+    }
+    return irs::CombineBeliefs(node, ctx.default_value,
+                               [&](size_t i) { return values[i]; });
   }
 };
 

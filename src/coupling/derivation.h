@@ -37,8 +37,10 @@ struct DerivationContext {
       const std::string& query)>
       parse_query;
 
-  /// Belief assigned when no component provides evidence (matches the
-  /// IRS's default belief so derived and direct values are comparable).
+  /// Value when no component provides evidence, and the floor of a
+  /// subquery's value. The collection sets it to the query's null score
+  /// (Collection::NullScore), so an object without components never
+  /// outranks one with weak evidence.
   double default_value = 0.4;
 };
 

@@ -114,9 +114,7 @@ std::shared_ptr<const OidScoreMap> ResultBuffer::Put(const std::string& query,
 void ResultBuffer::EnforceBudgetLocked() {
   // The MRU head (the entry just stored/refreshed) is never evicted:
   // shedding what the current query needs would only force a re-fetch.
-  while (entries_.size() > 1 &&
-         ((capacity_ > 0 && entries_.size() > capacity_) ||
-          (max_bytes_ > 0 && bytes_ > max_bytes_))) {
+  while (entries_.size() > 1 && max_bytes_ > 0 && bytes_ > max_bytes_) {
     const std::string& victim = lru_.back();
     auto it = entries_.find(victim);
     bytes_ -= it->second.bytes;

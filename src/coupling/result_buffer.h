@@ -33,13 +33,12 @@ namespace sdms::coupling {
 /// the entry is replaced, erased, evicted or cleared.
 class ResultBuffer {
  public:
-  /// `capacity` bounds the number of buffered queries and `max_bytes`
-  /// their (approximate) memory footprint; exceeding either evicts in
-  /// LRU order. 0 = unbounded. The most recently stored entry is never
-  /// evicted, so one oversized result may transiently exceed
-  /// `max_bytes` — the budget is a soft cap, not an allocator limit.
-  explicit ResultBuffer(size_t capacity = 0, size_t max_bytes = 0)
-      : capacity_(capacity), max_bytes_(max_bytes) {}
+  /// `max_bytes` bounds the buffered queries' (approximate) memory
+  /// footprint; exceeding it evicts in LRU order. 0 = unbounded. The
+  /// most recently stored entry is never evicted, so one oversized
+  /// result may transiently exceed `max_bytes` — the budget is a soft
+  /// cap, not an allocator limit.
+  explicit ResultBuffer(size_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
   /// Clear() keeps the global entries gauge honest on teardown.
   ~ResultBuffer() { Clear(); }
@@ -136,11 +135,10 @@ class ResultBuffer {
   Entry* FindCountedLocked(const std::string& query);
   /// Moves `e` to the MRU end of the LRU list.
   void Touch(Entry& e);
-  /// Evicts LRU entries (never the MRU head) while over either budget.
+  /// Evicts LRU entries (never the MRU head) while over the budget.
   void EnforceBudgetLocked();
 
   mutable std::mutex mu_;
-  size_t capacity_;
   size_t max_bytes_;
   size_t bytes_ = 0;
   std::unordered_map<std::string, Entry> entries_;

@@ -6,6 +6,7 @@
 #include "common/query_context.h"
 #include "irs/index/proximity.h"
 #include "irs/model/retrieval_model.h"
+#include "irs/query/belief_fold.h"
 
 namespace sdms::irs {
 
@@ -17,10 +18,9 @@ namespace {
 /// with ntf = tf / (tf + 0.5 + 1.5 * dl/avgdl) and
 ///      nidf = log((N + 0.5) / df) / log(N + 1),
 /// and documents not containing a term contribute the default belief
-/// `db` (0.4). Operator semantics match the INQUERY operators the
-/// paper re-implements in the DBMS (Section 4.5.4): #and is the
-/// product, #or the complement product, #not the complement, #sum the
-/// mean, #wsum the weighted mean, #max the maximum.
+/// `db` (0.4). Operators combine beliefs through CombineBeliefs
+/// (irs/query/belief_fold.h), the fold the paper's DBMS-side operators
+/// (Section 4.5.4) share.
 class InferenceNetModel : public RetrievalModel {
  public:
   explicit InferenceNetModel(double default_belief)
@@ -157,19 +157,13 @@ class InferenceNetModel : public RetrievalModel {
     return Status::OK();
   }
 
-  double TermBelief(const InvertedIndex& index, const QueryNode& node,
-                    double dl, double n, double avgdl,
-                    const TermCursors& terms,
-                    const CorpusStats* corpus) const {
-    auto it = terms.slot.find(&node);
-    uint32_t tf = it != terms.slot.end() ? terms.tf[it->second] : 0;
-    if (tf == 0) return default_belief_;
-    const std::string& term = node.term;
-    uint64_t df = corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
-    double ntf = static_cast<double>(tf) /
-                 (static_cast<double>(tf) + 0.5 + 1.5 * dl / avgdl);
-    double nidf = std::log((n + 0.5) / std::max<double>(df, 1.0)) /
-                  std::log(n + 1.0);
+  /// The INQUERY belief of `tf` occurrences in a document of length
+  /// `dl`, for evidence that `df` of the `n` documents hold.
+  double EvidenceBelief(double tf, double df, double dl, double n,
+                        double avgdl) const {
+    double ntf = tf / (tf + 0.5 + 1.5 * dl / avgdl);
+    double nidf =
+        std::log((n + 0.5) / std::max(df, 1.0)) / std::log(n + 1.0);
     nidf = std::max(0.0, std::min(1.0, nidf));
     return default_belief_ + (1.0 - default_belief_) * ntf * nidf;
   }
@@ -178,6 +172,14 @@ class InferenceNetModel : public RetrievalModel {
                 double dl, double n, double avgdl, const TermCursors& terms,
                 const WindowCache& window_cache,
                 const CorpusStats* corpus) const {
+    if (node.op == QueryOp::kTerm) {
+      auto it = terms.slot.find(&node);
+      uint32_t tf = it != terms.slot.end() ? terms.tf[it->second] : 0;
+      if (tf == 0) return default_belief_;
+      uint64_t df = corpus != nullptr ? corpus->Df(node.term)
+                                      : index.DocFreq(node.term);
+      return EvidenceBelief(tf, static_cast<double>(df), dl, n, avgdl);
+    }
     if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
       // Window belief: the matches behave like occurrences of a pseudo
       // term whose df is the number of matching documents — summed
@@ -187,75 +189,15 @@ class InferenceNetModel : public RetrievalModel {
       if (it == window_cache.end()) return default_belief_;
       auto dit = it->second.find(doc);
       if (dit == it->second.end()) return default_belief_;
-      double tf = static_cast<double>(dit->second);
       double df = corpus != nullptr
                       ? static_cast<double>(corpus->WindowDf(&node))
                       : static_cast<double>(it->second.size());
-      double ntf = tf / (tf + 0.5 + 1.5 * dl / avgdl);
-      double nidf =
-          std::log((n + 0.5) / std::max(df, 1.0)) / std::log(n + 1.0);
-      nidf = std::max(0.0, std::min(1.0, nidf));
-      return default_belief_ + (1.0 - default_belief_) * ntf * nidf;
+      return EvidenceBelief(dit->second, df, dl, n, avgdl);
     }
-    switch (node.op) {
-      case QueryOp::kTerm:
-        return TermBelief(index, node, dl, n, avgdl, terms, corpus);
-      case QueryOp::kAnd: {
-        double b = 1.0;
-        for (const auto& c : node.children) {
-          b *= Belief(index, *c, doc, dl, n, avgdl, terms, window_cache,
-                      corpus);
-        }
-        return node.children.empty() ? default_belief_ : b;
-      }
-      case QueryOp::kOr: {
-        double b = 1.0;
-        for (const auto& c : node.children) {
-          b *= 1.0 - Belief(index, *c, doc, dl, n, avgdl, terms,
-                            window_cache, corpus);
-        }
-        return node.children.empty() ? default_belief_ : 1.0 - b;
-      }
-      case QueryOp::kNot:
-        return node.children.empty()
-                   ? default_belief_
-                   : 1.0 - Belief(index, *node.children[0], doc, dl, n, avgdl,
-                                  terms, window_cache, corpus);
-      case QueryOp::kSum: {
-        if (node.children.empty()) return 0.0;
-        double sum = 0.0;
-        for (const auto& c : node.children) {
-          sum += Belief(index, *c, doc, dl, n, avgdl, terms, window_cache,
-                        corpus);
-        }
-        return sum / static_cast<double>(node.children.size());
-      }
-      case QueryOp::kWsum: {
-        if (node.children.empty()) return 0.0;
-        double sum = 0.0;
-        double wsum = 0.0;
-        for (size_t i = 0; i < node.children.size(); ++i) {
-          double w = i < node.weights.size() ? node.weights[i] : 1.0;
-          sum += w * Belief(index, *node.children[i], doc, dl, n, avgdl,
-                            terms, window_cache, corpus);
-          wsum += w;
-        }
-        return wsum > 0.0 ? sum / wsum : 0.0;
-      }
-      case QueryOp::kMax: {
-        double best = 0.0;
-        for (const auto& c : node.children) {
-          best = std::max(best, Belief(index, *c, doc, dl, n, avgdl, terms,
-                                       window_cache, corpus));
-        }
-        return best;
-      }
-      case QueryOp::kOdn:
-      case QueryOp::kUwn:
-        // Handled by the window branch above; unreachable here.
-        return default_belief_;
-    }
-    return default_belief_;
+    return CombineBeliefs(node, default_belief_, [&](size_t i) {
+      return Belief(index, *node.children[i], doc, dl, n, avgdl, terms,
+                    window_cache, corpus);
+    });
   }
 
   double default_belief_;

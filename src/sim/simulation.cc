@@ -111,7 +111,6 @@ Status Simulation::RunImpl() {
   coupling_options_.irs_snapshot_dir = options_.work_dir + "/irs";
   coupling_options_.exchange_dir = options_.work_dir + "/exchange";
   coupling_options_.file_exchange = rng_.Bernoulli(0.3);
-  coupling_options_.serve_stale = true;
   // Determinism: no retries (a retry count depends on how often a
   // probabilistic fault fires) and a breaker that never opens (the
   // open->half-open transition reads the wall clock).

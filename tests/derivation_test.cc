@@ -217,6 +217,27 @@ TEST(DerivationTest, SubqueryAwareNoComponents) {
   EXPECT_DOUBLE_EQ(*v, 0.4);
 }
 
+TEST(DerivationTest, SubqueryAwareEmptiedOperatorFollowsTheIrs) {
+  // The stop list empties #max(the). As in the IRS, an empty #max has
+  // belief 0, not the default: it halves a #sum and zeroes an #and.
+  FakeEnv env;
+  env.AddComponent(1, {{"www", 0.9}});
+  env.AddComponent(2, {{"www", 0.5}});
+  irs::Analyzer stopping;  // the default options remove stopwords
+  auto scheme = MakeSubqueryAwareScheme();
+  for (const auto& [query, expected] :
+       {std::pair<std::string, double>{"#sum(www #max(the))", 0.45},
+        std::pair<std::string, double>{"#and(www #max(the))", 0.0}}) {
+    auto ctx = env.MakeContext(query, 0.2);
+    ctx.parse_query = [&stopping](const std::string& q) {
+      return irs::ParseIrsQuery(q, stopping);
+    };
+    auto v = scheme->Derive(ctx);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_DOUBLE_EQ(*v, expected) << query;
+  }
+}
+
 TEST(MakeSchemeTest, Factory) {
   EXPECT_TRUE(MakeScheme("max").ok());
   EXPECT_TRUE(MakeScheme("avg").ok());

@@ -23,10 +23,11 @@ class OperatorsTest : public testing::Test {
     ASSERT_TRUE(in_dbms.ok()) << in_dbms.status().ToString();
     auto in_irs = coll_->GetIrsResult(query);
     ASSERT_TRUE(in_irs.ok());
-    // Every IRS hit is matched by the DBMS-side combination.
+    ASSERT_FALSE((*in_irs)->empty());
+    // Every IRS hit is matched, to the bit, by the DBMS-side combination.
     for (const auto& [oid, score] : **in_irs) {
       ASSERT_TRUE(in_dbms->count(oid) > 0) << oid.ToString();
-      EXPECT_NEAR(in_dbms->at(oid), score, 1e-9) << oid.ToString();
+      EXPECT_EQ(in_dbms->at(oid), score) << oid.ToString();
     }
     // And the DBMS side introduces no spurious candidates.
     for (const auto& [oid, score] : *in_dbms) {
@@ -52,6 +53,30 @@ TEST_F(OperatorsTest, WsumMatchesIrs) {
 
 TEST_F(OperatorsTest, NestedMatchesIrs) {
   ExpectSameScores("#and(www #or(nii www))");
+}
+
+TEST_F(OperatorsTest, OperandWithoutEvidenceTakesItsNullBelief) {
+  // Paragraph P2 holds "p2" but neither "www" nor "nii": it is absent
+  // from the #and operand, whose null belief is 0.4 * 0.4, not 0.4.
+  ExpectSameScores("#or(#and(www nii) p2)");
+}
+
+// "the" is a stopword, so the stop list empties #max(the). Like the IRS,
+// the DBMS side and the null score give an empty #max belief 0 (not the
+// default belief): no represented paragraph without "www" may outrank
+// one with it.
+TEST_F(OperatorsTest, AndWithEmptiedOperandMatchesIrs) {
+  ExpectSameScores("#and(www #max(the))");
+  auto null_score = coll_->NullScore("#and(www #max(the))");
+  ASSERT_TRUE(null_score.ok());
+  EXPECT_EQ(*null_score, 0.0);
+}
+
+TEST_F(OperatorsTest, SumWithEmptiedOperandMatchesIrs) {
+  ExpectSameScores("#sum(www #max(the))");
+  auto null_score = coll_->NullScore("#sum(www #max(the))");
+  ASSERT_TRUE(null_score.ok());
+  EXPECT_EQ(*null_score, 0.2);  // (0.4 + 0.0) / 2
 }
 
 TEST_F(OperatorsTest, BufferedOperandsAvoidIrsCalls) {

@@ -608,7 +608,7 @@ TEST(ResultBufferBudgetTest, ByteBudgetEvictsLruEntries) {
   // Room for two entries but not for three.
   const size_t entry = ResultBuffer::ApproxEntryBytes("query0", result);
   const size_t budget = 2 * entry + entry / 2;
-  ResultBuffer buf(/*capacity=*/0, budget);
+  ResultBuffer buf(budget);
   buf.Put("query" + std::to_string(0), result);
   buf.Put("query" + std::to_string(1), result);
   EXPECT_EQ(buf.evictions(), 0u);
@@ -627,7 +627,7 @@ TEST(ResultBufferBudgetTest, MruEntryIsNeverEvicted) {
   for (uint64_t i = 0; i < 64; ++i) pairs.emplace_back(Oid(i), 1.0);
   OidScoreMap big = OidScoreMap::FromSorted(std::move(pairs));
   const size_t budget = ResultBuffer::ApproxEntryBytes("big", big) / 2;
-  ResultBuffer buf(0, budget);
+  ResultBuffer buf(budget);
   buf.Put("big", big);
   EXPECT_EQ(buf.size(), 1u);
   EXPECT_NE(buf.Get("big"), nullptr);
@@ -637,8 +637,8 @@ TEST(ResultBufferBudgetTest, MruEntryIsNeverEvicted) {
 TEST(ResultBufferBudgetTest, InsertValueGrowthTriggersEviction) {
   OidScoreMap small{{Oid(1), 0.1}};
   // Both entries fit until "b" holds its tenth derived value.
-  ResultBuffer buf(0, ResultBuffer::ApproxEntryBytes("a", small) +
-                          ResultBuffer::ApproxEntryBytes("b", small, 10) - 1);
+  ResultBuffer buf(ResultBuffer::ApproxEntryBytes("a", small) +
+                   ResultBuffer::ApproxEntryBytes("b", small, 10) - 1);
   buf.Put("a", small);
   buf.Put("b", small);
   uint64_t before = buf.evictions();
@@ -652,7 +652,7 @@ TEST(ResultBufferBudgetTest, InsertValueGrowthTriggersEviction) {
 }
 
 TEST(ResultBufferBudgetTest, BytesAccountingRoundTrips) {
-  ResultBuffer buf(0, 0);  // Unbounded: pure accounting test.
+  ResultBuffer buf;  // Unbounded: pure accounting test.
   OidScoreMap result{{Oid(1), 0.5}};
   buf.Put("q", result);
   size_t expect = ResultBuffer::ApproxEntryBytes("q", result);

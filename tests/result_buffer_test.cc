@@ -17,6 +17,12 @@
 namespace sdms::coupling {
 namespace {
 
+/// A byte budget holding exactly `n` entries with a one-letter query and
+/// one IRS pair each (the shape of the LRU cases below).
+size_t BudgetForEntries(size_t n) {
+  return n * ResultBuffer::ApproxEntryBytes("a", OidScoreMap{{Oid(1), 1.0}});
+}
+
 TEST(ResultBufferTest, MissThenHit) {
   ResultBuffer buf;
   EXPECT_EQ(buf.Get("q"), nullptr);
@@ -81,7 +87,9 @@ TEST(ResultBufferTest, ReplacingPutDropsDerivedValues) {
 }
 
 TEST(ResultBufferTest, HandlesOutliveTheirEntries) {
-  ResultBuffer buf(/*capacity=*/1);
+  // Room for the largest entry below, but not for two.
+  ResultBuffer buf(ResultBuffer::ApproxEntryBytes(
+      "a", OidScoreMap{{Oid(1), 0.25}, {Oid(2), 0.5}}));
   buf.Put("a", {{Oid(1), 0.25}, {Oid(2), 0.5}});
   auto replaced = buf.Get("a");
   buf.Put("a", {{Oid(3), 0.75}});
@@ -103,7 +111,8 @@ TEST(ResultBufferTest, ConcurrentReadersKeepTheirHandles) {
   // A reader keeps using its handles while a writer replaces, evicts
   // and clears entries (run under TSan/ASan in CI).
   const OidScoreMap result{{Oid(1), 0.5}, {Oid(2), 0.25}};
-  ResultBuffer buf(/*capacity=*/2);
+  // Room for "q" with its derived value and one other entry, not three.
+  ResultBuffer buf(2 * ResultBuffer::ApproxEntryBytes("q", result, 1));
   buf.Put("q", result);
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -140,7 +149,7 @@ TEST(ResultBufferTest, ClearAndErase) {
 }
 
 TEST(ResultBufferTest, LruEviction) {
-  ResultBuffer buf(2);
+  ResultBuffer buf(BudgetForEntries(2));
   buf.Put("a", {{Oid(1), 1.0}});
   buf.Put("b", {{Oid(2), 1.0}});
   // Touch "a" so "b" is the LRU victim.
@@ -153,7 +162,7 @@ TEST(ResultBufferTest, LruEviction) {
 }
 
 TEST(ResultBufferTest, LruEvictionOrderFollowsHits) {
-  ResultBuffer buf(3);
+  ResultBuffer buf(BudgetForEntries(3));
   buf.Put("a", {{Oid(1), 1.0}});
   buf.Put("b", {{Oid(2), 1.0}});
   buf.Put("c", {{Oid(3), 1.0}});
