@@ -99,37 +99,48 @@ bool PartA() {
       {"M3", {{0.8, 0.4}, {0.4, 0.8}}},
       {"M4", {{0.8, 0.4}, {0.8, 0.4}}},
   };
+  /// One idealized document: its paragraphs' beliefs stand in for the
+  /// IRS.
+  class FakeDerivation : public coupling::DerivationContext {
+   public:
+    explicit FakeDerivation(const FakeDoc& doc) : doc_(doc) {}
+
+    StatusOr<double> ComponentValue(Oid c,
+                                    std::string_view q) const override {
+      const auto& [www, nii] = doc_.paras[c.raw() - 10];
+      if (q == "www") return www;
+      if (q == "nii") return nii;
+      return www * nii;  // #and for the full query (simple schemes)
+    }
+    StatusOr<std::vector<Oid>> ComponentsOf(Oid) const override {
+      std::vector<Oid> components;
+      for (size_t p = 0; p < doc_.paras.size(); ++p) {
+        components.push_back(Oid(10 + p));
+      }
+      return components;
+    }
+    StatusOr<std::string> ClassOf(Oid) const override {
+      return std::string("PARA");
+    }
+    StatusOr<double> LengthOf(Oid) const override { return 30.0; }
+
+   private:
+    const FakeDoc& doc_;
+  };
+  irs::Analyzer analyzer{irs::AnalyzerOptions{false, false, 1}};
+  auto tree = irs::ParseIrsQuery(query, analyzer);
+  if (!tree.ok()) std::abort();
   Table ideal({"scheme", "M3", "M4", "distinguishes M3 from M4?"});
   for (const char* scheme_name : kSchemes) {
     auto scheme = coupling::MakeScheme(scheme_name);
     if (!scheme.ok()) std::abort();
     double values[2];
     for (int d = 0; d < 2; ++d) {
-      const FakeDoc& doc = fake_docs[d];
-      coupling::DerivationContext ctx;
+      FakeDerivation ctx(fake_docs[d]);
       ctx.object = Oid(1);
-      ctx.irs_query = "#and(www nii)";
+      ctx.irs_query = query;
+      ctx.query_tree = tree->get();
       ctx.default_value = 0.4;
-      std::vector<Oid> components;
-      for (size_t p = 0; p < doc.paras.size(); ++p) {
-        components.push_back(Oid(10 + p));
-      }
-      ctx.components_of = [components](Oid) { return components; };
-      ctx.component_value = [&doc](Oid c, const std::string& q)
-          -> StatusOr<double> {
-        const auto& [www, nii] = doc.paras[c.raw() - 10];
-        if (q == "www") return www;
-        if (q == "nii") return nii;
-        return (www * nii);  // #and for the full query (simple schemes)
-      };
-      ctx.class_of = [](Oid) -> StatusOr<std::string> {
-        return std::string("PARA");
-      };
-      ctx.length_of = [](Oid) -> StatusOr<double> { return 30.0; };
-      irs::Analyzer analyzer{irs::AnalyzerOptions{false, false, 1}};
-      ctx.parse_query = [&analyzer](const std::string& q) {
-        return irs::ParseIrsQuery(q, analyzer);
-      };
       auto v = (*scheme)->Derive(ctx);
       if (!v.ok()) std::abort();
       values[d] = *v;

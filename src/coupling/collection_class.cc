@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
 
 #include "common/fault/fault.h"
 #include "common/file_util.h"
@@ -512,59 +513,54 @@ StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
 StatusOr<std::shared_ptr<const OidScoreMap>> Collection::GetIrsResult(
     const std::string& irs_query, bool* served_stale) {
   ResultSource source;
-  auto result = ResolveIrsResult(irs_query, &source, kNullOid, nullptr);
+  auto result = ResolveIrsResult(irs_query, &source);
   if (served_stale != nullptr) {
     *served_stale = result.ok() && source == ResultSource::kStale;
   }
   return result;
 }
 
-StatusOr<std::shared_ptr<const OidScoreMap>> Collection::WarmIrsResult(
-    const std::string& irs_query) {
+Status Collection::WarmIrsResult(ReadContext::Query& query) {
   ResultSource source;
-  SDMS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const OidScoreMap> result,
-      ResolveIrsResult(irs_query, &source, kNullOid, nullptr));
-  if (source != ResultSource::kBuffer) {
-    return std::shared_ptr<const OidScoreMap>();
-  }
-  return result;
+  SDMS_ASSIGN_OR_RETURN(std::shared_ptr<const OidScoreMap> result,
+                        ResolveIrsResult(query.text, &source));
+  if (source == ResultSource::kBuffer) query.Pin(std::move(result));
+  return Status::OK();
 }
 
-StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
-    const std::string& irs_query, ResultSource* source, Oid probe_oid,
-    ResultBuffer::Probe* probe) {
-  *source = ResultSource::kCallerOwned;
-  // Explicit cancellation stops the query outright — no buffer hit, no
-  // stale serve. (An expired deadline is NOT short-circuited here: the
-  // guarded IRS call fails fast with kDeadlineExceeded and the
-  // degradation paths below turn that into a stale/derived answer.)
+namespace {
+
+/// Explicit cancellation stops a read outright: no buffer hit, no stale
+/// serve, no further derivation. (An expired deadline is NOT
+/// short-circuited: the guarded IRS call fails fast with
+/// kDeadlineExceeded and the degradation paths turn that into a
+/// stale/derived answer.)
+Status CheckCancelled() {
   if (QueryContext* qctx = QueryContext::Current();
       qctx != nullptr && qctx->ShouldStop() &&
       qctx->stop_reason() == QueryContext::StopReason::kCancelled) {
     return qctx->StopStatus();
   }
-  // One counted buffer access: the whole result, or with `probe` only
-  // the value of `probe_oid`. True when the query is buffered.
-  std::shared_ptr<const OidScoreMap> buffered;
-  auto read_buffer = [&]() {
-    if (probe != nullptr) {
-      *probe = buffer_.Lookup(irs_query, probe_oid);
-      return probe->hit;
-    }
-    buffered = buffer_.Get(irs_query);
-    return buffered != nullptr;
-  };
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
+    const std::string& irs_query, ResultSource* source) {
+  *source = ResultSource::kCallerOwned;
+  SDMS_RETURN_IF_ERROR(CheckCancelled());
   Status propagated = MaybePropagate();
   if (!propagated.ok()) {
     // Serves the buffered result when the IRS is unavailable: pending
     // updates stay queued, the caller sees an explicitly flagged stale
     // answer instead of an error. Only transient failures degrade this
     // way — logic errors propagate.
-    if (!IsUnavailable(propagated) || coupling_->options().disable_buffering ||
-        !read_buffer()) {
+    if (!IsUnavailable(propagated) || coupling_->options().disable_buffering) {
       return propagated;
     }
+    std::shared_ptr<const OidScoreMap> buffered = buffer_.Get(irs_query);
+    if (buffered == nullptr) return propagated;
     ++stats_.stale_serves;
     Metrics().stale_serves.Increment();
     obs::ProfileCount("stale_serves");
@@ -585,7 +581,7 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
     return std::make_shared<const OidScoreMap>(std::move(result));
   }
   obs::ProfileStageScope lookup_stage("buffer_lookup");
-  if (read_buffer()) {
+  if (std::shared_ptr<const OidScoreMap> buffered = buffer_.Get(irs_query)) {
     ++stats_.buffer_hits;
     obs::ProfileCount("buffer_hits");
     *source = ResultSource::kBuffer;
@@ -605,169 +601,217 @@ StatusOr<std::shared_ptr<const OidScoreMap>> Collection::ResolveIrsResult(
   // Served through Get, so the first read of a fetched result counts as
   // a buffer hit like every later read. Get finds nothing only if
   // another thread cleared the buffer in between.
-  buffered = buffer_.Get(irs_query);
+  std::shared_ptr<const OidScoreMap> buffered = buffer_.Get(irs_query);
   if (buffered == nullptr) return stored;
   *source = ResultSource::kBuffer;
   return buffered;
 }
 
-namespace {
-
-/// The probe of `obj` in an IRS result held by the caller.
-ResultBuffer::Probe ProbeIn(const OidScoreMap& result, Oid obj) {
-  ResultBuffer::Probe probe;
-  if (auto it = result.find(obj); it != result.end()) {
-    probe.source = ResultBuffer::Probe::Source::kIrs;
-    probe.value = it->second;
+ReadContext::Query& ReadContext::Get(Collection* coll, std::string_view text) {
+  for (Query& q : queries_) {
+    if (q.coll == coll && q.text == text) return q;
   }
-  return probe;
+  Query& q = queries_.emplace_back();
+  q.coll = coll;
+  q.text = text;
+  return q;
 }
 
-}  // namespace
-
-StatusOr<double> Collection::ProbeIrsValue(const std::string& irs_query,
-                                           Oid obj,
-                                           const ResultBuffer::Probe& found,
-                                           const double* null_score,
-                                           bool read_side_table,
-                                           bool cache_derived) {
-  using Source = ResultBuffer::Probe::Source;
-  if (found.source == Source::kIrs) return found.value;
-  if (Represents(obj)) {
-    // Represented but not retrieved: the IRS assigned no evidence;
-    // the object scores the query's null belief.
-    if (null_score != nullptr) return *null_score;
-    return NullScore(irs_query);
+void ReadContext::Flush() {
+  for (Query& q : queries_) {
+    Collection& c = *q.coll;
+    if (q.hits > 0) {
+      c.buffer_.CountHits(q.hits);
+      c.stats_.buffer_hits += q.hits;
+      obs::ProfileCount("buffer_hits", q.hits);
+    }
+    if (q.derive_calls > 0) {
+      c.stats_.derive_calls += q.derive_calls;
+      Metrics().derive_calls.Add(q.derive_calls);
+      obs::ProfileCount("derive_calls", q.derive_calls);
+    }
+    q.hits = 0;
+    q.derive_calls = 0;
   }
-  if (found.source == Source::kDerived) return found.value;
-  if (read_side_table) {
-    // Uncounted: the caller booked this access already.
-    ResultBuffer::Probe derived =
-        buffer_.Lookup(irs_query, obj, /*counted=*/false);
-    if (derived.source == Source::kDerived) return derived.value;
-  }
-  // Not represented: force the object to derive its value and insert
-  // the result into the buffer (Figure 3).
-  SDMS_ASSIGN_OR_RETURN(double derived, DeriveIrsValue(irs_query, obj));
-  if (cache_derived) buffer_.InsertValue(irs_query, obj, derived);
-  return derived;
 }
 
-StatusOr<double> Collection::FindPinnedIrsValue(const std::string& irs_query,
-                                                double null_score, Oid obj) {
-  return ProbeIrsValue(irs_query, obj, ResultBuffer::Probe{}, &null_score,
-                       /*read_side_table=*/true, /*cache_derived=*/true);
+StatusOr<const irs::QueryNode*> Collection::QueryTree(
+    ReadContext::Query& query) {
+  if (query.tree == nullptr) {
+    SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
+                          coupling_->irs().GetCollection(irs_name_));
+    SDMS_ASSIGN_OR_RETURN(query.tree,
+                          irs::ParseIrsQuery(query.text, coll->analyzer()));
+  }
+  return query.tree.get();
 }
 
-void Collection::BookPinnedHits(uint64_t n) {
-  if (n == 0) return;
-  buffer_.CountHits(n);
-  stats_.buffer_hits += n;
-  obs::ProfileCount("buffer_hits", n);
+StatusOr<double> Collection::NullScore(ReadContext::Query& query) {
+  if (query.null_score.has_value()) return *query.null_score;
+  // Models without default beliefs score no-evidence documents zero.
+  if (missing_value_ == 0.0) return *(query.null_score = 0.0);
+  // A buffered query keeps its null score in its entry, so a lookup of
+  // its own does not parse the query again.
+  query.null_score = buffer_.FindNullScore(query.text);
+  if (!query.null_score.has_value()) {
+    SDMS_ASSIGN_OR_RETURN(const irs::QueryNode* tree, QueryTree(query));
+    query.null_score = irs::NullBelief(*tree, missing_value_);
+    buffer_.SetNullScore(query.text, *query.null_score);
+  }
+  return *query.null_score;
+}
+
+StatusOr<double> Collection::NullScore(const std::string& irs_query) {
+  ReadContext ctx;
+  return NullScore(ctx.Get(this, irs_query));
 }
 
 StatusOr<double> Collection::FindIrsValue(const std::string& irs_query,
                                           Oid obj, bool* degraded) {
-  if (degraded != nullptr) *degraded = false;
-  ResultSource source;
-  ResultBuffer::Probe probe;
-  StatusOr<std::shared_ptr<const OidScoreMap>> result_or =
-      ResolveIrsResult(irs_query, &source, obj, &probe);
-  if (result_or.ok()) {
-    const bool stale = source == ResultSource::kStale;
-    if (stale && degraded != nullptr) *degraded = true;
-    // A result fresh from the IRS (a miss, or buffering is off) comes
-    // back whole and has no derived values yet; a buffered one was
-    // probed under the buffer's lock. Stale results get no derived
-    // values — they are invalidated wholesale once the IRS is back.
-    const OidScoreMap* fetched = result_or->get();
-    return ProbeIrsValue(
-        irs_query, obj, fetched != nullptr ? ProbeIn(*fetched, obj) : probe,
-        /*null_score=*/nullptr, /*read_side_table=*/false,
-        !coupling_->options().disable_buffering && !stale);
-  }
-  if (!IsUnavailable(result_or.status())) return result_or.status();
-  // IRS unavailable with nothing buffered: fall back to local
-  // knowledge. NullScore and derivation evaluate the query tree inside
-  // the DBMS, so represented objects get the query's null belief and
-  // unrepresented ones aggregate their components' (equally degraded)
-  // values — never a wrong score presented as fresh.
-  ++stats_.degraded_reads;
-  Metrics().degraded_reads.Increment();
-  obs::ProfileCount("degraded_reads");
-  obs::ProfileAnnotate("degradation_reason",
-                       "IRS unavailable: " + result_or.status().ToString());
-  if (degraded != nullptr) *degraded = true;
-  SDMS_LOG(WARN) << "findIRSValue degraded for '" << irs_query << "' on '"
-                 << irs_name_ << "': " << result_or.status().ToString();
-  if (Represents(obj)) return NullScore(irs_query);
-  StatusOr<double> derived = DeriveIrsValue(irs_query, obj);
-  if (derived.ok()) return derived;
-  if (IsUnavailable(derived.status())) return NullScore(irs_query);
-  return derived.status();
+  ReadContext ctx;
+  return FindIrsValue(ctx, ctx.Get(this, irs_query), obj, degraded);
 }
+
+StatusOr<double> Collection::FindIrsValue(ReadContext& ctx,
+                                          ReadContext::Query& query, Oid obj,
+                                          bool* degraded) {
+  if (degraded != nullptr) *degraded = false;
+  if (query.pinned != nullptr) {
+    ++query.hits;
+  } else {
+    ResultSource source;
+    StatusOr<std::shared_ptr<const OidScoreMap>> result =
+        ResolveIrsResult(query.text, &source);
+    if (!result.ok()) {
+      if (!IsUnavailable(result.status())) return result.status();
+      // IRS unavailable with nothing buffered: fall back to local
+      // knowledge. NullScore and derivation evaluate the query tree
+      // inside the DBMS, so represented objects get the query's null
+      // belief and unrepresented ones aggregate their components'
+      // (equally degraded) values — never a wrong score presented as
+      // fresh.
+      ++stats_.degraded_reads;
+      Metrics().degraded_reads.Increment();
+      obs::ProfileCount("degraded_reads");
+      obs::ProfileAnnotate("degradation_reason",
+                           "IRS unavailable: " + result.status().ToString());
+      if (degraded != nullptr) *degraded = true;
+      SDMS_LOG(WARN) << "findIRSValue degraded for '" << query.text
+                     << "' on '" << irs_name_
+                     << "': " << result.status().ToString();
+      if (Represents(obj)) return NullScore(query);
+      StatusOr<double> derived = DeriveIrsValue(ctx, query, obj);
+      if (derived.ok()) return derived;
+      if (IsUnavailable(derived.status())) return NullScore(query);
+      return derived.status();
+    }
+    if (source == ResultSource::kBuffer) {
+      query.Pin(std::move(*result));
+    } else {
+      // A stale or caller-owned result is not pinned: the next lookup
+      // resolves the query again.
+      if (source == ResultSource::kStale && degraded != nullptr) {
+        *degraded = true;
+      }
+      if (auto it = (*result)->find(obj); it != (*result)->end()) {
+        return it->second;
+      }
+    }
+  }
+  if (query.pinned != nullptr) {
+    // Lookups come mostly in OID order, so the search starts at the
+    // previous one; when they go backwards it starts over.
+    if (obj < query.last) query.cursor = query.pinned->begin();
+    query.last = obj;
+    query.cursor = std::lower_bound(
+        query.cursor, query.pinned->end(), obj,
+        [](const OidScoreMap::value_type& p, Oid o) { return p.first < o; });
+    if (query.cursor != query.pinned->end() && query.cursor->first == obj) {
+      return query.cursor->second;
+    }
+  }
+  // Represented but not retrieved: the IRS assigned no evidence; the
+  // object scores the query's null belief.
+  if (Represents(obj)) return NullScore(query);
+  if (std::optional<double> derived = buffer_.FindDerived(query.text, obj)) {
+    return *derived;
+  }
+  // Not represented: force the object to derive its value and insert
+  // the result into the buffer (Figure 3) — unless the result is stale,
+  // as its entry is invalidated wholesale once the IRS is back, or not
+  // buffered at all.
+  SDMS_ASSIGN_OR_RETURN(double derived, DeriveIrsValue(ctx, query, obj));
+  if (query.pinned != nullptr) buffer_.InsertValue(query.text, obj, derived);
+  return derived;
+}
+
+/// The DerivationContext of one derivation: component lookups walk
+/// FindIrsValue in the derivation's read context.
+class Collection::Derivation : public DerivationContext {
+ public:
+  Derivation(Collection* coll, ReadContext* ctx, ReadContext::Query* query)
+      : coll_(coll), ctx_(ctx), query_(query) {}
+
+  StatusOr<double> ComponentValue(Oid component,
+                                  std::string_view query) const override {
+    ReadContext::Query& q =
+        query == query_->text ? *query_ : ctx_->Get(coll_, query);
+    return coll_->FindIrsValue(*ctx_, q, component);
+  }
+  StatusOr<std::vector<Oid>> ComponentsOf(Oid object) const override {
+    return coll_->coupling_->ChildrenOf(object);
+  }
+  StatusOr<std::string> ClassOf(Oid object) const override {
+    return coll_->coupling_->db().ClassOf(object);
+  }
+  StatusOr<double> LengthOf(Oid object) const override {
+    SDMS_ASSIGN_OR_RETURN(std::string text,
+                          coll_->coupling_->SubtreeText(object));
+    return static_cast<double>(SplitWhitespace(text).size());
+  }
+
+ private:
+  Collection* coll_;
+  ReadContext* ctx_;
+  ReadContext::Query* query_;
+};
 
 StatusOr<double> Collection::DeriveIrsValue(const std::string& irs_query,
                                             Oid obj) {
-  constexpr int kMaxDepth = 64;
-  if (derive_depth_ >= kMaxDepth) {
+  ReadContext ctx;
+  return DeriveIrsValue(ctx, ctx.Get(this, irs_query), obj);
+}
+
+StatusOr<double> Collection::DeriveIrsValue(ReadContext& ctx,
+                                            ReadContext::Query& query,
+                                            Oid obj) {
+  constexpr size_t kMaxDepth = 64;
+  if (ctx.deriving_.size() >= kMaxDepth) {
     return Status::FailedPrecondition(
         "deriveIRSValue recursion depth exceeded");
   }
   // Cyclic related-object structures (e.g. mutual implies-links): a
   // derivation already on the stack contributes its null score rather
   // than recursing forever.
-  auto key = std::make_pair(irs_query, obj.raw());
-  if (derive_in_progress_.count(key) > 0) return NullScore(irs_query);
+  for (const auto& [q, o] : ctx.deriving_) {
+    if (q == &query && o == obj) return NullScore(query);
+  }
+  SDMS_RETURN_IF_ERROR(CheckCancelled());
   obs::TraceSpan span("coupling.derive");
   obs::ProfileStageScope stage("derive");
-  ++stats_.derive_calls;
-  Metrics().derive_calls.Increment();
-  obs::ProfileCount("derive_calls");
-  DerivationContext ctx;
-  ctx.object = obj;
-  ctx.irs_query = irs_query;
+  ++query.derive_calls;
+  Derivation derivation(this, &ctx, &query);
+  derivation.object = obj;
+  derivation.irs_query = query.text;
+  SDMS_ASSIGN_OR_RETURN(derivation.query_tree, QueryTree(query));
   // The floor for derived values is the query's null belief, so an
   // object without components never outranks one with weak evidence.
-  SDMS_ASSIGN_OR_RETURN(ctx.default_value, NullScore(irs_query));
-  ctx.component_value = [this](Oid component,
-                               const std::string& query) -> StatusOr<double> {
-    return FindIrsValue(query, component);
-  };
-  ctx.components_of = [this](Oid o) { return coupling_->ChildrenOf(o); };
-  ctx.class_of = [this](Oid o) { return coupling_->db().ClassOf(o); };
-  ctx.length_of = [this](Oid o) -> StatusOr<double> {
-    SDMS_ASSIGN_OR_RETURN(std::string text, coupling_->SubtreeText(o));
-    return static_cast<double>(SplitWhitespace(text).size());
-  };
-  ctx.parse_query =
-      [this](const std::string& q)
-      -> StatusOr<std::unique_ptr<irs::QueryNode>> {
-    SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
-                          coupling_->irs().GetCollection(irs_name_));
-    return irs::ParseIrsQuery(q, coll->analyzer());
-  };
-  ++derive_depth_;
-  derive_in_progress_.insert(key);
-  auto result = scheme_->Derive(ctx);
-  derive_in_progress_.erase(key);
-  --derive_depth_;
+  SDMS_ASSIGN_OR_RETURN(derivation.default_value, NullScore(query));
+  ctx.deriving_.emplace_back(&query, obj);
+  auto result = scheme_->Derive(derivation);
+  ctx.deriving_.pop_back();
   Metrics().derive_us.Record(static_cast<double>(span.ElapsedMicros()));
   return result;
-}
-
-StatusOr<double> Collection::NullScore(const std::string& irs_query) {
-  // Models without default beliefs score no-evidence documents zero.
-  if (missing_value_ == 0.0) return 0.0;
-  auto cached = null_score_cache_.find(irs_query);
-  if (cached != null_score_cache_.end()) return cached->second;
-  SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
-                        coupling_->irs().GetCollection(irs_name_));
-  SDMS_ASSIGN_OR_RETURN(std::unique_ptr<irs::QueryNode> tree,
-                        irs::ParseIrsQuery(irs_query, coll->analyzer()));
-  double score = irs::NullBelief(*tree, missing_value_);
-  null_score_cache_[irs_query] = score;
-  return score;
 }
 
 Status Collection::SetDerivationScheme(const std::string& name) {
@@ -831,13 +875,11 @@ Status Collection::PropagateUpdates() {
   // *now*.
   uint64_t high = std::max(last_routed_seq_, update_log_.last_seq());
   std::vector<PendingOp> ops = update_log_.Drain();
-  stats_.cancelled_ops = update_log_.cancelled();
   if (ops.empty()) return Status::OK();
   Metrics().propagate_batches.Increment();
   auto requeue_all = [&](const std::vector<PendingOp>& batch,
                          const Status& why, const char* what) {
     for (const PendingOp& op : batch) update_log_.Requeue(op);
-    stats_.requeued_ops += batch.size();
     Metrics().requeued.Add(batch.size());
     Metrics().requeued_pending.Set(static_cast<int64_t>(update_log_.size()));
     SDMS_LOG(WARN) << what << " for '" << irs_name_ << "' failed, "
@@ -991,7 +1033,6 @@ Status Collection::PropagateUpdates() {
       for (size_t j = failed_at; j < shard_ops.size(); ++j) {
         update_log_.Requeue(shard_ops[j]);
       }
-      stats_.requeued_ops += requeued;
       Metrics().requeued.Add(requeued);
       Metrics().requeued_pending.Set(
           static_cast<int64_t>(update_log_.size()));
@@ -1046,26 +1087,9 @@ Status Collection::ApplyOp(const PendingOp& op) {
   SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
                         coupling_->irs().GetCollection(irs_name_));
   switch (op.kind) {
-    case UpdateKind::kInsert: {
-      if (Represents(op.oid)) {
-        if (op.seq != 0) Metrics().duplicates_skipped.Increment();
-        break;
-      }
-      // A replayed insert whose object was deleted later is a no-op:
-      // the delete either folded with it or is pending behind it.
-      if (!coupling_->db().store().Contains(op.oid)) break;
-      SDMS_ASSIGN_OR_RETURN(bool ok, SatisfiesSpec(op.oid));
-      if (!ok) break;
-      SDMS_ASSIGN_OR_RETURN(std::string text,
-                            coupling_->GetText(op.oid, text_mode_));
-      SDMS_LOG(DEBUG) << "apply insert " << op.oid.ToString() << " seq "
-                      << op.seq << " text '" << text << "'";
-      SDMS_RETURN_IF_ERROR(coll->AddDocument(op.oid.ToString(), text));
-      represented_.insert(op.oid);
-      ++stats_.reindex_ops;
-      Metrics().reindex_ops.Increment();
-      break;
-    }
+    case UpdateKind::kInsert:
+      // PropagateUpdates applies inserts as one batch per shard.
+      return Status::Internal("ApplyOp takes no inserts");
     case UpdateKind::kModify: {
       if (!coupling_->db().store().Contains(op.oid)) {
         // Vanished since recording: treat as a delete.
@@ -1212,12 +1236,11 @@ Status Collection::Repair() {
                    << report.orphaned_in_irs.size() << " orphan(s) removed";
   }
   // Consistency is restored, so the failure bookkeeping that led here
-  // must not linger: the requeued-op counter and gauge go back to
-  // zero, and the breaker reset force-publishes its state gauges (a
+  // must not linger: the requeued-pending gauge goes back to zero,
+  // and the breaker reset force-publishes its state gauges (a
   // breaker recreated after a restart starts closed, so without the
   // forced publish the previous incarnation's "open" gauge would
   // survive the repair).
-  stats_.requeued_ops = 0;
   Metrics().requeued_pending.Set(0);
   // A successful repair is positive proof the IRS is reachable again —
   // for every failure domain, so the per-shard breakers close too.
@@ -1305,25 +1328,8 @@ StatusOr<OidScoreMap> Collection::EvalOperatorsInDbms(
       SDMS_ASSIGN_OR_RETURN(Result m, eval(*c));
       operands.push_back(std::move(m));
     }
-    if (node.op != irs::QueryOp::kNot) {
-      return std::make_shared<const OidScoreMap>(
-          CombineMaps(node, operands, missing_value_));
-    }
-    // #not (the parser admits exactly one operand) complements over the
-    // represented set, which is in OID order.
-    const OidScoreMap& inner = *operands[0];
-    const double inner_null =
-        irs::NullBelief(*node.children[0], missing_value_);
-    std::vector<OidScoreMap::value_type> out;
-    out.reserve(represented_.size());
-    for (Oid oid : represented_) {
-      auto it = inner.find(oid);
-      double b = it == inner.end() ? inner_null : it->second;
-      out.emplace_back(oid, irs::CombineBeliefs(node, missing_value_,
-                                                [b](size_t) { return b; }));
-    }
     return std::make_shared<const OidScoreMap>(
-        OidScoreMap::FromSorted(std::move(out)));
+        CombineMaps(node, operands, missing_value_));
   };
   SDMS_ASSIGN_OR_RETURN(Result result, eval(*tree));
   return *result;

@@ -1,10 +1,11 @@
 #ifndef SDMS_COUPLING_COLLECTION_CLASS_H_
 #define SDMS_COUPLING_COLLECTION_CLASS_H_
 
+#include <list>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/oid.h"
@@ -15,6 +16,7 @@
 #include "coupling/result_buffer.h"
 #include "coupling/types.h"
 #include "coupling/update_log.h"
+#include "irs/query/query_node.h"
 #include "oodb/query/ast.h"
 
 namespace sdms::irs {
@@ -40,6 +42,65 @@ struct ConsistencyReport {
   bool consistent() const {
     return missing_in_irs.empty() && orphaned_in_irs.empty();
   }
+};
+
+class Collection;
+
+/// The Figure 3 read state of one VQL statement, or of one FindIrsValue
+/// or DeriveIrsValue call: per (collection, IRS query) what its lookups
+/// learned, the derivations on the stack, and the counts to book at
+/// Flush. Collection::FindIrsValue is the one walk over it. A context
+/// belongs to the statement or call that made it (not thread-safe).
+class ReadContext {
+ public:
+  struct Query {
+    Collection* coll = nullptr;
+    std::string text;
+    /// The IRS result, once a lookup was served it fresh from the
+    /// buffer; later lookups probe it instead of resolving the query.
+    /// Null while the query resolves per lookup (stale, partial,
+    /// buffering off).
+    std::shared_ptr<const OidScoreMap> pinned;
+    /// Lower bound in `pinned` of the last object probed: lookups come
+    /// mostly in OID order, so the search moves forward from it.
+    OidScoreMap::const_iterator cursor;
+    Oid last;
+    /// Computed on first use.
+    std::optional<double> null_score;
+    std::unique_ptr<irs::QueryNode> tree;
+    /// Lookups answered from `pinned` (buffer hits) and derivations run.
+    uint64_t hits = 0;
+    uint64_t derive_calls = 0;
+
+    void Pin(std::shared_ptr<const OidScoreMap> result) {
+      pinned = std::move(result);
+      cursor = pinned->begin();
+      last = Oid();
+    }
+  };
+
+  ReadContext() = default;
+  ReadContext(const ReadContext&) = delete;
+  ReadContext& operator=(const ReadContext&) = delete;
+  ~ReadContext() { Flush(); }
+
+  /// The entry of `text` on `coll`, created on first use. Entries never
+  /// move.
+  Query& Get(Collection* coll, std::string_view text);
+
+  /// Books every entry's hits and derivations with its collection, in
+  /// every place a resolved lookup or a derivation is counted, and
+  /// zeroes them.
+  void Flush();
+
+ private:
+  friend class Collection;
+
+  std::list<Query> queries_;
+  /// (query, object) derivations on the stack. One that is re-entered
+  /// (cyclic structures, e.g. mutual implies-links) takes the null
+  /// score instead of recursing.
+  std::vector<std::pair<const Query*, Oid>> deriving_;
 };
 
 /// The database class COLLECTION (paper Section 4.2): encapsulates
@@ -87,45 +148,32 @@ class Collection {
   StatusOr<std::shared_ptr<const OidScoreMap>> GetIrsResult(
       const std::string& irs_query, bool* served_stale = nullptr);
 
-  /// findIRSValue(IRSQuery, obj): the Figure 3 flow — the object's
-  /// score in the (buffered) IRS result; else the query's null belief
-  /// for a represented object; else the value derived earlier, kept in
-  /// the buffer entry's side table; else deriveIRSValue, whose result
-  /// goes into that side table. A buffered query is answered under the
-  /// buffer's lock without copying the result handle.
-  ///
-  /// Degraded mode: when the IRS is unavailable and nothing is
-  /// buffered, represented objects fall back to the query's null score
-  /// and unrepresented ones to derivation over components (whose own
-  /// lookups degrade the same way); `*degraded = true` flags the value
-  /// as not IRS-fresh.
+  /// findIRSValue(IRSQuery, obj): FindIrsValue below, under a read
+  /// context of its own for this one call.
   StatusOr<double> FindIrsValue(const std::string& irs_query, Oid obj,
                                 bool* degraded = nullptr);
 
-  // --- Statement-bound content predicates ------------------------------
+  /// The Figure 3 flow for `obj` under `query`, an entry of `ctx` on
+  /// this collection: the object's score in the IRS result; else the
+  /// query's null belief for a represented object; else the value
+  /// derived earlier, kept in the buffer entry's side table; else
+  /// deriveIRSValue, whose result goes into that side table. The IRS
+  /// result is the one `query` pinned; without one the lookup resolves
+  /// the query as GetIrsResult does and pins a result fresh from the
+  /// buffer.
+  ///
+  /// Degraded mode: a stale result sets `*degraded` and caches no
+  /// derived values. When the IRS is unavailable and nothing is
+  /// buffered, represented objects fall back to the query's null score
+  /// and unrepresented ones to derivation over components (whose own
+  /// lookups degrade the same way), with `*degraded = true`.
+  StatusOr<double> FindIrsValue(ReadContext& ctx, ReadContext::Query& query,
+                                Oid obj, bool* degraded = nullptr);
 
-  /// The prepare-stage warm-up of `irs_query`: GetIrsResult, with the
-  /// same accounting and fallbacks. Returns the result a VQL statement
-  /// may pin when it was served fresh from the buffer, and null when
-  /// buffering is off or the result is stale or a degraded partial one;
-  /// such queries keep the per-binding FindIrsValue path.
-  StatusOr<std::shared_ptr<const OidScoreMap>> WarmIrsResult(
-      const std::string& irs_query);
-
-  /// FindIrsValue for an object `obj` absent from the result a
-  /// statement pinned (from WarmIrsResult), given the query's
-  /// `null_score`: the rest of the same probe order, without resolving
-  /// the buffer entry. (An object the pinned result holds scores its
-  /// entry there, which the caller reads itself.) Books nothing; the
-  /// statement books its evaluations with BookPinnedHits.
-  StatusOr<double> FindPinnedIrsValue(const std::string& irs_query,
-                                      double null_score, Oid obj);
-
-  /// Books `n` lookups answered from a pinned result as buffer hits, in
-  /// every place a FindIrsValue hit is counted: the buffer's and the
-  /// registry's hit counters, stats().buffer_hits and the active
-  /// profile's `buffer_hits`.
-  void BookPinnedHits(uint64_t n);
+  /// The prepare-stage warm-up of a statement's `query`: resolves it as
+  /// GetIrsResult does and pins a result fresh from the buffer. A query
+  /// left unpinned keeps the per-binding FindIrsValue path.
+  Status WarmIrsResult(ReadContext::Query& query);
 
   /// The three update methods (Section 4.2): invoked when a relevant
   /// database update occurred. Under kEager the IRS index is
@@ -179,7 +227,8 @@ class Collection {
   // --- deriveIRSValue ---------------------------------------------------
 
   /// Derives the IRS value of a non-represented object from its
-  /// components via the installed derivation scheme.
+  /// components via the installed derivation scheme, under a read
+  /// context of its own for this one call.
   StatusOr<double> DeriveIrsValue(const std::string& irs_query, Oid obj);
 
   /// Installs a derivation scheme by name ("max", "avg", "wtype",
@@ -273,7 +322,8 @@ class Collection {
   /// with every term belief at the default (e.g. 0.4 * 0.4 for
   /// #and(a b) under the inference-network model). Used when a
   /// represented object is absent from the IRS result, so that
-  /// no-evidence documents rank below partial-evidence ones.
+  /// no-evidence documents rank below partial-evidence ones. A read
+  /// context computes it once per query.
   StatusOr<double> NullScore(const std::string& irs_query);
 
   /// True if `oid`'s class matches the specification query's range
@@ -295,29 +345,23 @@ class Collection {
     kCallerOwned,  // buffering is off, or a degraded partial result
   };
 
+  class Derivation;
+  friend class ReadContext;
+
   /// The shared body of GetIrsResult and FindIrsValue: cancellation,
   /// update propagation with its stale fallback, one counted buffer
-  /// access and, on a miss, the IRS call. Without `probe` it returns
-  /// the whole result. With `probe`, a buffered (or stale-served) query
-  /// answers only `probe_oid` through ResultBuffer::Lookup into
-  /// `*probe` and the returned handle is null; a result fetched from
-  /// the IRS is returned whole.
+  /// access and, on a miss, the IRS call.
   StatusOr<std::shared_ptr<const OidScoreMap>> ResolveIrsResult(
-      const std::string& irs_query, ResultSource* source, Oid probe_oid,
-      ResultBuffer::Probe* probe);
+      const std::string& irs_query, ResultSource* source);
 
-  /// Figure 3's probe order once the IRS result of `irs_query` is
-  /// resolved, shared by FindIrsValue and FindPinnedIrsValue: `found`
-  /// holds the object's score when the IRS result has it; else a
-  /// represented object scores the null belief (`null_score` when
-  /// known); else the value derived earlier — from `found` when the
-  /// caller's Lookup read the side table, or read here, uncounted, when
-  /// `read_side_table`; else a fresh derivation, cached in the side
-  /// table when `cache_derived`.
-  StatusOr<double> ProbeIrsValue(const std::string& irs_query, Oid obj,
-                                 const ResultBuffer::Probe& found,
-                                 const double* null_score,
-                                 bool read_side_table, bool cache_derived);
+  /// deriveIRSValue for `obj` under `query`; component lookups walk
+  /// FindIrsValue in the same context.
+  StatusOr<double> DeriveIrsValue(ReadContext& ctx, ReadContext::Query& query,
+                                  Oid obj);
+
+  /// `query`'s operator tree and null score, computed once per entry.
+  StatusOr<const irs::QueryNode*> QueryTree(ReadContext::Query& query);
+  StatusOr<double> NullScore(ReadContext::Query& query);
 
   /// Actually submits to the IRS (in-process or file exchange). The
   /// in-process path fans the search out across the collection's
@@ -351,7 +395,8 @@ class Collection {
   /// Ensures pending updates are applied according to the policy.
   Status MaybePropagate();
 
-  /// (Re)indexes one object per the net update operation.
+  /// (Re)indexes one object per a net modify or delete (inserts go to
+  /// the batch path of PropagateUpdates).
   Status ApplyOp(const PendingOp& op);
 
   /// Evaluates whether `oid` currently satisfies the spec query.
@@ -391,13 +436,6 @@ class Collection {
   /// tell replayed WAL events already covered by the persisted index
   /// from genuinely undelivered ones.
   uint64_t last_routed_seq_ = 0;
-  int derive_depth_ = 0;
-  /// (query, object) derivations currently on the stack; re-entry
-  /// (cyclic structures, e.g. implies-link cycles) returns the null
-  /// score instead of recursing forever.
-  std::set<std::pair<std::string, uint64_t>> derive_in_progress_;
-  /// Cache of NullScore per query string.
-  std::map<std::string, double> null_score_cache_;
 };
 
 }  // namespace sdms::coupling

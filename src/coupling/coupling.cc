@@ -855,53 +855,26 @@ Status Coupling::PersistIrs() {
 namespace {
 
 /// `getIRSValue('<coll>', '<query>')` bound for one VQL statement to the
-/// IRS result PrepareIrsConjuncts pinned. A cursor walks the pinned,
-/// OID-sorted result alongside the receivers. Each evaluation is one
-/// buffer hit, as a FindIrsValue hit would be; the hits are booked
-/// together when the engine flushes the call.
+/// IRS result PrepareIrsConjuncts pinned in the statement's read
+/// context. Each evaluation is FindIrsValue's walk over that context:
+/// one buffer hit, as a per-binding lookup would be, booked with the
+/// rest of the context when the engine flushes the call.
 class BoundIrsValue : public oodb::vql::BoundCall {
  public:
-  BoundIrsValue(Collection* coll, const std::string& irs_query,
-                std::shared_ptr<const OidScoreMap> result, double null_score)
-      : coll_(coll),
-        irs_query_(irs_query),
-        result_(std::move(result)),
-        null_score_(null_score) {}
+  BoundIrsValue(std::shared_ptr<ReadContext> ctx, ReadContext::Query* query)
+      : ctx_(std::move(ctx)), query_(query) {}
 
   StatusOr<Value> Call(Oid self) override {
-    ++hits_;
-    // The join hands receivers over in OID order, so the cursor only
-    // moves forward. When they go backwards (an inner binding restarts)
-    // the search starts over from the front.
-    if (self < last_) cursor_ = result_->begin();
-    last_ = self;
-    cursor_ = std::lower_bound(
-        cursor_, result_->end(), self,
-        [](const OidScoreMap::value_type& p, Oid o) { return p.first < o; });
-    if (cursor_ != result_->end() && cursor_->first == self) {
-      return Value(cursor_->second);
-    }
     SDMS_ASSIGN_OR_RETURN(double value,
-                          coll_->FindPinnedIrsValue(irs_query_, null_score_,
-                                                    self));
+                          query_->coll->FindIrsValue(*ctx_, *query_, self));
     return Value(value);
   }
 
-  void Flush() override {
-    coll_->BookPinnedHits(hits_);
-    hits_ = 0;
-  }
+  void Flush() override { ctx_->Flush(); }
 
  private:
-  Collection* coll_;
-  /// The call's query literal; the parsed query outlives the Run.
-  const std::string& irs_query_;
-  std::shared_ptr<const OidScoreMap> result_;
-  double null_score_;
-  uint64_t hits_ = 0;
-  /// Lower bound of the last receiver in `result_`.
-  OidScoreMap::const_iterator cursor_ = result_->begin();
-  Oid last_;
+  std::shared_ptr<ReadContext> ctx_;
+  ReadContext::Query* query_;
 };
 
 /// Calls `fn` on every `getIRSValue(collection-literal, query-literal)`
@@ -934,17 +907,10 @@ Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query,
   // bound call to answer for it; overrides keep the Invoke path.
   auto method =
       db_->methods().Resolve(db_->schema(), kIrsObjectClass, "getIRSValue");
-  struct Pinned {
-    Collection* coll;
-    const std::string* irs_query;
-    std::shared_ptr<const OidScoreMap> result;
-    double null_score;
-  };
-  std::vector<Pinned> pinned;
-  auto bind = [&](const oodb::vql::Expr* call, const Pinned& p) {
-    calls.Bind(call, *method,
-               std::make_unique<BoundIrsValue>(p.coll, *p.irs_query, p.result,
-                                               p.null_score));
+  // The statement's read context, shared by every call bound to it.
+  auto ctx = std::make_shared<ReadContext>();
+  auto bind = [&](const oodb::vql::Expr* call, ReadContext::Query* q) {
+    calls.Bind(call, *method, std::make_unique<BoundIrsValue>(ctx, q));
   };
   // WHERE: every content call warms its collection's buffer with one
   // batched IRS call, and a result served fresh from the buffer is
@@ -956,26 +922,22 @@ Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query,
     if (!status.ok()) return;
     auto coll = GetCollectionByName(name);
     if (!coll.ok()) return;
-    auto warmed = (*coll)->WarmIrsResult(irs_query);
+    ReadContext::Query& q = ctx->Get(*coll, irs_query);
+    Status warmed = (*coll)->WarmIrsResult(q);
     if (!warmed.ok()) {
       // An unavailable IRS leaves the call to FindIrsValue's degraded
       // fallback (null score, derivation). The query's own stop
       // (deadline, budget, cancellation) and logic errors propagate.
-      QueryContext* ctx = QueryContext::Current();
-      if (!IsUnavailable(warmed.status()) ||
-          (ctx != nullptr && ctx->ShouldStop())) {
-        status = warmed.status();
+      QueryContext* qctx = QueryContext::Current();
+      if (!IsUnavailable(warmed) || (qctx != nullptr && qctx->ShouldStop())) {
+        status = warmed;
         return;
       }
       calls.NoteDegraded("IRS unavailable for '" + irs_query + "' on '" +
-                         name + "': " + warmed.status().ToString());
+                         name + "': " + warmed.ToString());
       return;
     }
-    if (*warmed == nullptr || !method.ok()) return;
-    auto null_score = (*coll)->NullScore(irs_query);
-    if (!null_score.ok()) return;
-    pinned.push_back(Pinned{*coll, &irs_query, *warmed, *null_score});
-    bind(call, pinned.back());
+    if (q.pinned != nullptr && method.ok()) bind(call, &q);
   });
   SDMS_RETURN_IF_ERROR(status);
   // SELECT and ORDER BY reuse what WHERE pinned; a query first seen
@@ -983,13 +945,9 @@ Status Coupling::PrepareIrsConjuncts(const ParsedQuery& query,
   auto bind_pinned = [&](const oodb::vql::Expr* call, const std::string& name,
                          const std::string& irs_query) {
     auto coll = GetCollectionByName(name);
-    if (!coll.ok()) return;
-    for (const Pinned& p : pinned) {
-      if (p.coll == *coll && *p.irs_query == irs_query) {
-        bind(call, p);
-        return;
-      }
-    }
+    if (!coll.ok() || !method.ok()) return;
+    ReadContext::Query& q = ctx->Get(*coll, irs_query);
+    if (q.pinned != nullptr) bind(call, &q);
   };
   for (const auto& e : query.select) ForEachContentCall(e.get(), bind_pinned);
   if (query.order_by != nullptr) {
@@ -1220,7 +1178,6 @@ CouplingStats Coupling::AggregateStats() const {
     total.buffer_misses += s.buffer_misses;
     total.derive_calls += s.derive_calls;
     total.reindex_ops += s.reindex_ops;
-    total.cancelled_ops += s.cancelled_ops;
     total.bytes_exchanged += s.bytes_exchanged;
     total.files_exchanged += s.files_exchanged;
     total.stale_serves += s.stale_serves;

@@ -16,11 +16,11 @@ using irs::QueryOp;
 StatusOr<std::vector<std::pair<Oid, double>>> ComponentValues(
     const DerivationContext& ctx) {
   SDMS_ASSIGN_OR_RETURN(std::vector<Oid> components,
-                        ctx.components_of(ctx.object));
+                        ctx.ComponentsOf(ctx.object));
   std::vector<std::pair<Oid, double>> out;
   out.reserve(components.size());
   for (Oid c : components) {
-    SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(c, ctx.irs_query));
+    SDMS_ASSIGN_OR_RETURN(double v, ctx.ComponentValue(c, ctx.irs_query));
     out.emplace_back(c, v);
   }
   return out;
@@ -64,7 +64,7 @@ class WeightedTypeScheme : public DerivationScheme {
     double sum = 0.0;
     double wsum = 0.0;
     for (const auto& [oid, v] : values) {
-      SDMS_ASSIGN_OR_RETURN(std::string cls, ctx.class_of(oid));
+      SDMS_ASSIGN_OR_RETURN(std::string cls, ctx.ClassOf(oid));
       auto it = weights_.find(cls);
       double w = it == weights_.end() ? 1.0 : it->second;
       sum += w * v;
@@ -87,7 +87,7 @@ class LengthWeightedScheme : public DerivationScheme {
     double sum = 0.0;
     double wsum = 0.0;
     for (const auto& [oid, v] : values) {
-      SDMS_ASSIGN_OR_RETURN(double len, ctx.length_of(oid));
+      SDMS_ASSIGN_OR_RETURN(double len, ctx.LengthOf(oid));
       double w = std::max(len, 1.0);
       sum += w * v;
       wsum += w;
@@ -101,12 +101,13 @@ class SubqueryAwareScheme : public DerivationScheme {
   std::string name() const override { return "subquery"; }
 
   StatusOr<double> Derive(const DerivationContext& ctx) const override {
-    SDMS_ASSIGN_OR_RETURN(std::unique_ptr<QueryNode> tree,
-                          ctx.parse_query(ctx.irs_query));
+    if (ctx.query_tree == nullptr) {
+      return Status::InvalidArgument("subquery scheme needs a parsed query");
+    }
     SDMS_ASSIGN_OR_RETURN(std::vector<Oid> components,
-                          ctx.components_of(ctx.object));
+                          ctx.ComponentsOf(ctx.object));
     if (components.empty()) return ctx.default_value;
-    return Combine(ctx, *tree, components);
+    return Combine(ctx, *ctx.query_tree, components);
   }
 
  private:
@@ -124,7 +125,7 @@ class SubqueryAwareScheme : public DerivationScheme {
           node.op == QueryOp::kTerm ? node.term : node.ToString();
       double best = ctx.default_value;
       for (Oid c : components) {
-        SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(c, query));
+        SDMS_ASSIGN_OR_RETURN(double v, ctx.ComponentValue(c, query));
         best = std::max(best, v);
       }
       return best;

@@ -1,10 +1,10 @@
 #ifndef SDMS_COUPLING_DERIVATION_H_
 #define SDMS_COUPLING_DERIVATION_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/oid.h"
@@ -13,35 +13,37 @@
 
 namespace sdms::coupling {
 
-/// Environment handed to a derivation scheme when an object's IRS
-/// value must be computed from related objects (deriveIRSValue,
-/// Section 4.5.2). Callbacks keep schemes decoupled from Collection.
-struct DerivationContext {
+/// What a derivation scheme sees of the object whose IRS value must be
+/// computed from related objects (deriveIRSValue, Section 4.5.2). The
+/// collection implements it over its per-statement read state; tests
+/// and benches implement it over fixed values.
+class DerivationContext {
+ public:
   /// The object whose value is being derived.
   Oid object;
-  /// The full IRS query (raw syntax).
-  std::string irs_query;
-
-  /// IRS value of a component for `query`: buffered IRS lookup when the
-  /// component is represented, recursive derivation otherwise.
-  std::function<StatusOr<double>(Oid component, const std::string& query)>
-      component_value;
-  /// Components (child objects) in document order.
-  std::function<StatusOr<std::vector<Oid>>(Oid object)> components_of;
-  /// Database class of an object (element type).
-  std::function<StatusOr<std::string>(Oid object)> class_of;
-  /// Text length (tokens) of an object's subtree.
-  std::function<StatusOr<double>(Oid object)> length_of;
-  /// Parses the IRS query syntax into an operator tree.
-  std::function<StatusOr<std::unique_ptr<irs::QueryNode>>(
-      const std::string& query)>
-      parse_query;
-
+  /// The full IRS query (raw syntax), and its operator tree.
+  std::string_view irs_query;
+  const irs::QueryNode* query_tree = nullptr;
   /// Value when no component provides evidence, and the floor of a
   /// subquery's value. The collection sets it to the query's null score
   /// (Collection::NullScore), so an object without components never
   /// outranks one with weak evidence.
   double default_value = 0.4;
+
+  /// IRS value of a component for `query` (the full query or one of its
+  /// subqueries): its IRS score when the component is represented,
+  /// recursive derivation otherwise.
+  virtual StatusOr<double> ComponentValue(Oid component,
+                                          std::string_view query) const = 0;
+  /// Components (child objects) in document order.
+  virtual StatusOr<std::vector<Oid>> ComponentsOf(Oid object) const = 0;
+  /// Database class of an object (element type).
+  virtual StatusOr<std::string> ClassOf(Oid object) const = 0;
+  /// Text length (tokens) of an object's subtree.
+  virtual StatusOr<double> LengthOf(Oid object) const = 0;
+
+ protected:
+  ~DerivationContext() = default;
 };
 
 /// Strategy for computing an object's IRS value from its components'

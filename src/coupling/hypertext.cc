@@ -202,16 +202,16 @@ class LinkDerivationScheme : public DerivationScheme {
     double best = ctx.default_value;
     // (a) Component maximum over structural children.
     SDMS_ASSIGN_OR_RETURN(std::vector<Oid> components,
-                          ctx.components_of(ctx.object));
+                          ctx.ComponentsOf(ctx.object));
     for (Oid c : components) {
-      SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(c, ctx.irs_query));
+      SDMS_ASSIGN_OR_RETURN(double v, ctx.ComponentValue(c, ctx.irs_query));
       best = std::max(best, v);
     }
     // (b) Damped best value among implying nodes (link semantics).
     SDMS_ASSIGN_OR_RETURN(std::vector<Oid> sources,
                           LinkSources(*coupling_, ctx.object, link_type_));
     for (Oid src : sources) {
-      SDMS_ASSIGN_OR_RETURN(double v, ctx.component_value(src, ctx.irs_query));
+      SDMS_ASSIGN_OR_RETURN(double v, ctx.ComponentValue(src, ctx.irs_query));
       best = std::max(best, damping_ * v);
     }
     return best;

@@ -34,7 +34,8 @@ obs::Gauge& GlobalBytes() {
 
 }  // namespace
 
-ResultBuffer::Entry* ResultBuffer::FindCountedLocked(const std::string& query) {
+std::shared_ptr<const OidScoreMap> ResultBuffer::Get(const std::string& query) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(query);
   if (it == entries_.end()) {
     misses_.Increment();
@@ -44,13 +45,7 @@ ResultBuffer::Entry* ResultBuffer::FindCountedLocked(const std::string& query) {
   hits_.Increment();
   GlobalHits().Increment();
   Touch(it->second);
-  return &it->second;
-}
-
-std::shared_ptr<const OidScoreMap> ResultBuffer::Get(const std::string& query) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = FindCountedLocked(query);
-  return e != nullptr ? e->result : nullptr;
+  return it->second.result;
 }
 
 void ResultBuffer::CountHits(uint64_t n) {
@@ -58,26 +53,27 @@ void ResultBuffer::CountHits(uint64_t n) {
   GlobalHits().Add(n);
 }
 
-ResultBuffer::Probe ResultBuffer::Lookup(const std::string& query, Oid oid,
-                                         bool counted) {
+std::optional<double> ResultBuffer::FindDerived(const std::string& query,
+                                                Oid oid) {
   std::lock_guard<std::mutex> lock(mu_);
-  Probe probe;
-  const Entry* e = nullptr;
-  if (counted) {
-    e = FindCountedLocked(query);
-  } else if (auto it = entries_.find(query); it != entries_.end()) {
-    e = &it->second;
-  }
-  if (e == nullptr) return probe;
-  probe.hit = true;
-  if (auto it = e->result->find(oid); it != e->result->end()) {
-    probe.source = Probe::Source::kIrs;
-    probe.value = it->second;
-  } else if (auto d = e->derived.find(oid); d != e->derived.end()) {
-    probe.source = Probe::Source::kDerived;
-    probe.value = d->second;
-  }
-  return probe;
+  auto it = entries_.find(query);
+  if (it == entries_.end()) return std::nullopt;
+  auto d = it->second.derived.find(oid);
+  if (d == it->second.derived.end()) return std::nullopt;
+  return d->second;
+}
+
+std::optional<double> ResultBuffer::FindNullScore(const std::string& query) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(query);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second.null_score;
+}
+
+void ResultBuffer::SetNullScore(const std::string& query, double score) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(query);
+  if (it != entries_.end()) it->second.null_score = score;
 }
 
 std::shared_ptr<const OidScoreMap> ResultBuffer::Put(const std::string& query,

@@ -4,6 +4,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -22,9 +23,10 @@ namespace sdms::coupling {
 ///
 /// An entry has two parts: the IRS result, an immutable OidScoreMap
 /// shared with the callers of Get(), and a side table of the values
-/// derived for unrepresented objects (Figure 3), which only Lookup()
-/// reads. Keeping them apart means the IRS result is exactly what the
-/// IRS returned, and caching a derived value costs one hash insert.
+/// derived for unrepresented objects (Figure 3), which only
+/// FindDerived() reads. Keeping them apart means the IRS result is
+/// exactly what the IRS returned, and caching a derived value costs one
+/// hash insert. The entry also keeps the query's null score.
 ///
 /// Thread safety: every operation is synchronized by one mutex, so
 /// concurrent callers — e.g. query evaluation on one thread while
@@ -47,26 +49,23 @@ class ResultBuffer {
   /// hit or miss and refreshes LRU order.
   std::shared_ptr<const OidScoreMap> Get(const std::string& query);
 
-  /// What Lookup() found for one object.
-  struct Probe {
-    /// The object's value came from the IRS result or the side table.
-    enum class Source { kNone, kIrs, kDerived };
-    /// The query is buffered (counted as a hit).
-    bool hit = false;
-    Source source = Source::kNone;
-    double value = 0.0;
-  };
+  /// The value derived earlier for `oid` (an object the IRS does not
+  /// represent) in the side table of `query`'s entry, or nullopt.
+  /// Counts nothing and keeps LRU order: the caller read the entry's
+  /// IRS result through a counted Get() first.
+  std::optional<double> FindDerived(const std::string& query, Oid oid);
 
-  /// Looks `oid` up in the entry of `query` without handing out the
-  /// result: the IRS result first, then the side table. Counts exactly
-  /// one hit or miss, like Get(), and refreshes LRU order. With
-  /// `counted = false` it does neither: a re-read for a caller that
-  /// booked the access already (a statement that pinned the result).
-  Probe Lookup(const std::string& query, Oid oid, bool counted = true);
+  /// The null score (Collection::NullScore) cached in `query`'s entry,
+  /// or nullopt. Counts nothing and keeps LRU order.
+  std::optional<double> FindNullScore(const std::string& query);
+
+  /// Caches `query`'s null score in its entry. Does nothing when `query`
+  /// is not buffered, so the cache is bounded like the buffer.
+  void SetNullScore(const std::string& query, double score);
 
   /// Books `n` hits at once: lookups a caller answered from a result it
-  /// pinned with an earlier counted access (see
-  /// Collection::BookPinnedHits). Touches no entry.
+  /// pinned with an earlier Get() (see ReadContext::Flush). Touches no
+  /// entry.
   void CountHits(uint64_t n);
 
   /// Stores (replacing) the result for `query`, with an empty side
@@ -124,15 +123,13 @@ class ResultBuffer {
     std::shared_ptr<const OidScoreMap> result;
     /// Derived values of objects the IRS does not represent.
     std::unordered_map<Oid, double> derived;
+    std::optional<double> null_score;
     std::list<std::string>::iterator lru_it;
     /// Cached ApproxEntryBytes of this entry (kept in sync by every
     /// mutation so bytes_ stays an O(1) aggregate).
     size_t bytes = 0;
   };
 
-  /// Finds `query`, counting a hit (and refreshing LRU order) or a
-  /// miss. Null on a miss.
-  Entry* FindCountedLocked(const std::string& query);
   /// Moves `e` to the MRU end of the LRU list.
   void Touch(Entry& e);
   /// Evicts LRU entries (never the MRU head) while over the budget.

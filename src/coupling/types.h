@@ -161,8 +161,6 @@ struct CouplingStats {
   uint64_t derive_calls = 0;
   /// Documents (re)indexed in the IRS due to update propagation.
   uint64_t reindex_ops = 0;
-  /// Update operations suppressed by operation-log cancellation.
-  uint64_t cancelled_ops = 0;
   /// Bytes moved across the system boundary in file-exchange mode.
   uint64_t bytes_exchanged = 0;
   /// Result files written/parsed (file-exchange mode).
@@ -173,9 +171,6 @@ struct CouplingStats {
   /// findIRSValue calls that fell back to derivation/missing_value
   /// because the IRS was unavailable.
   uint64_t degraded_reads = 0;
-  /// Net operations put back into the update log by failed
-  /// propagations. Repair() resets this once consistency is restored.
-  uint64_t requeued_ops = 0;
   /// Fan-out searches answered partially: at least one shard failed or
   /// was skipped while the others produced the (degraded) result.
   uint64_t shard_degraded_queries = 0;

@@ -12,8 +12,8 @@ namespace {
 /// Synthetic derivation environment: components with fixed per-term
 /// values, no database involved. Values for a multi-term query are the
 /// mean of the per-term values (mimicking #sum), which is what
-/// component_value returns when called with the full query.
-class FakeEnv {
+/// ComponentValue returns when called with the full query.
+class FakeEnv : public DerivationContext {
  public:
   /// components: oid -> (term -> value); class/length per oid.
   void AddComponent(uint64_t oid, std::map<std::string, double> term_values,
@@ -24,56 +24,59 @@ class FakeEnv {
     lengths_[Oid(oid)] = length;
   }
 
-  DerivationContext MakeContext(const std::string& query,
-                                double default_value = 0.4) {
-    DerivationContext ctx;
-    ctx.object = Oid(1000);
-    ctx.irs_query = query;
-    ctx.default_value = default_value;
-    ctx.component_value = [this, default_value](
-                              Oid c,
-                              const std::string& q) -> StatusOr<double> {
-      // Split q on spaces, strip #ops (terms only in these tests).
-      auto& tv = term_values_[c];
-      std::vector<std::string> terms;
-      std::string cur;
-      for (char ch : q) {
-        if (ch == ' ') {
-          if (!cur.empty()) terms.push_back(cur);
-          cur.clear();
-        } else {
-          cur.push_back(ch);
-        }
-      }
-      if (!cur.empty()) terms.push_back(cur);
-      double sum = 0.0;
-      for (const std::string& t : terms) {
-        auto it = tv.find(t);
-        sum += it == tv.end() ? default_value : it->second;
-      }
-      return terms.empty() ? default_value
-                           : sum / static_cast<double>(terms.size());
-    };
-    ctx.components_of = [this](Oid) -> StatusOr<std::vector<Oid>> {
-      return components_;
-    };
-    ctx.class_of = [this](Oid c) -> StatusOr<std::string> {
-      return classes_[c];
-    };
-    ctx.length_of = [this](Oid c) -> StatusOr<double> { return lengths_[c]; };
-    ctx.parse_query =
-        [this](const std::string& q)
-        -> StatusOr<std::unique_ptr<irs::QueryNode>> {
-      return irs::ParseIrsQuery(q, analyzer_);
-    };
-    return ctx;
+  /// Points the context at `query`, parsed with `analyzer`.
+  DerivationContext& MakeContext(const std::string& query,
+                                 double default_value = 0.4,
+                                 const irs::Analyzer* analyzer = nullptr) {
+    query_ = query;
+    auto tree = irs::ParseIrsQuery(query_, analyzer != nullptr ? *analyzer
+                                                               : analyzer_);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    tree_ = tree.ok() ? std::move(*tree) : nullptr;
+    object = Oid(1000);
+    irs_query = query_;
+    query_tree = tree_.get();
+    this->default_value = default_value;
+    return *this;
   }
+
+  StatusOr<double> ComponentValue(Oid c, std::string_view q) const override {
+    // Split q on spaces, strip #ops (terms only in these tests).
+    const auto& tv = term_values_.at(c);
+    std::vector<std::string> terms;
+    std::string cur;
+    for (char ch : q) {
+      if (ch == ' ') {
+        if (!cur.empty()) terms.push_back(cur);
+        cur.clear();
+      } else {
+        cur.push_back(ch);
+      }
+    }
+    if (!cur.empty()) terms.push_back(cur);
+    double sum = 0.0;
+    for (const std::string& t : terms) {
+      auto it = tv.find(t);
+      sum += it == tv.end() ? default_value : it->second;
+    }
+    return terms.empty() ? default_value
+                         : sum / static_cast<double>(terms.size());
+  }
+  StatusOr<std::vector<Oid>> ComponentsOf(Oid) const override {
+    return components_;
+  }
+  StatusOr<std::string> ClassOf(Oid c) const override {
+    return classes_.at(c);
+  }
+  StatusOr<double> LengthOf(Oid c) const override { return lengths_.at(c); }
 
  private:
   std::vector<Oid> components_;
   std::map<Oid, std::map<std::string, double>> term_values_;
   std::map<Oid, std::string> classes_;
   std::map<Oid, double> lengths_;
+  std::string query_;
+  std::unique_ptr<irs::QueryNode> tree_;
   irs::Analyzer analyzer_{irs::AnalyzerOptions{false, false, 1}};
 };
 
@@ -82,7 +85,7 @@ TEST(DerivationTest, MaxScheme) {
   env.AddComponent(1, {{"www", 0.8}});
   env.AddComponent(2, {{"www", 0.5}});
   auto scheme = MakeMaxScheme();
-  auto ctx = env.MakeContext("www");
+  auto& ctx = env.MakeContext("www");
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 0.8);
@@ -91,7 +94,7 @@ TEST(DerivationTest, MaxScheme) {
 TEST(DerivationTest, MaxSchemeNoComponentsGivesDefault) {
   FakeEnv env;
   auto scheme = MakeMaxScheme();
-  auto ctx = env.MakeContext("www", 0.4);
+  auto& ctx = env.MakeContext("www", 0.4);
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 0.4);
@@ -102,7 +105,7 @@ TEST(DerivationTest, AvgScheme) {
   env.AddComponent(1, {{"www", 0.8}});
   env.AddComponent(2, {{"www", 0.4}});
   auto scheme = MakeAvgScheme();
-  auto ctx = env.MakeContext("www");
+  auto& ctx = env.MakeContext("www");
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 0.6);
@@ -113,7 +116,7 @@ TEST(DerivationTest, WeightedTypeScheme) {
   env.AddComponent(1, {{"www", 0.9}}, "DOCTITLE");
   env.AddComponent(2, {{"www", 0.3}}, "PARA");
   auto scheme = MakeWeightedTypeScheme({{"DOCTITLE", 3.0}});
-  auto ctx = env.MakeContext("www");
+  auto& ctx = env.MakeContext("www");
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_NEAR(*v, (3.0 * 0.9 + 1.0 * 0.3) / 4.0, 1e-12);
@@ -124,7 +127,7 @@ TEST(DerivationTest, LengthWeightedScheme) {
   env.AddComponent(1, {{"www", 0.9}}, "PARA", 10);
   env.AddComponent(2, {{"www", 0.3}}, "PARA", 30);
   auto scheme = MakeLengthWeightedScheme();
-  auto ctx = env.MakeContext("www");
+  auto& ctx = env.MakeContext("www");
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_NEAR(*v, (10 * 0.9 + 30 * 0.3) / 40.0, 1e-12);
@@ -144,14 +147,14 @@ Figure4Values EvalScheme(DerivationScheme& scheme, const std::string& query) {
     FakeEnv m3;
     m3.AddComponent(7, {{"www", 0.8}, {"nii", 0.4}});
     m3.AddComponent(8, {{"www", 0.4}, {"nii", 0.8}});
-    auto ctx = m3.MakeContext(query);
+    auto& ctx = m3.MakeContext(query);
     out.m3_value = *scheme.Derive(ctx);
   }
   {
     FakeEnv m4;
     m4.AddComponent(9, {{"www", 0.8}, {"nii", 0.4}});
     m4.AddComponent(10, {{"www", 0.8}, {"nii", 0.4}});
-    auto ctx = m4.MakeContext(query);
+    auto& ctx = m4.MakeContext(query);
     out.m4_value = *scheme.Derive(ctx);
   }
   return out;
@@ -190,7 +193,7 @@ TEST(DerivationTest, SubqueryAwareWsum) {
   FakeEnv env;
   env.AddComponent(1, {{"www", 0.9}, {"nii", 0.5}});
   auto scheme = MakeSubqueryAwareScheme();
-  auto ctx = env.MakeContext("#wsum(3 www 1 nii)");
+  auto& ctx = env.MakeContext("#wsum(3 www 1 nii)");
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_NEAR(*v, (3 * 0.9 + 1 * 0.5) / 4.0, 1e-12);
@@ -202,7 +205,7 @@ TEST(DerivationTest, SubqueryLeafFlooredAtDefaultBelief) {
   FakeEnv env;
   env.AddComponent(1, {{"www", 0.1}});
   auto scheme = MakeSubqueryAwareScheme();
-  auto ctx = env.MakeContext("www", 0.4);
+  auto& ctx = env.MakeContext("www", 0.4);
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 0.4);
@@ -211,7 +214,7 @@ TEST(DerivationTest, SubqueryLeafFlooredAtDefaultBelief) {
 TEST(DerivationTest, SubqueryAwareNoComponents) {
   FakeEnv env;
   auto scheme = MakeSubqueryAwareScheme();
-  auto ctx = env.MakeContext("#and(www nii)", 0.4);
+  auto& ctx = env.MakeContext("#and(www nii)", 0.4);
   auto v = scheme->Derive(ctx);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 0.4);
@@ -228,10 +231,7 @@ TEST(DerivationTest, SubqueryAwareEmptiedOperatorFollowsTheIrs) {
   for (const auto& [query, expected] :
        {std::pair<std::string, double>{"#sum(www #max(the))", 0.45},
         std::pair<std::string, double>{"#and(www #max(the))", 0.0}}) {
-    auto ctx = env.MakeContext(query, 0.2);
-    ctx.parse_query = [&stopping](const std::string& q) {
-      return irs::ParseIrsQuery(q, stopping);
-    };
+    auto& ctx = env.MakeContext(query, 0.2, &stopping);
     auto v = scheme->Derive(ctx);
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     EXPECT_DOUBLE_EQ(*v, expected) << query;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "coupling_test_util.h"
 
 namespace sdms::coupling {
@@ -114,6 +116,52 @@ TEST_F(HypertextTest, LinkDerivationScheme) {
   auto without_links = (*coll)->FindIrsValue("hypermedia", root_a_);
   ASSERT_TRUE(without_links.ok());
   EXPECT_DOUBLE_EQ(*without_links, 0.4);
+}
+
+TEST_F(HypertextTest, MutualImpliesLinksTakeTheNullScoreOnReentry) {
+  // Documents A and B imply each other, so deriving either one re-enters
+  // the other. The re-entered derivation contributes the query's null
+  // score instead of recursing, in per-binding and bound evaluation
+  // alike.
+  ASSERT_TRUE(CreateLink(*sys_->coupling, root_a_, root_b_, "implies").ok());
+  ASSERT_TRUE(CreateLink(*sys_->coupling, root_b_, root_a_, "implies").ok());
+  auto coll = sys_->coupling->CreateCollection("paras", "inquery");
+  ASSERT_TRUE(coll.ok());
+  ASSERT_TRUE(
+      (*coll)->IndexObjects("ACCESS p FROM p IN PARA", kTextModeSubtree).ok());
+  (*coll)->SetDerivationScheme(
+      MakeLinkDerivationScheme(sys_->coupling.get(), "implies", 0.9));
+  // "plain" occurs in A's paragraph only. Had B seen A's derived value
+  // through the link, B would score above the null score.
+  auto null_score = (*coll)->NullScore("plain");
+  ASSERT_TRUE(null_score.ok());
+  auto direct = (*coll)->FindIrsValue("plain", para_a_);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_GT(0.9 * *direct, *null_score);
+  ASSERT_TRUE(root_a_ < root_b_);
+
+  // Per binding, in OID order: deriving A derives B, which re-enters A
+  // and sees A's null score; B's value is cached at the null score.
+  std::map<Oid, double> per_binding;
+  for (Oid d : {root_a_, root_b_}) {
+    auto v = (*coll)->FindIrsValue("plain", d);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    per_binding[d] = *v;
+  }
+  EXPECT_EQ(per_binding[root_a_], *direct);
+  EXPECT_EQ(per_binding[root_b_], *null_score);
+
+  // Bound: the statement's pinned call derives the same values.
+  (*coll)->buffer().Clear();
+  const std::string call = "d -> getIRSValue('paras', 'plain')";
+  auto r = sys_->coupling->query_engine().Run(
+      "ACCESS d, " + call + " FROM d IN MMFDOC WHERE " + call + " > 0");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  for (const auto& row : r->rows) {
+    EXPECT_EQ(row[1].as_real(), per_binding.at(row[0].as_oid()))
+        << row[0].as_oid().ToString();
+  }
 }
 
 TEST_F(HypertextTest, MaterializeHyperlinksFromMarkup) {

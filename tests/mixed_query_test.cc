@@ -228,15 +228,14 @@ void ExpectBitIdenticalRows(const oodb::vql::QueryResult& a,
 TEST(MixedQueryTest, BoundCallsMatchPerBindingEvaluation) {
   // Buffering on binds each getIRSValue call to its pinned result;
   // disable_buffering evaluates every binding through FindIrsValue.
-  // Both must produce the same rows and scores, bit for bit.
-  auto bound = MakeCorpusSystem();
+  // Both must produce the same rows and scores, bit for bit, under
+  // every derivation scheme.
   CouplingOptions unbuffered;
   unbuffered.disable_buffering = true;
-  auto per_binding = MakeCorpusSystem(unbuffered);
-  MixedQueryEvaluator bound_eval(bound->coupling.get());
-  MixedQueryEvaluator per_binding_eval(per_binding->coupling.get());
   const std::string call = "p -> getIRSValue('paras', 'www')";
   const std::string doc_call = "d -> getIRSValue('paras', 'www')";
+  const std::string doc_and_call =
+      "d -> getIRSValue('paras', '#and(www nii)')";
   const std::vector<std::string> statements = {
       // A full PARA scan: every paragraph passes, most at the null score.
       "ACCESS p, " + call + " FROM p IN PARA WHERE " + call + " > 0",
@@ -248,18 +247,33 @@ TEST(MixedQueryTest, BoundCallsMatchPerBindingEvaluation) {
       // MMFDOC values are derived from the paragraphs (Figure 3).
       "ACCESS d, " + doc_call + " FROM d IN MMFDOC WHERE " + doc_call +
           " > 0.4 ORDER BY " + doc_call + " DESC",
+      // The subquery scheme derives from the subqueries' values.
+      "ACCESS d, " + doc_and_call + " FROM d IN MMFDOC WHERE " +
+          doc_and_call + " > 0",
   };
-  for (const std::string& vql : statements) {
-    SCOPED_TRACE(vql);
-    // Twice on the bound side: the second run answers derived values
-    // from the side table instead of deriving them.
-    for (int run = 0; run < 2; ++run) {
-      auto got = bound_eval.Run(vql, Strategy::kIndependent);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      auto want = per_binding_eval.Run(vql, Strategy::kIndependent);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      EXPECT_FALSE(want->rows.empty());
-      ExpectBitIdenticalRows(*got, *want);
+  for (const char* scheme : {"max", "avg", "wtype", "length", "subquery"}) {
+    SCOPED_TRACE(scheme);
+    auto bound = MakeCorpusSystem();
+    auto per_binding = MakeCorpusSystem(unbuffered);
+    for (auto* sys : {bound.get(), per_binding.get()}) {
+      auto coll = sys->coupling->GetCollectionByName("paras");
+      ASSERT_TRUE(coll.ok());
+      ASSERT_TRUE((*coll)->SetDerivationScheme(scheme).ok());
+    }
+    MixedQueryEvaluator bound_eval(bound->coupling.get());
+    MixedQueryEvaluator per_binding_eval(per_binding->coupling.get());
+    for (const std::string& vql : statements) {
+      SCOPED_TRACE(vql);
+      // Twice on the bound side: the second run answers derived values
+      // from the side table instead of deriving them.
+      for (int run = 0; run < 2; ++run) {
+        auto got = bound_eval.Run(vql, Strategy::kIndependent);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        auto want = per_binding_eval.Run(vql, Strategy::kIndependent);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_FALSE(want->rows.empty());
+        ExpectBitIdenticalRows(*got, *want);
+      }
     }
   }
 }

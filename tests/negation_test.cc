@@ -38,17 +38,26 @@ TEST(NegationTest, GradedIrsNotIsNotSetComplement) {
   auto sys = MakeFigure4System();
   auto coll = *sys->coupling->GetCollectionByName("paras");
   // #not(www) under the inference model assigns *every* represented
-  // object a graded belief 1 - bel(www) — it does not select the
-  // crisp complement set.
+  // object a graded belief — it does not select the crisp complement
+  // set. The IRS result holds 1 - bel(www) for the paragraphs with
+  // evidence; every other represented paragraph scores the query's
+  // null belief 1 - 0.4 through findIRSValue.
   auto result = coll->EvalOperatorsInDbms("#not(www)");
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), coll->represented_count());
+  auto null_score = coll->NullScore("#not(www)");
+  ASSERT_TRUE(null_score.ok());
+  EXPECT_NEAR(*null_score, 0.6, 1e-12);
   // The crisp VQL complement above has 6 members; thresholding the
   // graded #not at 0.5 gives a different (here: larger) set than the
   // crisp complement of the 0.5-threshold positives — the two
   // negations do not commute through thresholds.
   size_t above_half = 0;
-  for (const auto& [oid, score] : *result) {
+  for (Oid p : coll->represented()) {
+    auto it = result->find(p);
+    double score = it == result->end() ? *null_score : it->second;
+    auto value = coll->FindIrsValue("#not(www)", p);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_EQ(*value, score) << p.ToString();
     if (score > 0.5) ++above_half;
   }
   EXPECT_EQ(above_half, 6u);  // complement of the 5 www paragraphs

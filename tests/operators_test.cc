@@ -112,20 +112,33 @@ TEST_F(OperatorsTest, AndRanksP4Highest) {
   EXPECT_NE(text->find("P4"), std::string::npos);
 }
 
-TEST_F(OperatorsTest, NotComplementsOverRepresented) {
-  auto result = coll_->EvalOperatorsInDbms("#not(www)");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), coll_->represented_count());
-  // Paragraphs with www get low (1 - belief) values, others 0.6.
+// #not folds like every other operator: its candidates are the
+// documents with evidence for the operand, as in the IRS. A represented
+// document without evidence scores the query's null belief, 1 - 0.4.
+TEST_F(OperatorsTest, NotMatchesIrs) {
+  ExpectSameScores("#not(www)");
+  auto null_score = coll_->NullScore("#not(www)");
+  ASSERT_TRUE(null_score.ok());
+  EXPECT_NEAR(*null_score, 0.6, 1e-12);
   auto www = coll_->GetIrsResult("www");
   ASSERT_TRUE(www.ok());
-  for (const auto& [oid, score] : *result) {
-    if (www.value()->count(oid) > 0) {
-      EXPECT_LT(score, 0.6);
-    } else {
-      EXPECT_NEAR(score, 0.6, 1e-12);
-    }
+  size_t without_evidence = 0;
+  for (Oid p : coll_->represented()) {
+    if ((*www)->count(p) > 0) continue;
+    auto value = coll_->FindIrsValue("#not(www)", p);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_EQ(*value, *null_score) << p.ToString();
+    ++without_evidence;
   }
+  EXPECT_GT(without_evidence, 0u);
+}
+
+TEST_F(OperatorsTest, AndNotMatchesIrs) {
+  ExpectSameScores("#and(www #not(nii))");
+}
+
+TEST_F(OperatorsTest, OrNotMatchesIrs) {
+  ExpectSameScores("#or(#not(www) nii)");
 }
 
 }  // namespace

@@ -50,29 +50,34 @@ TEST(ResultBufferTest, InsertValueAugments) {
   const OidScoreMap irs{{Oid(1), 0.5}};
   buf.Put("q", irs);
   buf.InsertValue("q", Oid(9), 0.3);
-  // The derived value is found through the lookup, after the IRS value
-  // of a represented object...
-  ResultBuffer::Probe derived = buf.Lookup("q", Oid(9));
-  EXPECT_TRUE(derived.hit);
-  EXPECT_EQ(derived.source, ResultBuffer::Probe::Source::kDerived);
-  EXPECT_DOUBLE_EQ(derived.value, 0.3);
-  ResultBuffer::Probe direct = buf.Lookup("q", Oid(1));
-  EXPECT_EQ(direct.source, ResultBuffer::Probe::Source::kIrs);
-  EXPECT_DOUBLE_EQ(direct.value, 0.5);
-  ResultBuffer::Probe absent = buf.Lookup("q", Oid(4));
-  EXPECT_TRUE(absent.hit);
-  EXPECT_EQ(absent.source, ResultBuffer::Probe::Source::kNone);
+  // The derived value is found in the side table, which holds only
+  // derived values...
+  EXPECT_EQ(buf.FindDerived("q", Oid(9)), 0.3);
+  EXPECT_EQ(buf.FindDerived("q", Oid(1)), std::nullopt);
+  EXPECT_EQ(buf.FindDerived("q", Oid(4)), std::nullopt);
   // ...while the IRS result stays exactly what the IRS returned.
   auto r = buf.Get("q");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(*r, irs);
-  // Each lookup counted one hit, like Get.
-  EXPECT_EQ(buf.hits(), 4u);
+  // Only Get counts: FindDerived reads an entry its caller counted.
+  EXPECT_EQ(buf.hits(), 1u);
   // InsertValue on a missing query creates nothing.
   buf.InsertValue("fresh", Oid(2), 0.1);
   EXPECT_EQ(buf.size(), 1u);
-  EXPECT_FALSE(buf.Lookup("fresh", Oid(2)).hit);
-  EXPECT_EQ(buf.misses(), 1u);
+  EXPECT_EQ(buf.FindDerived("fresh", Oid(2)), std::nullopt);
+  EXPECT_EQ(buf.misses(), 0u);
+}
+
+TEST(ResultBufferTest, NullScoreLivesAndDiesWithTheEntry) {
+  ResultBuffer buf;
+  buf.SetNullScore("q", 0.4);  // not buffered: nothing is cached
+  EXPECT_EQ(buf.FindNullScore("q"), std::nullopt);
+  buf.Put("q", {{Oid(1), 0.5}});
+  buf.SetNullScore("q", 0.4);
+  EXPECT_EQ(buf.FindNullScore("q"), 0.4);
+  buf.Clear();
+  EXPECT_EQ(buf.FindNullScore("q"), std::nullopt);
+  EXPECT_EQ(buf.hits() + buf.misses(), 0u);
 }
 
 TEST(ResultBufferTest, ReplacingPutDropsDerivedValues) {
@@ -80,8 +85,7 @@ TEST(ResultBufferTest, ReplacingPutDropsDerivedValues) {
   buf.Put("q", {{Oid(1), 0.5}});
   buf.InsertValue("q", Oid(9), 0.3);
   buf.Put("q", {{Oid(1), 0.6}});
-  EXPECT_EQ(buf.Lookup("q", Oid(9)).source,
-            ResultBuffer::Probe::Source::kNone);
+  EXPECT_EQ(buf.FindDerived("q", Oid(9)), std::nullopt);
   EXPECT_EQ(buf.bytes(),
             ResultBuffer::ApproxEntryBytes("q", OidScoreMap{{Oid(1), 0.6}}));
 }
@@ -128,9 +132,8 @@ TEST(ResultBufferTest, ConcurrentReadersKeepTheirHandles) {
     if (auto r = buf.Get("q")) {
       EXPECT_EQ(*r, result);
     }
-    ResultBuffer::Probe p = buf.Lookup("q", Oid(9));
-    if (p.source == ResultBuffer::Probe::Source::kDerived) {
-      EXPECT_DOUBLE_EQ(p.value, 0.125);
+    if (std::optional<double> d = buf.FindDerived("q", Oid(9))) {
+      EXPECT_DOUBLE_EQ(*d, 0.125);
     }
   }
   writer.join();
@@ -176,8 +179,8 @@ TEST(ResultBufferTest, LruEvictionOrderFollowsHits) {
   EXPECT_EQ(buf.evictions(), 2u);
   EXPECT_EQ(buf.Get("a"), nullptr);
   EXPECT_EQ(buf.Get("c"), nullptr);
-  // A Lookup refreshes recency like Get: b, d, e -> d, e, b.
-  EXPECT_TRUE(buf.Lookup("b", Oid(2)).hit);
+  // A hit refreshes recency: b, d, e -> d, e, b.
+  EXPECT_NE(buf.Get("b"), nullptr);
   // A Put that replaces an entry refreshes it too.
   buf.Put("d", {{Oid(7), 1.0}});  // recency: e, b, d
   buf.Put("g", {{Oid(8), 1.0}});  // evicts e
