@@ -290,40 +290,14 @@ void Collection::MarkRemoteShardsUnsynced() {
 }
 
 void Collection::TeeOpsToRemote(irs::IrsCollection* coll, size_t shard,
-                                const std::vector<PendingOp>& shard_ops,
+                                const std::vector<ShardOp>& ops,
                                 uint64_t high) {
   RemoteShardChannel* ch = remote_shard_channel(shard);
   if (ch == nullptr) return;
-  std::vector<ShardOp> ops;
-  ops.reserve(shard_ops.size());
-  for (const PendingOp& op : shard_ops) {
-    ShardOp out;
-    out.key = op.oid.ToString();
-    out.seq = op.seq;
-    // Materialize against the post-apply local index: what the local
-    // shard ended up with is exactly what the server must converge to
-    // (an insert reconciled away — spec miss, later delete in the same
-    // batch — tees as a delete, which the server no-ops if absent).
-    if (op.kind == UpdateKind::kDelete || !coll->HasDocument(out.key)) {
-      out.is_delete = true;
-    } else {
-      StatusOr<std::string> text = coupling_->GetText(op.oid, text_mode_);
-      if (!text.ok()) {
-        ch->MarkUnsynced();
-        SDMS_LOG(WARN) << "remote tee for '" << irs_name_ << "' shard "
-                       << shard << " could not materialize "
-                       << out.key << ": " << text.status().ToString()
-                       << " (channel marked unsynced)";
-        return;
-      }
-      out.text = std::move(*text);
-    }
-    ops.push_back(std::move(out));
-  }
   Status pushed = ch->PushOps(ops, high, coll);
   if (!pushed.ok()) {
-    // Local apply already committed — remote catch-up is deferred to
-    // the next search/sync, never a propagation failure.
+    // The local apply already happened — remote catch-up is deferred
+    // to the next search/sync, never a propagation failure.
     SDMS_LOG(WARN) << "remote tee for '" << irs_name_ << "' shard " << shard
                    << " failed (" << ops.size()
                    << " op(s), server will be caught up by a full install): "
@@ -877,18 +851,18 @@ Status Collection::PropagateUpdates() {
   std::vector<PendingOp> ops = update_log_.Drain();
   if (ops.empty()) return Status::OK();
   Metrics().propagate_batches.Increment();
-  auto requeue_all = [&](const std::vector<PendingOp>& batch,
-                         const Status& why, const char* what) {
+  auto requeue = [&](const std::vector<PendingOp>& batch, const Status& why,
+                     const std::string& what) {
     for (const PendingOp& op : batch) update_log_.Requeue(op);
     Metrics().requeued.Add(batch.size());
     Metrics().requeued_pending.Set(static_cast<int64_t>(update_log_.size()));
     SDMS_LOG(WARN) << what << " for '" << irs_name_ << "' failed, "
-                   << update_log_.size()
+                   << batch.size()
                    << " net update(s) requeued: " << why.ToString();
   };
   auto coll_or = coupling_->irs().GetCollection(irs_name_);
   if (!coll_or.ok()) {
-    requeue_all(ops, coll_or.status(), "propagation");
+    requeue(ops, coll_or.status(), "propagation");
     return coll_or.status();
   }
   irs::IrsCollection* coll = *coll_or;
@@ -914,141 +888,55 @@ Status Collection::PropagateUpdates() {
     Status prepared = coupling_->JournalPrepare(
         self_, static_cast<uint32_t>(s), high, per_shard[s]);
     if (!prepared.ok()) {
-      requeue_all(ops, prepared, "propagation journal prepare");
+      requeue(ops, prepared, "propagation journal prepare");
       return prepared;
     }
   }
-  // Phase 2: apply per shard. Net operations are per-object
-  // independent, so replay is free to group them: deletes and modifies
-  // apply individually, while inserts are collected and fed to the
-  // batch indexing pipeline in one call per shard.
+  // Phase 2: per shard, plan each op's target document from the
+  // database, then apply the plan (see ApplyPlan).
   //
-  // Failure contract per shard: on the first error every unapplied
-  // operation of THAT shard — its deferred inserts plus the failed op
-  // and everything after it — goes back into the update log, so the
-  // sub-batch is never lost and the next propagation replays exactly
-  // the remaining work. Other shards are unaffected.
+  // Failure contract per shard: a failed plan applies nothing and the
+  // whole sub-batch goes back into the update log; a failed apply
+  // requeues exactly the ops it did not apply. Other shards are
+  // unaffected.
   Status first_failure = Status::OK();
-  bool any_changed = false;
+  const uint64_t reindexed_before = stats_.reindex_ops;
   size_t applied_total = 0;
   for (size_t s = 0; s < n; ++s) {
-    if (per_shard[s].empty()) {
-      // No ops routed to this shard in the drain, so it already
-      // reflects every sequenced event up to `high` (pending work
-      // would have drained into this batch). Advancing its floor too
-      // keeps the floors uniform, which keeps the restored routing
-      // dedup tight after a crash.
-      coll->set_shard_applied_seq(s, high);
-      TeeOpsToRemote(coll, s, {}, high);
-      continue;
-    }
     const std::vector<PendingOp>& shard_ops = per_shard[s];
-    CallGuard& sguard = *shard_guards_[s];
-    std::vector<PendingOp> inserts;
-    bool changed = false;
-    Status failure = Status::OK();
-    size_t failed_at = shard_ops.size();
-    for (size_t i = 0; i < shard_ops.size(); ++i) {
-      const PendingOp& op = shard_ops[i];
-      if (op.kind == UpdateKind::kInsert) {
-        inserts.push_back(op);
-        continue;
-      }
-      Status st = sguard.Run(
-          op.kind == UpdateKind::kDelete ? "remove_document"
-                                         : "update_document",
-          [&]() -> Status {
-            SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-            return ApplyOp(op);
-          });
-      if (!st.ok()) {
-        failure = st;
-        failed_at = i;
-        break;
-      }
-      changed = true;
-    }
-    if (failure.ok() && !inserts.empty()) {
-      std::vector<irs::BatchDocument> batch;
-      std::vector<Oid> batch_oids;
-      batch.reserve(inserts.size());
-      for (const PendingOp& op : inserts) {
-        if (Represents(op.oid)) {
-          // Redelivered insert whose document already exists — the
-          // usual shape of a duplicate delivery after crash recovery.
-          // A net insert can carry a folded modify (insert + modify
-          // collapse to an insert in the update log), so the duplicate
-          // reconciles as an update instead of being dropped: the
-          // re-derived text converges to the current database state
-          // whether or not a content change was folded in.
-          if (op.seq != 0) Metrics().duplicates_skipped.Increment();
-          Status st = sguard.Run("update_document", [&]() -> Status {
-            SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-            return ApplyOp(PendingOp{UpdateKind::kModify, op.oid, op.seq});
-          });
-          if (!st.ok()) {
-            failure = st;
-            break;
-          }
-          changed = true;
-          continue;
-        }
-        StatusOr<bool> ok = SatisfiesSpec(op.oid);
-        if (!ok.ok()) {
-          failure = ok.status();
-          break;
-        }
-        if (!*ok) continue;
-        StatusOr<std::string> text = coupling_->GetText(op.oid, text_mode_);
-        if (!text.ok()) {
-          failure = text.status();
-          break;
-        }
-        SDMS_LOG(DEBUG) << "batch insert " << op.oid.ToString() << " seq "
-                        << op.seq << " text '" << *text << "'";
-        batch.push_back(
-            irs::BatchDocument{op.oid.ToString(), std::move(*text)});
-        batch_oids.push_back(op.oid);
-      }
-      if (failure.ok() && !batch.empty()) {
-        failure = sguard.Run("batch_add", [&]() -> Status {
-          SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-          // AddDocumentsBatch fails without side effects, so a failed
-          // batch can be requeued and replayed wholesale.
-          return coll->AddDocumentsBatch(batch);
-        });
-        if (failure.ok()) {
-          represented_.insert(batch_oids.begin(), batch_oids.end());
-          stats_.reindex_ops += batch.size();
-          Metrics().reindex_ops.Add(batch.size());
-          changed = true;
-        }
-      }
-    }
-    any_changed = any_changed || changed;
-    if (!failure.ok()) {
+    StatusOr<std::vector<ShardOp>> plan = PlanOps(coll, shard_ops);
+    std::vector<size_t> applied;
+    Status failure = plan.ok() ? ApplyPlan(coll, s, *plan, &applied)
+                               : plan.status();
+    std::vector<ShardOp> teed;
+    teed.reserve(applied.size());
+    for (size_t i : applied) teed.push_back(std::move((*plan)[i]));
+    if (failure.ok()) {
+      // This shard's whole sub-batch applied (or it had none: pending
+      // work would have drained into this batch), so it now reflects
+      // every sequenced event routed to it up to `high`. Advance only
+      // this shard's high-water mark — never per op — so a crash
+      // mid-batch replays the full remaining work instead of skipping
+      // requeued lower-seq ops.
+      coll->set_shard_applied_seq(s, high);
+    } else {
       if (first_failure.ok()) first_failure = failure;
-      size_t requeued = inserts.size() + (shard_ops.size() - failed_at);
-      for (const PendingOp& op : inserts) update_log_.Requeue(op);
-      for (size_t j = failed_at; j < shard_ops.size(); ++j) {
-        update_log_.Requeue(shard_ops[j]);
+      std::vector<bool> done(shard_ops.size());
+      for (size_t i : applied) done[i] = true;
+      std::vector<PendingOp> unapplied;
+      for (size_t i = 0; i < shard_ops.size(); ++i) {
+        if (!done[i]) unapplied.push_back(shard_ops[i]);
       }
-      Metrics().requeued.Add(requeued);
-      Metrics().requeued_pending.Set(
-          static_cast<int64_t>(update_log_.size()));
-      SDMS_LOG(WARN) << "propagation into '" << irs_name_ << "' shard " << s
-                     << " failed, " << requeued
-                     << " net update(s) requeued: " << failure.ToString();
-      continue;
+      requeue(unapplied, failure,
+              "propagation into shard " + std::to_string(s));
     }
-    // This shard's whole sub-batch applied: it now reflects every
-    // sequenced event routed to it up to `high`. Advance only this
-    // shard's high-water mark — never per op — so a crash mid-batch
-    // replays the full remaining work instead of skipping requeued
-    // lower-seq ops.
-    coll->set_shard_applied_seq(s, high);
+    // The remote server gets exactly the ops the local shard applied,
+    // under its floor, advanced or not, so it stays in step.
+    if (failure.ok() || !teed.empty()) {
+      TeeOpsToRemote(coll, s, teed, coll->shard_applied_seq(s));
+    }
+    if (!failure.ok() || shard_ops.empty()) continue;
     applied_total += shard_ops.size();
-    TeeOpsToRemote(coll, s, shard_ops, high);
     // The commit record marks the shard's batch complete in memory.
     // Recovery treats it as advisory (only the persisted snapshot's
     // high-water marks prove durability) and the reconciling replay is
@@ -1070,7 +958,7 @@ Status Collection::PropagateUpdates() {
     // succeeds end to end.
     return first_failure;
   }
-  if (any_changed) buffer_.Clear();
+  if (stats_.reindex_ops != reindexed_before) buffer_.Clear();
   Metrics().propagate_ops.Add(applied_total);
   Metrics().requeued_pending.Set(static_cast<int64_t>(update_log_.size()));
   SDMS_LOG(DEBUG) << "propagated " << ops.size() << " net update(s) into '"
@@ -1078,82 +966,91 @@ Status Collection::PropagateUpdates() {
   return Status::OK();
 }
 
-Status Collection::ApplyOp(const PendingOp& op) {
-  // Replay is *reconciling*, which makes it idempotent: inserts whose
-  // document already exists and deletes whose document is already gone
-  // are skipped, and modifies re-derive the text from the current
-  // database state, so applying the same sequenced op twice (duplicate
+StatusOr<std::vector<ShardOp>> Collection::PlanOps(
+    irs::IrsCollection* coll, const std::vector<PendingOp>& ops) {
+  // Planning from the current database state makes replay reconciling,
+  // and so idempotent: applying the same sequenced op twice (duplicate
   // delivery after a crash) converges to the same index.
-  SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
-                        coupling_->irs().GetCollection(irs_name_));
-  switch (op.kind) {
-    case UpdateKind::kInsert:
-      // PropagateUpdates applies inserts as one batch per shard.
-      return Status::Internal("ApplyOp takes no inserts");
-    case UpdateKind::kModify: {
-      if (!coupling_->db().store().Contains(op.oid)) {
-        // Vanished since recording: treat as a delete.
-        if (Represents(op.oid)) {
-          SDMS_RETURN_IF_ERROR(coll->RemoveDocument(op.oid.ToString()));
-          represented_.erase(op.oid);
-          ++stats_.reindex_ops;
-          Metrics().reindex_ops.Increment();
-        }
-        break;
-      }
-      if (!Represents(op.oid)) {
-        // Crash recovery can fold a journal-requeued modify with the
-        // re-routed insert of the same object into one modify while
-        // the restored index predates both (its snapshot was taken
-        // before the insert was ever applied). The net op then has to
-        // *create* the document, not update it: reconcile against the
-        // database ground truth and degenerate to an insert.
-        SDMS_ASSIGN_OR_RETURN(bool ok, SatisfiesSpec(op.oid));
-        if (!ok) break;
-        SDMS_ASSIGN_OR_RETURN(std::string added_text,
-                              coupling_->GetText(op.oid, text_mode_));
-        SDMS_LOG(DEBUG) << "apply modify-as-insert " << op.oid.ToString()
-                        << " seq " << op.seq << " text '" << added_text << "'";
-        SDMS_RETURN_IF_ERROR(
-            coll->AddDocument(op.oid.ToString(), added_text));
-        represented_.insert(op.oid);
-        ++stats_.reindex_ops;
-        Metrics().reindex_ops.Increment();
-        break;
-      }
-      SDMS_ASSIGN_OR_RETURN(std::string text,
-                            coupling_->GetText(op.oid, text_mode_));
-      SDMS_LOG(DEBUG) << "apply modify " << op.oid.ToString() << " seq "
-                      << op.seq << " text '" << text << "'";
-      if (!coll->HasDocument(op.oid.ToString())) {
-        // A previous update faulted between its remove and its re-add:
-        // the replayed modify degenerates to a plain add.
-        SDMS_RETURN_IF_ERROR(coll->AddDocument(op.oid.ToString(), text));
-      } else {
-        SDMS_RETURN_IF_ERROR(coll->UpdateDocument(op.oid.ToString(), text));
-      }
-      ++stats_.reindex_ops;
-      Metrics().reindex_ops.Increment();
-      break;
+  std::vector<ShardOp> plan(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const PendingOp& op = ops[i];
+    ShardOp& out = plan[i];
+    out.key = op.oid.ToString();
+    out.seq = op.seq;
+    const bool represented = Represents(op.oid);
+    // A re-delivered insert of a represented object, or delete of an
+    // unrepresented one: the usual shape of a duplicate delivery after
+    // crash recovery. The insert is planned as an update all the same,
+    // since a net insert can carry a folded modify.
+    const bool duplicate = op.kind == UpdateKind::kInsert
+                               ? represented
+                               : op.kind == UpdateKind::kDelete && !represented;
+    if (duplicate && op.seq != 0) Metrics().duplicates_skipped.Increment();
+    out.is_delete = op.kind == UpdateKind::kDelete ||
+                    !coupling_->db().store().Contains(op.oid);
+    if (!out.is_delete && !represented && !coll->HasDocument(out.key)) {
+      SDMS_ASSIGN_OR_RETURN(bool satisfies, SatisfiesSpec(op.oid));
+      out.is_delete = !satisfies;
     }
-    case UpdateKind::kDelete: {
-      if (!Represents(op.oid)) {
-        if (op.seq != 0) Metrics().duplicates_skipped.Increment();
-        break;
-      }
-      SDMS_LOG(DEBUG) << "apply delete " << op.oid.ToString() << " seq "
-                      << op.seq;
-      if (coll->HasDocument(op.oid.ToString())) {
-        SDMS_RETURN_IF_ERROR(coll->RemoveDocument(op.oid.ToString()));
-      }
-      // else: a previous update faulted between its remove and its
-      // re-add — the document is already gone, which is exactly this
-      // delete's goal state.
-      represented_.erase(op.oid);
-      ++stats_.reindex_ops;
-      Metrics().reindex_ops.Increment();
-      break;
+    if (!out.is_delete) {
+      SDMS_ASSIGN_OR_RETURN(out.text, coupling_->GetText(op.oid, text_mode_));
     }
+  }
+  return plan;
+}
+
+Status Collection::ApplyPlan(irs::IrsCollection* coll, size_t shard,
+                             const std::vector<ShardOp>& plan,
+                             std::vector<size_t>* applied) {
+  CallGuard& sguard = shard_guard(shard);
+  auto book = [this](Oid oid, bool present) {
+    if (present) {
+      represented_.insert(oid);
+    } else {
+      represented_.erase(oid);
+    }
+    ++stats_.reindex_ops;
+    Metrics().reindex_ops.Increment();
+  };
+  std::vector<std::pair<size_t, Oid>> adds;
+  for (size_t i = 0; i < plan.size(); ++i) {
+    const ShardOp& op = plan[i];
+    SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(op.key));
+    const bool has = coll->HasDocument(op.key);
+    if (!op.is_delete && !has) {
+      adds.emplace_back(i, oid);
+      continue;
+    }
+    if (has) {
+      SDMS_RETURN_IF_ERROR(sguard.Run(
+          op.is_delete ? "remove_document" : "update_document",
+          [&]() -> Status {
+            SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
+            return coll->ReconcileDocument(
+                op.key, op.is_delete ? nullptr : &op.text);
+          }));
+    }
+    applied->push_back(i);
+    // A delete of a represented object whose document is already gone
+    // (an earlier update faulted between its remove and its re-add)
+    // still un-represents it.
+    if (has || Represents(oid)) book(oid, !op.is_delete);
+  }
+  if (adds.empty()) return Status::OK();
+  std::vector<irs::BatchDocument> batch;
+  batch.reserve(adds.size());
+  for (const auto& [i, oid] : adds) {
+    batch.push_back(irs::BatchDocument{plan[i].key, plan[i].text});
+  }
+  SDMS_RETURN_IF_ERROR(sguard.Run("batch_add", [&]() -> Status {
+    SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
+    // AddDocumentsBatch fails without side effects, so a failed batch
+    // leaves every add unapplied.
+    return coll->AddDocumentsBatch(batch);
+  }));
+  for (const auto& [i, oid] : adds) {
+    applied->push_back(i);
+    book(oid, true);
   }
   return Status::OK();
 }
@@ -1211,19 +1108,24 @@ Status Collection::Repair() {
   SDMS_ASSIGN_OR_RETURN(ConsistencyReport report, VerifyConsistency());
   SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
                         coupling_->irs().GetCollection(irs_name_));
+  // Missing objects are re-indexed with their text and orphans removed,
+  // through the apply propagation uses.
+  std::vector<std::vector<ShardOp>> plans(coll->num_shards());
+  for (Oid oid : report.orphaned_in_irs) {
+    std::string key = oid.ToString();
+    plans[coll->ShardOfKey(key)].push_back(
+        ShardOp{true, std::move(key), "", 0});
+  }
   for (Oid oid : report.missing_in_irs) {
+    std::string key = oid.ToString();
     SDMS_ASSIGN_OR_RETURN(std::string text,
                           coupling_->GetText(oid, text_mode_));
-    SDMS_RETURN_IF_ERROR(coll->AddDocument(oid.ToString(), text));
-    represented_.insert(oid);
-    ++stats_.reindex_ops;
-    Metrics().reindex_ops.Increment();
+    plans[coll->ShardOfKey(key)].push_back(
+        ShardOp{false, std::move(key), std::move(text), 0});
   }
-  for (Oid oid : report.orphaned_in_irs) {
-    SDMS_RETURN_IF_ERROR(coll->RemoveDocument(oid.ToString()));
-    represented_.erase(oid);
-    ++stats_.reindex_ops;
-    Metrics().reindex_ops.Increment();
+  for (size_t s = 0; s < plans.size(); ++s) {
+    std::vector<size_t> applied;
+    SDMS_RETURN_IF_ERROR(ApplyPlan(coll, s, plans[s], &applied));
   }
   // Resync the represented set with what the IRS index now holds (it
   // can drift when a crash interrupted IndexObjects or a batch).

@@ -14,6 +14,7 @@
 #include "coupling/call_guard.h"
 #include "coupling/derivation.h"
 #include "coupling/result_buffer.h"
+#include "coupling/shard_protocol.h"
 #include "coupling/types.h"
 #include "coupling/update_log.h"
 #include "irs/query/query_node.h"
@@ -192,10 +193,10 @@ class Collection {
   /// seq, the drained ops) is forced to the journal before the first
   /// IRS call, and a commit record after the last — so a crash at any
   /// point leaves either a journaled batch to replay or a resolved
-  /// one to skip. On a mid-batch failure every unapplied operation
-  /// (including the one that failed) is re-recorded in the update log
-  /// and the error is returned, so no update is ever silently lost —
-  /// a later call replays exactly the remaining work.
+  /// one to skip. On a failure every unapplied operation (including
+  /// the one that failed) is re-recorded in the update log and the
+  /// error is returned, so no update is ever silently lost — a later
+  /// call replays exactly the remaining work.
   Status PropagateUpdates();
 
   /// Highest update-event seq this collection has seen routed to it.
@@ -380,13 +381,13 @@ class Collection {
   /// Sizes shard_guards_ to the IRS collection's shard count.
   void EnsureShardGuards(size_t num_shards);
 
-  /// Forwards one applied (or empty floor-advancing) propagation
-  /// sub-batch to shard `shard`'s remote channel, materialized into
-  /// wire ops (key + current text). Failures never fail propagation —
-  /// the local apply already succeeded; the channel marks itself
-  /// unsynced and the next search catches the server up.
+  /// Forwards the ops shard `shard` applied (none for a floor-advancing
+  /// push) and its floor `high` to the shard's remote channel. Failures
+  /// never fail propagation — the local apply already happened; the
+  /// channel marks itself unsynced and the next search catches the
+  /// server up.
   void TeeOpsToRemote(irs::IrsCollection* coll, size_t shard,
-                      const std::vector<PendingOp>& shard_ops, uint64_t high);
+                      const std::vector<ShardOp>& ops, uint64_t high);
 
   /// Invalidates every channel's sync mark after an out-of-band index
   /// rebuild (IndexObjects, Repair).
@@ -395,9 +396,23 @@ class Collection {
   /// Ensures pending updates are applied according to the policy.
   Status MaybePropagate();
 
-  /// (Re)indexes one object per a net modify or delete (inserts go to
-  /// the batch path of PropagateUpdates).
-  Status ApplyOp(const PendingOp& op);
+  /// Plans `ops` into their target documents, read once from the
+  /// database: absent for a delete or an object gone from the store;
+  /// present with its getText text for a represented object or one that
+  /// has an IRS document; otherwise present only if it satisfies the
+  /// specification query.
+  StatusOr<std::vector<ShardOp>> PlanOps(irs::IrsCollection* coll,
+                                         const std::vector<PendingOp>& ops);
+
+  /// Brings shard `shard` of `coll` to the documents `plan` targets:
+  /// each remove and update on its own, in plan order and under the
+  /// shard's guard, then every add in one AddDocumentsBatch. Books the
+  /// represented set and reindex_ops, and appends the indices into
+  /// `plan` of the ops applied to `applied`, in apply order; on failure
+  /// the ops not listed there were not applied.
+  Status ApplyPlan(irs::IrsCollection* coll, size_t shard,
+                   const std::vector<ShardOp>& plan,
+                   std::vector<size_t>* applied);
 
   /// Evaluates whether `oid` currently satisfies the spec query.
   StatusOr<bool> SatisfiesSpec(Oid oid);

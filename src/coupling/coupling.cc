@@ -683,10 +683,11 @@ Status Coupling::RecoverPropagation() {
   // trusted to resolve prepares here; the one durable truth is the
   // restored snapshot's high-water mark, and every journaled batch
   // above that floor is folded back into the collection's update log.
-  // The reconciling ApplyOp makes replay idempotent, so this
+  // Propagation plans each op's document from the current database
+  // state, which makes replay idempotent, so this
   // over-approximation (re-delivering batches that did apply and
-  // commit but were never persisted) is safe — duplicates reconcile
-  // to no-ops.
+  // commit but were never persisted) is safe — duplicates converge to
+  // the same documents.
   struct PreparedBatch {
     uint32_t shard = 0;
     uint64_t high = 0;

@@ -133,8 +133,9 @@ class Coupling : public oodb::UpdateListener {
   /// re-delivered (Database::TakeRecoveredUpdates), skipping per
   /// collection those at or below its restored high-water mark;
   /// (3) sweeps stray temp/exchange files a crashed run left behind.
-  /// Replay is idempotent (ApplyOp reconciles against the current
-  /// database state), so any crash point recovers to exactly-once.
+  /// Replay is idempotent (propagation plans each op's document from
+  /// the current database state), so any crash point recovers to
+  /// exactly-once.
   Status RecoverPropagation();
 
   /// Persists the IRS indexes (with their high-water marks) to

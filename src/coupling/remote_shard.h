@@ -129,7 +129,7 @@ class RemoteShardChannel {
       const std::string& query, const irs::IrsCollection::SearchPlan& plan,
       irs::IrsCollection* local);
 
-  /// Forwards applied update ops (materialized text) to the server and
+  /// Forwards the update ops the local shard applied to the server and
   /// advances its floor to `high`. A failed push (or one made while the
   /// channel is down) leaves the channel unsynced, to be caught up by a
   /// full install on the next Search/EnsureSynced. When `local` is

@@ -113,9 +113,10 @@ StatusOr<ShardSearchResponse> DecodeShardSearchResponse(
 
 // --- ShardOps (router -> shard) -------------------------------------------
 
-/// One sequenced update in shard-server terms: the router materializes
-/// text at apply time (the shard server has no database to derive it
-/// from), so an op is an upsert (key + text) or a delete (key).
+/// One object's target document: a delete (key) or an upsert (key +
+/// text). Propagation plans every op into one, reading the text from the
+/// database (the shard server has none to derive it from), applies it
+/// locally and ships the same op to the shard server.
 struct ShardOp {
   bool is_delete = false;
   std::string key;

@@ -251,6 +251,16 @@ Status IrsCollection::RemoveDocument(const std::string& key) {
   return Status::OK();
 }
 
+Status IrsCollection::ReconcileDocument(const std::string& key,
+                                        const std::string* text) {
+  if (text == nullptr) {
+    Status s = RemoveDocument(key);
+    return s.IsNotFound() ? Status::OK() : s;
+  }
+  return HasDocument(key) ? UpdateDocument(key, *text)
+                          : AddDocument(key, *text);
+}
+
 StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearch(
     const std::string& query, size_t k) {
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());

@@ -129,6 +129,11 @@ class IrsCollection {
   /// Removes the document under `key`.
   Status RemoveDocument(const std::string& key);
 
+  /// Brings the document under `key` to its target state: absent when
+  /// `text` is null (removing an absent document is a no-op), else
+  /// present with `*text` (replaced when it exists, added when not).
+  Status ReconcileDocument(const std::string& key, const std::string* text);
+
   bool HasDocument(const std::string& key) const {
     return shards_[ShardOfKey(key)]->FindByKey(key).ok();
   }

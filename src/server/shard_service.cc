@@ -350,15 +350,8 @@ Status ShardServer::HandleOps(int fd, const std::string& payload) {
         Metrics().ops_skipped.Increment();
         continue;
       }
-      Status s;
-      if (op.is_delete) {
-        s = collection_->RemoveDocument(op.key);
-        if (s.IsNotFound()) s = Status::OK();  // reconciling delete
-      } else if (collection_->HasDocument(op.key)) {
-        s = collection_->UpdateDocument(op.key, op.text);
-      } else {
-        s = collection_->AddDocument(op.key, op.text);
-      }
+      Status s = collection_->ReconcileDocument(
+          op.key, op.is_delete ? nullptr : &op.text);
       if (!s.ok()) {
         SendError(fd, 0, s);
         return s;

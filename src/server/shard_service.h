@@ -44,8 +44,9 @@ struct ShardServerOptions {
 /// reports applied_seq 0 in the hello handshake and is caught up by
 /// replay or install. Update application is exactly-once: sequenced
 /// ops at or below the applied floor are skipped, everything else is
-/// applied reconcilingly (upsert/delete by key), mirroring the
-/// propagation journal's recovery semantics.
+/// applied reconcilingly (IrsCollection::ReconcileDocument, as the
+/// router's own propagation does), mirroring the propagation journal's
+/// recovery semantics.
 ///
 /// Protocol: hello-first. Any frame before ShardHello — including a
 /// main-protocol kHello from a v2 client — is answered with a typed

@@ -364,9 +364,10 @@ struct RemoteFixture {
   }
 };
 
-std::unique_ptr<RemoteFixture> MakeRemoteFixture() {
+std::unique_ptr<RemoteFixture> MakeRemoteFixture(
+    const CouplingOptions& options = FastGuardOptions()) {
   auto fx = std::make_unique<RemoteFixture>();
-  fx->sys = MakeFigure4System(FastGuardOptions());
+  fx->sys = MakeFigure4System(options);
   fx->coll = *fx->sys->coupling->GetCollectionByName("paras");
   fx->irs_coll = *fx->sys->irs_engine->GetCollection("paras");
   EXPECT_EQ(fx->irs_coll->num_shards(), 3u);
@@ -454,7 +455,7 @@ TEST_F(RemoteCouplingTest, UpdatesTeeToRemoteShardsThroughPropagation) {
 
   // Mutate through the database: delete one document subtree (its
   // paragraphs tombstone) — propagation applies locally and tees the
-  // materialized ops to the shard servers.
+  // same planned ops to the shard servers.
   ASSERT_TRUE(fx->sys->coupling->DeleteSubtree(fx->sys->roots[0]).ok());
   fx->coll->buffer().Clear();
   auto after_or = fx->coll->GetIrsResult("www");
@@ -478,6 +479,64 @@ TEST_F(RemoteCouplingTest, UpdatesTeeToRemoteShardsThroughPropagation) {
   ASSERT_TRUE(local_or.ok());
   EXPECT_EQ(remote_answer, **local_or)
       << "teed remote state must rank like the local index";
+}
+
+TEST_F(RemoteCouplingTest, PartialPropagationFailureTeesTheAppliedOps) {
+  CouplingOptions options = FastGuardOptions();
+  options.call_guard.retry.max_attempts = 1;
+  auto fx = MakeRemoteFixture(options);
+  fx->coll->set_propagation_policy(PropagationPolicy::kManual);
+
+  // Two represented paragraphs on one shard.
+  std::vector<std::vector<Oid>> by_shard(3);
+  for (Oid oid : fx->coll->represented()) {
+    by_shard[fx->irs_coll->ShardOfKey(oid.ToString())].push_back(oid);
+  }
+  size_t shard = 0;
+  while (shard < 3 && by_shard[shard].size() < 2) ++shard;
+  ASSERT_LT(shard, 3u) << "no shard holds two paragraphs";
+  ASSERT_TRUE(fx->sys->db
+                  ->SetAttribute(by_shard[shard][0], "TEXT",
+                                 oodb::Value("walrus prose one"))
+                  .ok());
+  ASSERT_TRUE(fx->sys->db
+                  ->SetAttribute(by_shard[shard][1], "TEXT",
+                                 oodb::Value("walrus prose two"))
+                  .ok());
+  ASSERT_EQ(fx->coll->pending_updates(), 2u);
+  RemoteShardChannel* ch = fx->coll->remote_shard_channel(shard);
+  ASSERT_NE(ch, nullptr);
+  const RemoteShardChannelStats before = ch->stats();
+
+  // The first update applies, the second one's IRS call faults: the
+  // applied one is teed to the shard server under the unadvanced floor,
+  // so the replay's push finds the server in step.
+  fault::FaultRule rule;
+  rule.kind = fault::FaultKind::kIoError;
+  rule.skip = 1;
+  rule.max_fires = 1;
+  fault::FaultRegistry::Instance().Arm("coupling.irs_call", rule);
+  EXPECT_FALSE(fx->coll->PropagateUpdates().ok());
+  EXPECT_EQ(fx->coll->pending_updates(), 1u);
+  ASSERT_TRUE(fx->coll->PropagateUpdates().ok());
+
+  fx->coll->buffer().Clear();
+  auto remote_or = fx->coll->GetIrsResult("walrus");
+  ASSERT_TRUE(remote_or.ok()) << remote_or.status().ToString();
+  OidScoreMap remote_answer = **remote_or;
+  for (const ShardStatusEntry& e : fx->coll->last_shard_report()) {
+    ASSERT_EQ(e.state, ShardState::kOk) << "shard " << e.shard;
+  }
+  const RemoteShardChannelStats after = ch->stats();
+  EXPECT_EQ(after.push_failures, before.push_failures);
+  EXPECT_EQ(after.catchup_installs, before.catchup_installs);
+
+  fx->coll->DetachRemoteShards();
+  fx->coll->buffer().Clear();
+  auto local_or = fx->coll->GetIrsResult("walrus");
+  ASSERT_TRUE(local_or.ok());
+  EXPECT_EQ(remote_answer.size(), 2u);
+  EXPECT_EQ(remote_answer, **local_or);
 }
 
 TEST_F(RemoteCouplingTest, NetworkFaultMatrixDegradesOneShardOnly) {

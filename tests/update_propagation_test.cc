@@ -357,6 +357,40 @@ TEST(DuplicateDeliveryTest, ReplayedModifyConvergesToSameIndex) {
   EXPECT_EQ((*result)->count(para), 1u);
 }
 
+TEST_F(PropagationFaultTest, FailedBatchKeepsTheAppliedUpdateApplied) {
+  // A re-delivered insert of a represented paragraph (applied as an
+  // update) and a fresh insert (a batch add) on one shard. Returns the
+  // documents the IRS collection removed while propagating them, and
+  // the index digest afterwards.
+  auto run = [](bool fail_batch) -> std::pair<uint64_t, std::string> {
+    auto sys = MakeFigure4System(NoRetryOptions());
+    auto coll = *sys->coupling->GetCollectionByName("paras");
+    auto irs_coll = *sys->irs_engine->GetCollection("paras");
+    coll->set_propagation_policy(PropagationPolicy::kManual);
+    Oid para = *coll->represented().begin();
+    AddParagraph(*sys, sys->roots[0], "gadfly prose");
+    sys->coupling->OnUpdate(oodb::UpdateKind::kInsert, para, "PARA", "",
+                            coll->last_routed_seq() + 1);
+    EXPECT_EQ(coll->pending_updates(), 2u);
+    const uint64_t removed_before = irs_coll->stats().docs_removed;
+    if (fail_batch) {
+      // The update applies, the batch add fails: only the add requeues.
+      ArmIoError("irs.batch_add", 1);
+      EXPECT_FALSE(coll->PropagateUpdates().ok());
+      EXPECT_EQ(coll->pending_updates(), 1u);
+    }
+    EXPECT_TRUE(coll->PropagateUpdates().ok());
+    EXPECT_EQ(coll->pending_updates(), 0u);
+    return {irs_coll->stats().docs_removed - removed_before,
+            irs_coll->CanonicalDigest()};
+  };
+  const auto [removed_clean, digest_clean] = run(false);
+  const auto [removed_faulted, digest_faulted] = run(true);
+  EXPECT_EQ(removed_clean, 1u);
+  EXPECT_EQ(removed_faulted, 1u) << "the update was applied again";
+  EXPECT_EQ(digest_faulted, digest_clean);
+}
+
 TEST_F(PropagationFaultTest, FaultedModifyThenDeleteReconciles) {
   auto sys = MakeFigure4System(NoRetryOptions());
   auto coll = *sys->coupling->GetCollectionByName("paras");
