@@ -12,6 +12,10 @@
 // inserts are deleted again before any query ("operations cancel out
 // each other's effect") — the cancelling log avoids the useless IRS
 // work entirely.
+//
+// The bench exits non-zero when a deterministic count drifts: Part A's
+// reindex operations per policy and ratio, or Part B's recorded, net,
+// cancelled and reindex counts. Timings are never gated.
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -76,16 +80,33 @@ RunStats RunWorkload(PropagationPolicy policy, int updates, int queries) {
   return stats;
 }
 
-void PartA() {
+/// Prints a gate failure unless `got` equals `want`; returns whether
+/// it did.
+bool CountMatches(const std::string& what, uint64_t got, uint64_t want) {
+  if (got == want) return true;
+  std::fprintf(stderr, "FAIL: %s is %llu, expected %llu\n", what.c_str(),
+               static_cast<unsigned long long>(got),
+               static_cast<unsigned long long>(want));
+  return false;
+}
+
+/// Returns false when a reindex count differs from the expected shape.
+bool PartA() {
   std::printf("--- Part A: policies across update:query ratios ---\n");
   struct Ratio {
     int updates;
     int queries;
     const char* label;
+    /// Expected reindex ops: eager, deferred, manual.
+    uint64_t reindex[3];
   };
   const Ratio ratios[] = {
-      {400, 4, "100:1"}, {200, 20, "10:1"}, {60, 60, "1:1"}, {20, 200, "1:10"},
+      {400, 4, "100:1", {400, 281, 0}},
+      {200, 20, "10:1", {200, 191, 0}},
+      {60, 60, "1:1", {60, 60, 0}},
+      {20, 200, "1:10", {20, 20, 0}},
   };
+  bool ok = true;
   Table table({"updates:queries", "policy", "total ms", "ms/query",
                "reindex ops"});
   for (const Ratio& ratio : ratios) {
@@ -98,12 +119,16 @@ void PartA() {
         {PropagationPolicy::kOnQuery, "deferred (on query)"},
         {PropagationPolicy::kManual, "manual (stale reads)"},
     };
-    for (const Arm& arm : arms) {
+    for (size_t a = 0; a < 3; ++a) {
+      const Arm& arm = arms[a];
       RunStats stats = RunWorkload(arm.policy, ratio.updates, ratio.queries);
       table.AddRow({ratio.label, arm.name, Fmt("%.1f", stats.total_ms),
                     Fmt("%.3f", stats.query_ms /
                                     std::max(1, ratio.queries)),
                     FmtInt(stats.reindex_ops)});
+      ok &= CountMatches(std::string("Part A reindex ops at ") + ratio.label +
+                             ", " + arm.name,
+                         stats.reindex_ops, ratio.reindex[a]);
     }
   }
   table.Print();
@@ -112,15 +137,18 @@ void PartA() {
       "performs far fewer reindex operations than eager (repeated edits\n"
       "of one object collapse in the cancelling log) at the price of\n"
       "slower queries; at query-heavy ratios the policies converge.\n\n");
+  return ok;
 }
 
-void PartB() {
+/// Returns false when a log count differs from the expected shape.
+bool PartB() {
   std::printf("--- Part B: operation-log cancellation ---\n");
   sgml::CorpusOptions copts;
   copts.num_docs = 40;
   copts.seed = 4;
   Table table({"workload", "recorded ops", "net ops applied",
                "cancelled", "reindex ops"});
+  bool ok = true;
   for (bool churn : {false, true}) {
     auto sys = MakeSystem(copts);
     auto* coll = MakeIndexedCollection(*sys, "paras",
@@ -151,10 +179,17 @@ void PartB() {
     uint64_t recorded = coll->update_log().recorded();
     size_t net = coll->pending_updates();
     if (!coll->PropagateUpdates().ok()) std::abort();
-    table.AddRow({churn ? "insert, half deleted again" : "insert only",
-                  FmtInt(recorded), FmtInt(net),
-                  FmtInt(coll->update_log().cancelled()),
-                  FmtInt(coll->stats().reindex_ops)});
+    const char* workload = churn ? "insert, half deleted again" : "insert only";
+    const uint64_t cancelled = coll->update_log().cancelled();
+    const uint64_t reindex = coll->stats().reindex_ops;
+    table.AddRow({workload, FmtInt(recorded), FmtInt(net), FmtInt(cancelled),
+                  FmtInt(reindex)});
+    // 100 inserts of four writes each; churn adds 50 deletes.
+    const std::string row = std::string("Part B ") + workload;
+    ok &= CountMatches(row + " recorded ops", recorded, churn ? 450 : 400);
+    ok &= CountMatches(row + " net ops", net, churn ? 50 : 100);
+    ok &= CountMatches(row + " cancelled", cancelled, churn ? 400 : 300);
+    ok &= CountMatches(row + " reindex ops", reindex, churn ? 50 : 100);
   }
   table.Print();
   std::printf(
@@ -162,6 +197,7 @@ void PartB() {
       "reach the IRS — the insert+delete pairs annihilate in the log\n"
       "(the paper's 'deletion of a text object that has just been\n"
       "generated' example), halving the reindex operations.\n");
+  return ok;
 }
 
 void PartC() {
@@ -177,7 +213,7 @@ void PartC() {
     coll->set_eager_delete(eager);
     Rng rng(77);
     ZipfSampler zipf(4000, 1.05);
-    std::vector<irs::BatchDocument> docs;
+    std::vector<irs::DocOp> docs;
     for (int i = 0; i < 1500; ++i) {
       std::string text;
       for (int w = 0; w < 80; ++w) {
@@ -186,7 +222,7 @@ void PartC() {
       }
       docs.push_back({"oid:" + std::to_string(i), std::move(text)});
     }
-    if (!coll->AddDocumentsBatch(docs).ok()) std::abort();
+    if (!coll->Apply(docs).ok()) std::abort();
     return coll;
   };
   Table table({"architecture", "1000 deletes ms", "us/delete"});
@@ -213,18 +249,20 @@ void PartC() {
       "factor even with the final compaction charged.\n");
 }
 
-void Run() {
+/// Returns false when a Part A or Part B count drifts.
+bool Run() {
   std::printf("E7 (Section 4.6): update propagation\n\n");
-  PartA();
-  PartB();
+  const bool a = PartA();
+  const bool b = PartB();
   PartC();
+  return a && b;
 }
 
 }  // namespace
 }  // namespace sdms::bench
 
 int main() {
-  sdms::bench::Run();
+  const bool counts_hold = sdms::bench::Run();
   sdms::bench::EmitMetricsJson("e7_updates");
-  return 0;
+  return counts_hold ? 0 : 1;
 }

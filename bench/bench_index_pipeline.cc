@@ -2,8 +2,8 @@
 // per-document path, plus the postings-level query kernels.
 //
 // Part A times indexing the same synthetic corpus four ways —
-// AddDocument loop, AddDocumentsBatch without a pool, and
-// AddDocumentsBatch on 2- and 4-thread pools — and reports throughput
+// AddDocument loop, one IrsCollection::Apply without a pool, and
+// Apply on 2- and 4-thread pools — and reports throughput
 // and speedup. The batch results are verified bit-identical to the
 // sequential index before any number is printed.
 // Part B times the query kernels: the block-cursor intersection
@@ -25,11 +25,11 @@
 namespace sdms::bench {
 namespace {
 
-std::vector<irs::BatchDocument> MakeCorpus(size_t num_docs,
+std::vector<irs::DocOp> MakeCorpus(size_t num_docs,
                                            size_t words_per_doc) {
   Rng rng(4242);
   ZipfSampler zipf(3000, 1.05);
-  std::vector<irs::BatchDocument> docs;
+  std::vector<irs::DocOp> docs;
   docs.reserve(num_docs);
   for (size_t i = 0; i < num_docs; ++i) {
     std::string text;
@@ -61,11 +61,11 @@ struct IndexRun {
   std::string serialized;
 };
 
-IndexRun TimeSequential(const std::vector<irs::BatchDocument>& docs) {
+IndexRun TimeSequential(const std::vector<irs::DocOp>& docs) {
   auto coll = FreshCollection();
   Timer t;
   for (const auto& d : docs) {
-    if (!coll->AddDocument(d.key, d.text).ok()) std::abort();
+    if (!coll->AddDocument(d.key, *d.text).ok()) std::abort();
   }
   IndexRun run{"sequential AddDocument", t.ElapsedMillis(), {}};
   auto blob = coll->Serialize();
@@ -74,7 +74,7 @@ IndexRun TimeSequential(const std::vector<irs::BatchDocument>& docs) {
   return run;
 }
 
-IndexRun TimeBatch(const std::vector<irs::BatchDocument>& docs,
+IndexRun TimeBatch(const std::vector<irs::DocOp>& docs,
                    size_t threads) {
   auto coll = FreshCollection();
   // A 1-worker pool runs ParallelFor inline, so the 1-thread row
@@ -82,7 +82,7 @@ IndexRun TimeBatch(const std::vector<irs::BatchDocument>& docs,
   // to the process default pool instead).
   ThreadPool pool(threads);
   Timer t;
-  Status s = coll->AddDocumentsBatch(docs, &pool);
+  Status s = coll->Apply(docs, &pool);
   if (!s.ok()) std::abort();
   IndexRun run{"batch, " + std::to_string(threads) + " thread(s)",
                t.ElapsedMillis(),
@@ -136,7 +136,7 @@ int Main(int argc, char** argv) {
               "words, hw=%u)\n\n",
               num_docs, words, std::thread::hardware_concurrency());
 
-  std::vector<irs::BatchDocument> docs = MakeCorpus(num_docs, words);
+  std::vector<irs::DocOp> docs = MakeCorpus(num_docs, words);
 
   // --- Part A: indexing throughput --------------------------------------
   IndexRun seq = TimeSequential(docs);
@@ -180,7 +180,7 @@ int Main(int argc, char** argv) {
 
   // --- Part B: query kernels --------------------------------------------
   auto coll = FreshCollection();
-  if (!coll->AddDocumentsBatch(docs).ok()) std::abort();
+  if (!coll->Apply(docs).ok()) std::abort();
   const irs::InvertedIndex& index = coll->index();
 
   // Dictionary terms are post-analysis (stemmed), so run the probe

@@ -36,11 +36,11 @@ constexpr size_t kTopK = 10;
 /// the planted query terms appear with high tf in low-id documents and
 /// decay towards tf 1, so late blocks carry low max_tf metadata and the
 /// scorer can veto them once the top-k threshold is warm.
-std::vector<irs::BatchDocument> MakeCorpus(size_t num_docs,
+std::vector<irs::DocOp> MakeCorpus(size_t num_docs,
                                            size_t words_per_doc) {
   Rng rng(20260809);
   ZipfSampler zipf(2500, 1.1);
-  std::vector<irs::BatchDocument> docs;
+  std::vector<irs::DocOp> docs;
   docs.reserve(num_docs);
   for (size_t i = 0; i < num_docs; ++i) {
     // Quality boost 24 -> 1 across the corpus: caps how many planted
@@ -96,7 +96,7 @@ int Main(int argc, char** argv) {
   auto model = irs::MakeModel("bm25");
   if (!model.ok()) std::abort();
   irs::IrsCollection coll("bench", irs::AnalyzerOptions{}, std::move(*model));
-  if (!coll.AddDocumentsBatch(MakeCorpus(num_docs, words)).ok()) std::abort();
+  if (!coll.Apply(MakeCorpus(num_docs, words)).ok()) std::abort();
 
   // --- Part A: top-k oracle gate ----------------------------------------
   for (const char* q : kQueries) {

@@ -113,9 +113,9 @@ Status Collection::IndexObjects(const std::string& spec_query, int text_mode) {
   SDMS_ASSIGN_OR_RETURN(irs::IrsCollection * coll,
                         coupling_->irs().GetCollection(irs_name_));
   // Bulk representation: gather the objects' texts, then hand the whole
-  // batch to the IRS so analysis and postings construction can fan out
-  // across the thread pool.
-  std::vector<irs::BatchDocument> batch;
+  // batch to the IRS in one Apply, whose analysis fans out across the
+  // thread pool.
+  std::vector<irs::DocOp> batch;
   std::set<Oid> batch_oids;
   batch.reserve(result.rows.size());
   for (const auto& row : result.rows) {
@@ -129,11 +129,11 @@ Status Collection::IndexObjects(const std::string& spec_query, int text_mode) {
     if (!batch_oids.insert(oid).second) continue;  // spec yielded it twice
     SDMS_ASSIGN_OR_RETURN(std::string text,
                           coupling_->GetText(oid, text_mode_));
-    batch.push_back(irs::BatchDocument{oid.ToString(), std::move(text)});
+    batch.push_back(irs::DocOp{oid.ToString(), std::move(text)});
   }
   SDMS_RETURN_IF_ERROR(guard_.Run("index_objects", [&]() -> Status {
     SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-    return coll->AddDocumentsBatch(batch);
+    return coll->Apply(batch);
   }));
   represented_.insert(batch_oids.begin(), batch_oids.end());
   // The index now reflects the database state as of the latest
@@ -201,9 +201,8 @@ StatusOr<bool> Collection::SatisfiesSpec(Oid oid) {
   } else if (!q.bindings.empty()) {
     var = q.bindings[0].var;
   }
-  coupling_->query_engine().SetCandidateOverride(var, {oid});
   SDMS_ASSIGN_OR_RETURN(oodb::vql::QueryResult result,
-                        coupling_->query_engine().Run(q));
+                        coupling_->query_engine().Run(q, {{var, {oid}}}));
   for (const auto& row : result.rows) {
     if (row[0].is_oid() && row[0].as_oid() == oid) return true;
   }
@@ -895,47 +894,32 @@ Status Collection::PropagateUpdates() {
   // Phase 2: per shard, plan each op's target document from the
   // database, then apply the plan (see ApplyPlan).
   //
-  // Failure contract per shard: a failed plan applies nothing and the
-  // whole sub-batch goes back into the update log; a failed apply
-  // requeues exactly the ops it did not apply. Other shards are
-  // unaffected.
+  // Failure contract per shard: a failed plan or apply changes nothing,
+  // so the whole sub-batch goes back into the update log and nothing is
+  // teed. Other shards are unaffected.
   Status first_failure = Status::OK();
   const uint64_t reindexed_before = stats_.reindex_ops;
   size_t applied_total = 0;
   for (size_t s = 0; s < n; ++s) {
     const std::vector<PendingOp>& shard_ops = per_shard[s];
     StatusOr<std::vector<ShardOp>> plan = PlanOps(coll, shard_ops);
-    std::vector<size_t> applied;
-    Status failure = plan.ok() ? ApplyPlan(coll, s, *plan, &applied)
-                               : plan.status();
-    std::vector<ShardOp> teed;
-    teed.reserve(applied.size());
-    for (size_t i : applied) teed.push_back(std::move((*plan)[i]));
-    if (failure.ok()) {
-      // This shard's whole sub-batch applied (or it had none: pending
-      // work would have drained into this batch), so it now reflects
-      // every sequenced event routed to it up to `high`. Advance only
-      // this shard's high-water mark — never per op — so a crash
-      // mid-batch replays the full remaining work instead of skipping
-      // requeued lower-seq ops.
-      coll->set_shard_applied_seq(s, high);
-    } else {
+    Status failure = plan.ok() ? ApplyPlan(coll, s, *plan) : plan.status();
+    if (!failure.ok()) {
       if (first_failure.ok()) first_failure = failure;
-      std::vector<bool> done(shard_ops.size());
-      for (size_t i : applied) done[i] = true;
-      std::vector<PendingOp> unapplied;
-      for (size_t i = 0; i < shard_ops.size(); ++i) {
-        if (!done[i]) unapplied.push_back(shard_ops[i]);
-      }
-      requeue(unapplied, failure,
+      requeue(shard_ops, failure,
               "propagation into shard " + std::to_string(s));
+      continue;
     }
-    // The remote server gets exactly the ops the local shard applied,
-    // under its floor, advanced or not, so it stays in step.
-    if (failure.ok() || !teed.empty()) {
-      TeeOpsToRemote(coll, s, teed, coll->shard_applied_seq(s));
-    }
-    if (!failure.ok() || shard_ops.empty()) continue;
+    // This shard's whole sub-batch applied (or it had none: pending
+    // work would have drained into this batch), so it now reflects
+    // every sequenced event routed to it up to `high`. Advance only
+    // this shard's high-water mark — never per op — so a crash
+    // mid-batch replays the full remaining work instead of skipping
+    // requeued lower-seq ops. The remote server gets the same plan
+    // under the same floor.
+    coll->set_shard_applied_seq(s, high);
+    TeeOpsToRemote(coll, s, *plan, coll->shard_applied_seq(s));
+    if (shard_ops.empty()) continue;
     applied_total += shard_ops.size();
     // The commit record marks the shard's batch complete in memory.
     // Recovery treats it as advisory (only the persisted snapshot's
@@ -1000,57 +984,30 @@ StatusOr<std::vector<ShardOp>> Collection::PlanOps(
 }
 
 Status Collection::ApplyPlan(irs::IrsCollection* coll, size_t shard,
-                             const std::vector<ShardOp>& plan,
-                             std::vector<size_t>* applied) {
-  CallGuard& sguard = shard_guard(shard);
-  auto book = [this](Oid oid, bool present) {
-    if (present) {
-      represented_.insert(oid);
+                             const std::vector<ShardOp>& plan) {
+  std::vector<irs::DocOp> ops;
+  std::vector<Oid> oids;
+  for (const ShardOp& op : plan) {
+    SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(op.key));
+    // A delete of an absent document is a no-op, and a plan of no-ops
+    // makes no IRS call.
+    if (op.is_delete && !coll->HasDocument(op.key)) continue;
+    ops.push_back(ToDocOp(op));
+    oids.push_back(oid);
+  }
+  if (ops.empty()) return Status::OK();
+  SDMS_RETURN_IF_ERROR(shard_guard(shard).Run("apply", [&]() -> Status {
+    SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
+    return coll->Apply(ops);
+  }));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].text) {
+      represented_.insert(oids[i]);
     } else {
-      represented_.erase(oid);
+      represented_.erase(oids[i]);
     }
     ++stats_.reindex_ops;
     Metrics().reindex_ops.Increment();
-  };
-  std::vector<std::pair<size_t, Oid>> adds;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    const ShardOp& op = plan[i];
-    SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(op.key));
-    const bool has = coll->HasDocument(op.key);
-    if (!op.is_delete && !has) {
-      adds.emplace_back(i, oid);
-      continue;
-    }
-    if (has) {
-      SDMS_RETURN_IF_ERROR(sguard.Run(
-          op.is_delete ? "remove_document" : "update_document",
-          [&]() -> Status {
-            SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-            return coll->ReconcileDocument(
-                op.key, op.is_delete ? nullptr : &op.text);
-          }));
-    }
-    applied->push_back(i);
-    // A delete of a represented object whose document is already gone
-    // (an earlier update faulted between its remove and its re-add)
-    // still un-represents it.
-    if (has || Represents(oid)) book(oid, !op.is_delete);
-  }
-  if (adds.empty()) return Status::OK();
-  std::vector<irs::BatchDocument> batch;
-  batch.reserve(adds.size());
-  for (const auto& [i, oid] : adds) {
-    batch.push_back(irs::BatchDocument{plan[i].key, plan[i].text});
-  }
-  SDMS_RETURN_IF_ERROR(sguard.Run("batch_add", [&]() -> Status {
-    SDMS_RETURN_IF_ERROR(fault::InjectFault("coupling.irs_call"));
-    // AddDocumentsBatch fails without side effects, so a failed batch
-    // leaves every add unapplied.
-    return coll->AddDocumentsBatch(batch);
-  }));
-  for (const auto& [i, oid] : adds) {
-    applied->push_back(i);
-    book(oid, true);
   }
   return Status::OK();
 }
@@ -1124,8 +1081,7 @@ Status Collection::Repair() {
         ShardOp{false, std::move(key), std::move(text), 0});
   }
   for (size_t s = 0; s < plans.size(); ++s) {
-    std::vector<size_t> applied;
-    SDMS_RETURN_IF_ERROR(ApplyPlan(coll, s, plans[s], &applied));
+    SDMS_RETURN_IF_ERROR(ApplyPlan(coll, s, plans[s]));
   }
   // Resync the represented set with what the IRS index now holds (it
   // can drift when a crash interrupted IndexObjects or a batch).

@@ -193,10 +193,10 @@ class Collection {
   /// seq, the drained ops) is forced to the journal before the first
   /// IRS call, and a commit record after the last — so a crash at any
   /// point leaves either a journaled batch to replay or a resolved
-  /// one to skip. On a failure every unapplied operation (including
-  /// the one that failed) is re-recorded in the update log and the
-  /// error is returned, so no update is ever silently lost — a later
-  /// call replays exactly the remaining work.
+  /// one to skip. Each shard's sub-batch applies whole or not at all:
+  /// a failed one is re-recorded in the update log whole and the error
+  /// is returned, so no update is ever silently lost — a later call
+  /// replays exactly the remaining work.
   Status PropagateUpdates();
 
   /// Highest update-event seq this collection has seen routed to it.
@@ -381,11 +381,11 @@ class Collection {
   /// Sizes shard_guards_ to the IRS collection's shard count.
   void EnsureShardGuards(size_t num_shards);
 
-  /// Forwards the ops shard `shard` applied (none for a floor-advancing
-  /// push) and its floor `high` to the shard's remote channel. Failures
-  /// never fail propagation — the local apply already happened; the
-  /// channel marks itself unsynced and the next search catches the
-  /// server up.
+  /// Forwards the plan shard `shard` applied (empty for a
+  /// floor-advancing push) and its floor `high` to the shard's remote
+  /// channel. Failures never fail propagation — the local apply already
+  /// happened; the channel marks itself unsynced and the next search
+  /// catches the server up.
   void TeeOpsToRemote(irs::IrsCollection* coll, size_t shard,
                       const std::vector<ShardOp>& ops, uint64_t high);
 
@@ -404,15 +404,11 @@ class Collection {
   StatusOr<std::vector<ShardOp>> PlanOps(irs::IrsCollection* coll,
                                          const std::vector<PendingOp>& ops);
 
-  /// Brings shard `shard` of `coll` to the documents `plan` targets:
-  /// each remove and update on its own, in plan order and under the
-  /// shard's guard, then every add in one AddDocumentsBatch. Books the
-  /// represented set and reindex_ops, and appends the indices into
-  /// `plan` of the ops applied to `applied`, in apply order; on failure
-  /// the ops not listed there were not applied.
+  /// Brings shard `shard` of `coll` to the documents `plan` targets in
+  /// one IrsCollection::Apply under the shard's guard, then books the
+  /// represented set and reindex_ops. A failed apply changes nothing.
   Status ApplyPlan(irs::IrsCollection* coll, size_t shard,
-                   const std::vector<ShardOp>& plan,
-                   std::vector<size_t>* applied);
+                   const std::vector<ShardOp>& plan);
 
   /// Evaluates whether `oid` currently satisfies the spec query.
   StatusOr<bool> SatisfiesSpec(Oid oid);

@@ -169,14 +169,15 @@ StatusOr<QueryResult> MixedQueryEvaluator::Run(
     return oodb::vql::ParseQuery(vql);
   }();
   SDMS_ASSIGN_OR_RETURN(ParsedQuery query, std::move(parsed));
+  oodb::vql::CandidateSets candidates;
   if (strategy == Strategy::kIrsFirst) {
     obs::ProfileStageScope irs_first_stage("irs_first");
-    SDMS_RETURN_IF_ERROR(ApplyIrsFirst(query));
+    SDMS_ASSIGN_OR_RETURN(candidates, ApplyIrsFirst(query));
     obs::ProfileCount("irs_restrictions", info_.irs_restrictions);
     obs::ProfileCount("irs_candidates", info_.irs_candidates);
   }
   SDMS_ASSIGN_OR_RETURN(QueryResult result,
-                        coupling_->query_engine().Run(query));
+                        coupling_->query_engine().Run(query, candidates));
   if (info_.degraded && !result.degraded) {
     result.degraded = true;
     result.degraded_reason = "content restrictions degraded (IRS deadline)";
@@ -192,10 +193,11 @@ StatusOr<QueryResult> MixedQueryEvaluator::Run(
   return result;
 }
 
-Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
+StatusOr<oodb::vql::CandidateSets> MixedQueryEvaluator::ApplyIrsFirst(
+    const ParsedQuery& query) {
   // Candidate sets per variable, sorted by OID; conjuncts on the same
   // variable intersect.
-  std::map<std::string, std::vector<Oid>> candidates;
+  oodb::vql::CandidateSets candidates;
   for (const Expr* conjunct : SplitConjuncts(query.where.get())) {
     ContentRestriction r;
     if (!AsContentRestriction(*conjunct, &r)) continue;
@@ -253,11 +255,10 @@ Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
       it->second = std::move(merged);
     }
   }
-  for (auto& [var, oids] : candidates) {
+  for (const auto& [var, oids] : candidates) {
     info_.irs_candidates += oids.size();
-    coupling_->query_engine().SetCandidateOverride(var, std::move(oids));
   }
-  return Status::OK();
+  return candidates;
 }
 
 }  // namespace sdms::coupling

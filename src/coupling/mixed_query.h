@@ -97,7 +97,10 @@ class MixedQueryEvaluator {
   const RunInfo& last_run() const { return info_; }
 
  private:
-  Status ApplyIrsFirst(const oodb::vql::ParsedQuery& query);
+  /// The IRS-first restriction of `query`: per range variable, the
+  /// objects its content conjuncts let through.
+  StatusOr<oodb::vql::CandidateSets> ApplyIrsFirst(
+      const oodb::vql::ParsedQuery& query);
 
   Coupling* coupling_;
   RunInfo info_;

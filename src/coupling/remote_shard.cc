@@ -467,6 +467,7 @@ Status RemoteShardChannel::PushOps(const std::vector<ShardOp>& ops,
   if (local != nullptr) {
     const ShardStatusMsg want = LocalShardStatus(*local, options_.shard);
     if (!SameShardState(peer_status_, want)) {
+      ++stats_.push_divergences;
       return fail(Status::Internal(
           "remote shard " + std::to_string(options_.shard) +
           " diverged after op push (peer " + DescribeShardState(peer_status_) +

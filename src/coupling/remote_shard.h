@@ -85,6 +85,9 @@ struct RemoteShardChannelStats {
   uint64_t catchup_installs = 0;
   uint64_t ops_pushed = 0;
   uint64_t push_failures = 0;
+  /// Pushes the server applied without error that still left it out of
+  /// step with the local shard (a subset of push_failures).
+  uint64_t push_divergences = 0;
 };
 
 /// A scatter-gather client for one remote shard: the network twin of

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "irs/analysis/analyzer.h"
+#include "irs/collection.h"
 
 namespace sdms::coupling {
 
@@ -115,8 +116,9 @@ StatusOr<ShardSearchResponse> DecodeShardSearchResponse(
 
 /// One object's target document: a delete (key) or an upsert (key +
 /// text). Propagation plans every op into one, reading the text from the
-/// database (the shard server has none to derive it from), applies it
-/// locally and ships the same op to the shard server.
+/// database (the shard server has none to derive it from), applies a
+/// shard's ops locally in one IrsCollection::Apply and ships the same
+/// ops to the shard server, which applies them the same way.
 struct ShardOp {
   bool is_delete = false;
   std::string key;
@@ -126,6 +128,12 @@ struct ShardOp {
   /// (exactly-once) and applies the rest reconciling-idempotently.
   uint64_t seq = 0;
 };
+
+/// The IRS write `op` stands for.
+inline irs::DocOp ToDocOp(const ShardOp& op) {
+  if (op.is_delete) return irs::DocOp{op.key, std::nullopt};
+  return irs::DocOp{op.key, op.text};
+}
 
 /// A batch of updates for the connection's shard. After applying, the
 /// server advances its applied-seq floor to `high` and answers with

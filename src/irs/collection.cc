@@ -159,106 +159,99 @@ size_t IrsCollection::ApproximateSizeBytes() const {
 
 Status IrsCollection::AddDocument(const std::string& key,
                                   const std::string& text) {
-  // All fault points sit before any mutation, so an injected failure
-  // never leaves the index half-updated.
-  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.add"));
   if (HasDocument(key)) {
     return Status::AlreadyExists("document already in collection " + name_ +
                                  ": " + key);
   }
   obs::TraceSpan span("irs.add_document");
-  std::vector<std::string> tokens = analyzer_.Analyze(text);
-  shards_[ShardOfKey(key)]->AddDocument(key, tokens);
+  shards_[ShardOfKey(key)]->AddDocument(key, analyzer_.Analyze(text));
   ++stats_.docs_indexed;
   Metrics().docs_indexed.Increment();
   Metrics().build_us.Record(static_cast<double>(span.ElapsedMicros()));
   return Status::OK();
 }
 
-Status IrsCollection::AddDocumentsBatch(const std::vector<BatchDocument>& docs,
-                                        ThreadPool* pool) {
-  if (docs.empty()) return Status::OK();
-  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.batch_add"));
-  for (const BatchDocument& d : docs) {
-    if (HasDocument(d.key)) {
-      return Status::AlreadyExists("document already in collection " + name_ +
-                                   ": " + d.key);
-    }
-  }
-  obs::TraceSpan span("irs.add_documents_batch");
+Status IrsCollection::Apply(const std::vector<DocOp>& ops, ThreadPool* pool) {
+  if (ops.empty()) return Status::OK();
+  // Stage: every step that can fail, with the index untouched.
+  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.apply"));
+  obs::TraceSpan span("irs.apply");
   if (pool == nullptr) pool = DefaultThreadPool();
-
-  // Fan the analysis pipeline (tokenize/stop/stem — the dominant cost)
-  // out across the pool; the Analyzer is stateless and shared.
-  std::vector<DocTokens> analyzed(docs.size());
-  auto analyze_range = [&](size_t begin, size_t end) {
+  struct Staged {
+    uint32_t shard = 0;
+    /// The live document the op replaces or removes, if any.
+    std::optional<DocId> old;
+    std::vector<std::string> tokens;
+  };
+  std::vector<const std::string*> keys;
+  keys.reserve(ops.size());
+  for (const DocOp& op : ops) keys.push_back(&op.key);
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  auto dup = std::adjacent_find(
+      keys.begin(), keys.end(),
+      [](const std::string* a, const std::string* b) { return *a == *b; });
+  if (dup != keys.end()) {
+    return Status::AlreadyExists("duplicate IRS document key in batch: " +
+                                 **dup);
+  }
+  std::vector<Staged> staged(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    staged[i].shard = ShardOfKey(ops[i].key);
+    StatusOr<DocId> old = shards_[staged[i].shard]->FindByKey(ops[i].key);
+    if (old.ok()) staged[i].old = *old;
+  }
+  // Analysis (tokenize/stop/stem, the dominant cost) fans out across
+  // the pool; the Analyzer is stateless and shared.
+  auto analyze = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       if (QueryShouldStop()) return;  // abandoned below, pre-mutation
-      analyzed[i].key = docs[i].key;
-      analyzed[i].tokens = analyzer_.Analyze(docs[i].text);
+      if (ops[i].text) staged[i].tokens = analyzer_.Analyze(*ops[i].text);
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(docs.size(), analyze_range);
+    pool->ParallelFor(ops.size(), analyze);
   } else {
-    analyze_range(0, docs.size());
+    analyze(0, ops.size());
   }
-  // Analysis precedes any index mutation, so a deadline/cancellation
-  // here aborts the batch cleanly (no half-indexed documents).
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());
 
-  // Partition per shard, preserving batch order within each shard. A
-  // within-batch duplicate key lands in one shard and is rejected by
-  // that shard's AddDocumentsBatch — catch it here first so no other
-  // shard has been mutated by the time it surfaces.
-  std::vector<std::vector<DocTokens>> per_shard(shards_.size());
-  for (auto& d : analyzed) {
-    uint32_t s = ShardOfKey(d.key);
-    for (const DocTokens& seen : per_shard[s]) {
-      if (seen.key == d.key) {
-        return Status::AlreadyExists("duplicate IRS document key in batch: " +
-                                     d.key);
+  // Mutate: nothing below can fail.
+  std::vector<std::vector<DocTokens>> adds(shards_.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    Staged& st = staged[i];
+    if (!st.old) {
+      if (ops[i].text) {
+        adds[st.shard].push_back(DocTokens{ops[i].key, std::move(st.tokens)});
       }
+      continue;
     }
-    per_shard[s].push_back(std::move(d));
+    InvertedIndex& shard = *shards_[st.shard];
+    (void)shard.RemoveDocument(*st.old);  // live: found while staging
+    if (!eager_delete_) MaybeCompactShards();
+    ++stats_.docs_removed;
+    Metrics().docs_removed.Increment();
+    if (ops[i].text) {
+      shard.AddDocument(ops[i].key, st.tokens);
+      ++stats_.docs_indexed;
+      Metrics().docs_indexed.Increment();
+    }
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    SDMS_RETURN_IF_ERROR(
-        shards_[s]->AddDocumentsBatch(per_shard[s], pool).status());
+    if (adds[s].empty()) continue;
+    // The keys were staged distinct and absent, so the batch's own key
+    // check passes.
+    (void)shards_[s]->AddDocumentsBatch(adds[s], pool);
+    stats_.docs_indexed += adds[s].size();
+    Metrics().docs_indexed.Add(adds[s].size());
   }
-  stats_.docs_indexed += docs.size();
-  Metrics().docs_indexed.Add(docs.size());
   Metrics().batch_us.Record(static_cast<double>(span.ElapsedMicros()));
   return Status::OK();
 }
 
-Status IrsCollection::UpdateDocument(const std::string& key,
-                                     const std::string& text) {
-  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.update"));
-  SDMS_RETURN_IF_ERROR(RemoveDocument(key));
-  return AddDocument(key, text);
-}
-
 Status IrsCollection::RemoveDocument(const std::string& key) {
-  SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.remove"));
-  InvertedIndex& shard = *shards_[ShardOfKey(key)];
-  SDMS_ASSIGN_OR_RETURN(DocId id, shard.FindByKey(key));
-  SDMS_RETURN_IF_ERROR(shard.RemoveDocument(id));
-  if (!eager_delete_) MaybeCompactShards();
-  ++stats_.docs_removed;
-  Metrics().docs_removed.Increment();
-  return Status::OK();
-}
-
-Status IrsCollection::ReconcileDocument(const std::string& key,
-                                        const std::string* text) {
-  if (text == nullptr) {
-    Status s = RemoveDocument(key);
-    return s.IsNotFound() ? Status::OK() : s;
-  }
-  return HasDocument(key) ? UpdateDocument(key, *text)
-                          : AddDocument(key, *text);
+  SDMS_RETURN_IF_ERROR(shards_[ShardOfKey(key)]->FindByKey(key).status());
+  return Apply({DocOp{key, std::nullopt}});
 }
 
 StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearch(

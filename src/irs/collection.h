@@ -2,6 +2,7 @@
 #define SDMS_IRS_COLLECTION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,13 @@ class ThreadPool;
 
 namespace sdms::irs {
 
-/// One document of a batch indexing call.
-struct BatchDocument {
+/// One write of an IrsCollection::Apply batch: the document under
+/// `key` becomes `*text` (added, or replaced when present), or is
+/// removed when `text` is empty (removing an absent document is a
+/// no-op).
+struct DocOp {
   std::string key;
-  std::string text;
+  std::optional<std::string> text;
 };
 
 /// One ranked search hit: external document key (the OID string) and
@@ -103,17 +107,26 @@ class IrsCollection {
     model_ = std::move(model);
   }
 
-  /// Indexes `text` under `key`. Fails if the key is present.
+  /// Indexes `text` under `key`. Fails if the key is present. The
+  /// one-document reference that oracles compare Apply against.
   Status AddDocument(const std::string& key, const std::string& text);
 
-  /// Bulk indexing: analysis fans out across `pool` (DefaultThreadPool()
-  /// when omitted, sequential when that is null), then each shard's
-  /// slice of the batch is built via InvertedIndex::AddDocumentsBatch.
-  /// Per shard the result is identical to adding that shard's documents
-  /// one by one in `docs` order. Fails without side effects if a key is
-  /// already present or occurs twice in the batch.
-  Status AddDocumentsBatch(const std::vector<BatchDocument>& docs,
-                           ThreadPool* pool = nullptr);
+  /// The collection's one write path: brings every op's key to its
+  /// target document, all or nothing. Staging does everything that can
+  /// fail before the index is touched — the "irs.apply" fault point,
+  /// the check that no key occurs twice, the HasDocument split into
+  /// removes, updates and adds, the analysis of every text (fanned out
+  /// across `pool`, DefaultThreadPool() when null) and the
+  /// cancellation check — so a failed Apply leaves the collection as it
+  /// was. The mutation then cannot fail: removes and updates in op
+  /// order (each an in-place remove, then the re-add), then each
+  /// shard's adds in one InvertedIndex::AddDocumentsBatch on `pool`,
+  /// in op order.
+  Status Apply(const std::vector<DocOp>& ops, ThreadPool* pool = nullptr);
+
+  /// Removes the document under `key` (one-op Apply); NotFound when
+  /// there is none.
+  Status RemoveDocument(const std::string& key);
 
   /// Switches every shard between tombstone deletes with threshold
   /// compaction (default) and the paper's eager dictionary-scan delete.
@@ -122,17 +135,6 @@ class IrsCollection {
   /// Prunes tombstoned postings now; returns tombstones cleared
   /// (summed over shards).
   size_t CompactIndex();
-
-  /// Replaces the document under `key` (remove + re-add).
-  Status UpdateDocument(const std::string& key, const std::string& text);
-
-  /// Removes the document under `key`.
-  Status RemoveDocument(const std::string& key);
-
-  /// Brings the document under `key` to its target state: absent when
-  /// `text` is null (removing an absent document is a no-op), else
-  /// present with `*text` (replaced when it exists, added when not).
-  Status ReconcileDocument(const std::string& key, const std::string* text);
 
   bool HasDocument(const std::string& key) const {
     return shards_[ShardOfKey(key)]->FindByKey(key).ok();

@@ -207,7 +207,8 @@ struct QueryEngine::BindingPlan {
 };
 
 StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
-    const ParsedQuery& query) {
+    const ParsedQuery& query, const CandidateSets& candidates,
+    QueryStats& stats) {
   obs::TraceSpan span("vql.plan");
   obs::ProfileStageScope stage("plan");
   std::vector<BindingPlan> plan;
@@ -217,8 +218,8 @@ StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
     }
     BindingPlan bp;
     bp.binding = b;
-    auto ov = candidate_overrides_.find(b.var);
-    if (ov != candidate_overrides_.end()) {
+    auto ov = candidates.find(b.var);
+    if (ov != candidates.end()) {
       std::vector<Oid> sorted = ov->second;
       std::sort(sorted.begin(), sorted.end());
       bp.candidates = std::move(sorted);
@@ -234,7 +235,7 @@ StatusOr<std::vector<QueryEngine::BindingPlan>> QueryEngine::BuildPlan(
 
   // Index selection + single-variable filter classification.
   auto apply_candidates = [&](BindingPlan& bp, std::vector<Oid> hits) {
-    ++stats_.index_lookups;
+    ++stats.index_lookups;
     std::sort(hits.begin(), hits.end());
     if (bp.candidates.has_value()) {
       // Intersect with any earlier index result on the same var.
@@ -394,7 +395,7 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr, Frame& frame) {
         if (recv_obj == nullptr) recv_obj = db_->store().Find(recv.as_oid());
         // A missing receiver takes the Invoke path, which reports it.
         if (recv_obj != nullptr && BindingApplies(*bound, *recv_obj)) {
-          ++stats_.method_calls;
+          ++frame.stats.method_calls;
           return bound->bound->Call(recv.as_oid());
         }
       }
@@ -404,7 +405,7 @@ StatusOr<Value> QueryEngine::Eval(const Expr& expr, Frame& frame) {
         SDMS_ASSIGN_OR_RETURN(Value v, Eval(*a, frame));
         args.push_back(std::move(v));
       }
-      ++stats_.method_calls;
+      ++frame.stats.method_calls;
       return db_->Invoke(recv.as_oid(), expr.name, args);
     }
     case ExprKind::kListExpr: {
@@ -512,8 +513,8 @@ StatusOr<QueryResult> QueryEngine::Run(const std::string& vql) {
 
 StatusOr<std::string> QueryEngine::Explain(const std::string& vql) {
   SDMS_ASSIGN_OR_RETURN(ParsedQuery query, ParseQuery(vql));
-  auto plan_or = BuildPlan(query);
-  candidate_overrides_.clear();
+  QueryStats unused;
+  auto plan_or = BuildPlan(query, {}, unused);
   if (!plan_or.ok()) return plan_or.status();
   std::string out = "plan for: " + query.ToString() + "\n";
   int step = 0;
@@ -544,7 +545,8 @@ StatusOr<std::string> QueryEngine::Explain(const std::string& vql) {
   return out;
 }
 
-StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
+StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query,
+                                       const CandidateSets& candidates) {
   obs::TraceSpan run_span("vql.run");
   QueryMetrics& metrics = Metrics();
   metrics.runs.Increment();
@@ -555,7 +557,6 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
     // before starting) never reaches the prepare hooks or the join.
     Status pre = ctx->CheckStatus();
     if (!pre.ok() && !(ctx->allow_partial() && !pre.IsCancelled())) {
-      candidate_overrides_.clear();
       metrics.errors.Increment();
       return pre;
     }
@@ -575,14 +576,12 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
           frame.partial_stop = true;
           break;
         }
-        candidate_overrides_.clear();
         metrics.errors.Increment();
         return hook_status;
       }
     }
   }
-  auto plan_or = BuildPlan(query);
-  candidate_overrides_.clear();  // Overrides apply to this Run only.
+  auto plan_or = BuildPlan(query, candidates, frame.stats);
   if (!plan_or.ok()) {
     metrics.errors.Increment();
     return plan_or.status();
@@ -599,8 +598,8 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
     Status join_status = RunJoin(query, plan, 0, frame, result);
     for (BoundCalls::Entry& e : frame.calls.entries_) e.bound->Flush();
     metrics.join_us.Record(static_cast<double>(join_span.ElapsedMicros()));
-    obs::ProfileCount("tuples_considered", stats_.tuples_considered);
-    obs::ProfileCount("method_calls", stats_.method_calls);
+    obs::ProfileCount("tuples_considered", frame.stats.tuples_considered);
+    obs::ProfileCount("method_calls", frame.stats.method_calls);
     if (!join_status.ok()) {
       metrics.errors.Increment();
       return join_status;
@@ -662,7 +661,8 @@ StatusOr<QueryResult> QueryEngine::Run(const ParsedQuery& query) {
       result.rows.size() > static_cast<size_t>(query.limit)) {
     result.rows.resize(static_cast<size_t>(query.limit));
   }
-  stats_.rows_emitted = result.rows.size();
+  frame.stats.rows_emitted = result.rows.size();
+  stats_ = frame.stats;
   metrics.rows.Add(stats_.rows_emitted);
   metrics.bindings.Add(stats_.bindings_scanned);
   metrics.index_lookups.Add(stats_.index_lookups);
@@ -707,7 +707,7 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
     }
     const DbObject* obj = db_->store().Find(oid);
     if (obj == nullptr) continue;
-    ++stats_.bindings_scanned;
+    ++frame.stats.bindings_scanned;
     frame.env.back().value = Value(oid);
     frame.env.back().object = obj;
     bool pass = true;
@@ -728,7 +728,7 @@ Status QueryEngine::RunJoin(const ParsedQuery& query,
       }
     }
     if (pass) {
-      ++stats_.tuples_considered;
+      ++frame.stats.tuples_considered;
       SDMS_RETURN_IF_ERROR(RunJoin(query, plan, depth + 1, frame, result));
     }
   }

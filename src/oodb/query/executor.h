@@ -110,6 +110,9 @@ class BoundCalls {
 using PrepareHook =
     std::function<Status(Database&, const ParsedQuery&, BoundCalls&)>;
 
+/// Candidate objects per range variable (see QueryEngine::Run).
+using CandidateSets = std::map<std::string, std::vector<Oid>>;
+
 /// Evaluates VQL queries against a Database: parsing, optimization
 /// (filter pushdown, index selection, binding reorder) and nested-loop
 /// join evaluation with short-circuit predicates.
@@ -130,28 +133,24 @@ class QueryEngine {
     prepare_hooks_.push_back(std::move(hook));
   }
 
-  /// Restricts the candidate set of range variable `var` for the *next*
-  /// Run only (cleared afterwards). This is how the IRS-first mixed-
-  /// query strategy (paper Section 4.5.3, alternative 2) feeds the
-  /// IRS-selected objects into the database evaluation: the IRS
-  /// restricts the search space, the DBMS verifies the structure
-  /// conditions on those objects only.
-  void SetCandidateOverride(const std::string& var, std::vector<Oid> oids) {
-    candidate_overrides_[var] = std::move(oids);
-  }
-
   /// Parses and runs `vql`.
   StatusOr<QueryResult> Run(const std::string& vql);
 
-  /// Runs an already-parsed query.
-  StatusOr<QueryResult> Run(const ParsedQuery& query);
+  /// Runs an already-parsed query. `candidates` restricts the named
+  /// range variables to the given objects for this Run alone. This is
+  /// how the IRS-first mixed-query strategy (paper Section 4.5.3,
+  /// alternative 2) feeds the IRS-selected objects into the database
+  /// evaluation: the IRS restricts the search space, the DBMS verifies
+  /// the structure conditions on those objects only.
+  StatusOr<QueryResult> Run(const ParsedQuery& query,
+                            const CandidateSets& candidates = {});
 
   /// Renders the evaluation plan for `vql` without running it: binding
   /// order, candidate sources (extent scan / index lookup / injected
   /// candidates), pushed-down filters and join conjuncts.
   StatusOr<std::string> Explain(const std::string& vql);
 
-  /// Stats of the most recent Run.
+  /// Stats of the most recently finished Run.
   const QueryStats& last_stats() const { return stats_; }
 
   Database* db() { return db_; }
@@ -184,12 +183,17 @@ class QueryEngine {
       return nullptr;
     }
     BoundCalls calls;
+    /// This Run's counters; a nested Run (a prepare hook's) keeps its
+    /// own.
+    QueryStats stats;
     /// Set when the current QueryContext demands a stop that degrades
     /// to a partial result instead of an error.
     bool partial_stop = false;
   };
 
-  StatusOr<std::vector<BindingPlan>> BuildPlan(const ParsedQuery& query);
+  StatusOr<std::vector<BindingPlan>> BuildPlan(
+      const ParsedQuery& query, const CandidateSets& candidates,
+      QueryStats& stats);
   StatusOr<Value> Eval(const Expr& expr, Frame& frame);
   /// True if the bound call `entry` applies to receiver `self`.
   bool BindingApplies(BoundCalls::Entry& entry, const DbObject& self);
@@ -201,7 +205,6 @@ class QueryEngine {
   Database* db_;
   Options options_;
   std::vector<PrepareHook> prepare_hooks_;
-  std::map<std::string, std::vector<Oid>> candidate_overrides_;
   QueryStats stats_;
 };
 

@@ -37,7 +37,7 @@ inline constexpr uint32_t kProtocolVersion = 3;
 
 struct Hello {
   uint32_t protocol_version = kProtocolVersion;
-  /// Free-form peer label ("sdms_shell", "bench_server", ...).
+  /// Free-form peer label ("sdms_shell", "bench_e2e", ...).
   std::string peer;
 };
 

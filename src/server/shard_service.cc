@@ -342,22 +342,26 @@ Status ShardServer::HandleOps(int fd, const std::string& payload) {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     const uint64_t floor = collection_->shard_applied_seq(shard_);
+    std::vector<irs::DocOp> ops;
+    ops.reserve(batch->ops.size());
     for (const coupling::ShardOp& op : batch->ops) {
       // Exactly-once: sequenced ops at or below the floor were already
       // applied (unsequenced ops can't be deduped; their reconciling
-      // application converges because the batch preserves apply order).
+      // application converges because Apply keeps the router's order).
       if (op.seq != 0 && op.seq <= floor) {
         Metrics().ops_skipped.Increment();
         continue;
       }
-      Status s = collection_->ReconcileDocument(
-          op.key, op.is_delete ? nullptr : &op.text);
-      if (!s.ok()) {
-        SendError(fd, 0, s);
-        return s;
-      }
-      Metrics().ops_applied.Increment();
+      ops.push_back(coupling::ToDocOp(op));
     }
+    // The router's own apply: same ops, same staging, same order, so
+    // both doc tables evolve identically; a failure applies nothing.
+    Status s = collection_->Apply(ops);
+    if (!s.ok()) {
+      SendError(fd, 0, s);
+      return s;
+    }
+    Metrics().ops_applied.Add(ops.size());
     collection_->set_shard_applied_seq(shard_, batch->high);
   }
   return SendStatus(fd);

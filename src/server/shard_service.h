@@ -43,9 +43,9 @@ struct ShardServerOptions {
 /// router is the durability tier, and a restarted shard server simply
 /// reports applied_seq 0 in the hello handshake and is caught up by
 /// replay or install. Update application is exactly-once: sequenced
-/// ops at or below the applied floor are skipped, everything else is
-/// applied reconcilingly (IrsCollection::ReconcileDocument, as the
-/// router's own propagation does), mirroring the propagation journal's
+/// ops at or below the applied floor are skipped, and the rest go
+/// through one IrsCollection::Apply, as the router's own propagation
+/// does — whole or not at all, mirroring the propagation journal's
 /// recovery semantics.
 ///
 /// Protocol: hello-first. Any frame before ShardHello — including a

@@ -36,10 +36,7 @@ constexpr size_t kVocabSize = sizeof(kVocab) / sizeof(kVocab[0]);
 constexpr const char* kCrashPoints[] = {
     "wal.append",
     "wal.sync",
-    "irs.add",
-    "irs.update",
-    "irs.remove",
-    "irs.batch_add",
+    "irs.apply",
     "irs.save",
     "coupling.irs_call",
     "file.atomic_write",
@@ -54,10 +51,7 @@ constexpr size_t kCrashPointCount = sizeof(kCrashPoints) / sizeof(kCrashPoints[0
 /// update-propagation one — crash bursts cover the WAL points instead.
 constexpr const char* kIoPoints[] = {
     "coupling.irs_call",
-    "irs.add",
-    "irs.update",
-    "irs.remove",
-    "irs.batch_add",
+    "irs.apply",
     "irs.search",
     "irs.save",
     "irs.exchange.write",
@@ -154,8 +148,7 @@ Status Simulation::RunImpl() {
   SDMS_RETURN_IF_ERROR(CheckInvariants("end-of-schedule"));
   auto coll = engine_->GetCollection(kCollectionName);
   if (coll.ok()) report_.final_digest = (*coll)->CanonicalDigest();
-  HarvestRemoteStats();
-  return Status::OK();
+  return HarvestRemoteStats();
 }
 
 Status Simulation::Boot(bool fresh) {
@@ -244,14 +237,20 @@ Status Simulation::AttachRemoteShards() {
   return Status::OK();
 }
 
-void Simulation::HarvestRemoteStats() {
-  if (!remote_shards_ || collection_ == nullptr) return;
+Status Simulation::HarvestRemoteStats() {
+  if (!remote_shards_ || collection_ == nullptr) return Status::OK();
   for (uint32_t s = 0; s < num_shards_; ++s) {
     coupling::RemoteShardChannel* ch = collection_->remote_shard_channel(s);
     if (ch == nullptr) continue;
     coupling::RemoteShardChannelStats stats = ch->stats();
     report_.remote_catchup_installs += stats.catchup_installs;
+    if (stats.push_divergences > 0) {
+      return SimFailure("remote shard " + std::to_string(s),
+                        std::to_string(stats.push_divergences) +
+                            " push(es) diverged after op push");
+    }
   }
+  return Status::OK();
 }
 
 Status Simulation::SettleRemoteShards(const std::string& where) {
@@ -299,7 +298,7 @@ Status Simulation::Restart() {
   faults_armed_ = false;
   // Channels die with the router incarnation (the servers live on);
   // bank their catch-up counters before the teardown loses them.
-  HarvestRemoteStats();
+  SDMS_RETURN_IF_ERROR(HarvestRemoteStats());
   collection_ = nullptr;
   coupling_.reset();
   db_.reset();

@@ -178,8 +178,10 @@ class Simulation {
   /// return to fully-complete answers once reconnect backoff expires.
   Status SettleRemoteShards(const std::string& where);
   /// Accumulates the current channels' catch-up counters into the
-  /// report (channels die with each router incarnation).
-  void HarvestRemoteStats();
+  /// report (channels die with each router incarnation). Fails the
+  /// schedule when a push left a server out of step with its router:
+  /// both apply the same ops, so only a lost or re-applied op can.
+  Status HarvestRemoteStats();
 
   /// The post-recovery / final invariant suite (class comment above).
   Status CheckInvariants(const std::string& where);

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <set>
 
+#include "common/fault/fault.h"
 #include "common/file_util.h"
 #include "common/thread_pool.h"
 #include "irs/engine.h"
@@ -48,7 +49,7 @@ TEST(IrsCollectionTest, DuplicateKeyRejected) {
 TEST(IrsCollectionTest, UpdateReplacesText) {
   auto coll = MakeCollection();
   ASSERT_TRUE(coll->AddDocument("k", "ancient topic").ok());
-  ASSERT_TRUE(coll->UpdateDocument("k", "modern subject").ok());
+  ASSERT_TRUE(coll->Apply({{"k", "modern subject"}}).ok());
   auto old_hits = coll->Search("ancient");
   ASSERT_TRUE(old_hits.ok());
   EXPECT_TRUE(old_hits->empty());
@@ -92,7 +93,7 @@ TEST(IrsCollectionTest, ModelSwapKeepsIndex) {
 }
 
 TEST(IrsCollectionTest, BatchAddMatchesSequentialSearch) {
-  std::vector<BatchDocument> docs = {
+  std::vector<DocOp> docs = {
       {"oid:1", "telnet is a remote terminal protocol"},
       {"oid:2", "www is the hypertext web protocol"},
       {"oid:3", "gopher predates the web"},
@@ -100,11 +101,11 @@ TEST(IrsCollectionTest, BatchAddMatchesSequentialSearch) {
   };
   auto one_by_one = MakeCollection();
   for (const auto& d : docs) {
-    ASSERT_TRUE(one_by_one->AddDocument(d.key, d.text).ok());
+    ASSERT_TRUE(one_by_one->AddDocument(d.key, *d.text).ok());
   }
   auto batched = MakeCollection();
   ThreadPool pool(3);
-  ASSERT_TRUE(batched->AddDocumentsBatch(docs, &pool).ok());
+  ASSERT_TRUE(batched->Apply(docs, &pool).ok());
 
   auto batched_blob = batched->Serialize();
   auto one_by_one_blob = one_by_one->Serialize();
@@ -128,11 +129,86 @@ TEST(IrsCollectionTest, BatchRejectsDuplicateWithoutSideEffects) {
   ASSERT_TRUE(coll->AddDocument("oid:1", "existing text").ok());
   auto before = coll->Serialize();
   ASSERT_TRUE(before.ok());
-  std::vector<BatchDocument> docs = {{"oid:2", "fresh"}, {"oid:1", "dup"}};
-  EXPECT_FALSE(coll->AddDocumentsBatch(docs).ok());
+  std::vector<DocOp> docs = {
+      {"oid:1", std::nullopt}, {"oid:2", "fresh"}, {"oid:2", "dup"}};
+  EXPECT_EQ(coll->Apply(docs).code(), StatusCode::kAlreadyExists);
   auto after = coll->Serialize();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *before);
+}
+
+TEST(IrsCollectionTest, FaultedApplyChangesNothing) {
+  fault::FaultRegistry::Instance().Clear();
+  auto coll = MakeCollection();
+  ASSERT_TRUE(coll->AddDocument("oid:1", "ancient topic").ok());
+  ASSERT_TRUE(coll->AddDocument("oid:2", "doomed topic").ok());
+  auto before = coll->Serialize();
+  ASSERT_TRUE(before.ok());
+  fault::FaultRule rule;
+  rule.kind = fault::FaultKind::kIoError;
+  rule.max_fires = 1;
+  fault::FaultRegistry::Instance().Arm("irs.apply", rule);
+  EXPECT_FALSE(coll->Apply({{"oid:1", "modern subject"},
+                            {"oid:2", std::nullopt},
+                            {"oid:3", "fresh topic"}})
+                   .ok());
+  fault::FaultRegistry::Instance().Clear();
+  auto after = coll->Serialize();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+  auto hits = coll->Search("ancient");
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0].key, "oid:1");
+}
+
+TEST(IrsCollectionTest, ApplyMatchesSequentialRemovesThenAdds) {
+  // One Apply of removes, updates and adds, against the documented
+  // order done one call at a time: removes and updates in op order
+  // (each an in-place remove, then the re-add), then the adds.
+  auto seed = [](IrsCollection& coll) {
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(coll.AddDocument("oid:" + std::to_string(i),
+                                   "seed text " + std::to_string(i % 3))
+                      .ok());
+    }
+  };
+  auto applied = MakeCollection();
+  auto sequential = MakeCollection();
+  seed(*applied);
+  seed(*sequential);
+  ThreadPool pool(2);
+  ASSERT_TRUE(applied
+                  ->Apply({{"oid:10", "fresh gopher"},
+                           {"oid:2", "rewritten gopher telnet"},
+                           {"oid:4", std::nullopt},
+                           {"oid:11", "fresh telnet"},
+                           {"oid:99", std::nullopt},
+                           {"oid:6", "rewritten telnet"}},
+                          &pool)
+                  .ok());
+  ASSERT_TRUE(sequential->RemoveDocument("oid:2").ok());
+  ASSERT_TRUE(sequential->AddDocument("oid:2", "rewritten gopher telnet").ok());
+  ASSERT_TRUE(sequential->RemoveDocument("oid:4").ok());
+  ASSERT_TRUE(sequential->RemoveDocument("oid:6").ok());
+  ASSERT_TRUE(sequential->AddDocument("oid:6", "rewritten telnet").ok());
+  ASSERT_TRUE(sequential->AddDocument("oid:10", "fresh gopher").ok());
+  ASSERT_TRUE(sequential->AddDocument("oid:11", "fresh telnet").ok());
+
+  EXPECT_EQ(applied->CanonicalDigest(), sequential->CanonicalDigest());
+  for (size_t s = 0; s < applied->num_shards(); ++s) {
+    EXPECT_EQ(applied->shard(s).doc_table_size(),
+              sequential->shard(s).doc_table_size());
+  }
+  for (const char* key : {"oid:2", "oid:6", "oid:10", "oid:11"}) {
+    const size_t s = applied->ShardOfKey(key);
+    EXPECT_EQ(*applied->shard(s).FindByKey(key),
+              *sequential->shard(s).FindByKey(key))
+        << key;
+  }
+  EXPECT_FALSE(applied->HasDocument("oid:4"));
+  EXPECT_FALSE(applied->HasDocument("oid:99"));
+  EXPECT_TRUE(applied->RemoveDocument("oid:99").IsNotFound());
 }
 
 TEST(IrsCollectionTest, TopKSearchEqualsPrefixOfFullSearch) {

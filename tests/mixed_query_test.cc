@@ -400,6 +400,48 @@ TEST(MixedQueryTest, BoundScanBooksOneHitPerEvaluation) {
   EXPECT_TRUE(join->children.empty()) << profile->Render();
 }
 
+TEST(MixedQueryTest, IrsFirstRestrictionSurvivesANestedRun) {
+  // Two collections over PARA; a new paragraph leaves an insert pending
+  // on the second. IRS-first restricts `p` through the first
+  // collection; the second's conjunct cannot restrict (every object
+  // passes `>= 0`), so the statement's prepare hook warms it, and its
+  // propagation runs SatisfiesSpec — a nested Run — for the insert.
+  // The outer statement must still scan only the IRS candidates.
+  auto sys = MakeFigure4System();
+  auto second = sys->coupling->CreateCollection("paras2", "inquery");
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE((*second)
+                  ->IndexObjects("ACCESS p FROM p IN PARA", kTextModeSubtree)
+                  .ok());
+  oodb::Database& db = *sys->db;
+  oodb::TxnId txn = db.Begin();
+  Oid para = *db.CreateObject("PARA", txn);
+  ASSERT_TRUE(db.SetAttribute(para, "GI", oodb::Value("PARA"), txn).ok());
+  ASSERT_TRUE(
+      db.SetAttribute(para, "TEXT", oodb::Value("www www www"), txn).ok());
+  ASSERT_TRUE(db.SetAttribute(para, "CHILDREN",
+                              oodb::Value(oodb::ValueList{}), txn)
+                  .ok());
+  ASSERT_TRUE(db.Commit(txn).ok());
+  ASSERT_GT((*second)->pending_updates(), 0u);
+
+  MixedQueryEvaluator eval(sys->coupling.get());
+  auto r = eval.Run(
+      "ACCESS p FROM p IN PARA "
+      "WHERE p -> getIRSValue('paras', 'www') > 0.5 "
+      "AND p -> getIRSValue('paras2', 'www') >= 0",
+      Strategy::kIrsFirst);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*second)->pending_updates(), 0u);
+  EXPECT_EQ(eval.last_run().irs_restrictions, 1u);
+  ASSERT_GT(eval.last_run().irs_candidates, 0u);
+  EXPECT_LT(eval.last_run().irs_candidates, sys->db->ExtentSize("PARA"));
+  // The stats are the outer Run's own, not the nested one's.
+  EXPECT_EQ(sys->coupling->query_engine().last_stats().bindings_scanned,
+            eval.last_run().irs_candidates);
+  EXPECT_EQ(r->rows.size(), eval.last_run().irs_candidates);
+}
+
 TEST(MixedQueryTest, UnknownCollectionFails) {
   auto sys = MakeFigure4System();
   MixedQueryEvaluator eval(sys->coupling.get());

@@ -21,10 +21,10 @@
 namespace sdms::irs {
 namespace {
 
-std::vector<BatchDocument> MakeCorpus(size_t num_docs, size_t words_per_doc,
+std::vector<DocOp> MakeCorpus(size_t num_docs, size_t words_per_doc,
                                       uint64_t seed) {
   Rng rng(seed);
-  std::vector<BatchDocument> docs;
+  std::vector<DocOp> docs;
   docs.reserve(num_docs);
   for (size_t i = 0; i < num_docs; ++i) {
     std::string text;
@@ -47,7 +47,7 @@ std::unique_ptr<IrsCollection> BuildCollection(const std::string& model_name,
   EXPECT_TRUE(model.ok());
   auto coll = std::make_unique<IrsCollection>("oracle", AnalyzerOptions{},
                                               std::move(*model));
-  EXPECT_TRUE(coll->AddDocumentsBatch(MakeCorpus(400, 40, seed)).ok());
+  EXPECT_TRUE(coll->Apply(MakeCorpus(400, 40, seed)).ok());
   return coll;
 }
 

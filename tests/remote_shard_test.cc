@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -481,7 +482,7 @@ TEST_F(RemoteCouplingTest, UpdatesTeeToRemoteShardsThroughPropagation) {
       << "teed remote state must rank like the local index";
 }
 
-TEST_F(RemoteCouplingTest, PartialPropagationFailureTeesTheAppliedOps) {
+TEST_F(RemoteCouplingTest, FailedSubBatchTeesNothing) {
   CouplingOptions options = FastGuardOptions();
   options.call_guard.retry.max_attempts = 1;
   auto fx = MakeRemoteFixture(options);
@@ -507,17 +508,18 @@ TEST_F(RemoteCouplingTest, PartialPropagationFailureTeesTheAppliedOps) {
   RemoteShardChannel* ch = fx->coll->remote_shard_channel(shard);
   ASSERT_NE(ch, nullptr);
   const RemoteShardChannelStats before = ch->stats();
+  const uint64_t docs_before = fx->irs_coll->shard(shard).doc_table_size();
 
-  // The first update applies, the second one's IRS call faults: the
-  // applied one is teed to the shard server under the unadvanced floor,
-  // so the replay's push finds the server in step.
+  // The shard's one apply call faults: nothing applies, both updates
+  // requeue, and nothing is teed, so the server stays in step.
   fault::FaultRule rule;
   rule.kind = fault::FaultKind::kIoError;
-  rule.skip = 1;
   rule.max_fires = 1;
   fault::FaultRegistry::Instance().Arm("coupling.irs_call", rule);
   EXPECT_FALSE(fx->coll->PropagateUpdates().ok());
-  EXPECT_EQ(fx->coll->pending_updates(), 1u);
+  EXPECT_EQ(fx->coll->pending_updates(), 2u);
+  EXPECT_EQ(fx->irs_coll->shard(shard).doc_table_size(), docs_before);
+  EXPECT_EQ(ch->stats().ops_pushed, before.ops_pushed);
   ASSERT_TRUE(fx->coll->PropagateUpdates().ok());
 
   fx->coll->buffer().Clear();
@@ -537,6 +539,80 @@ TEST_F(RemoteCouplingTest, PartialPropagationFailureTeesTheAppliedOps) {
   ASSERT_TRUE(local_or.ok());
   EXPECT_EQ(remote_answer.size(), 2u);
   EXPECT_EQ(remote_answer, **local_or);
+}
+
+TEST_F(RemoteCouplingTest, FaultedUpdateKeepsTheOldDocumentOnBothSides) {
+  CouplingOptions options = FastGuardOptions();
+  options.call_guard.retry.max_attempts = 1;
+  auto fx = MakeRemoteFixture(options);
+  fx->coll->set_propagation_policy(PropagationPolicy::kManual);
+
+  // A paragraph the fault-free "www" answer holds gets new text.
+  ASSERT_FALSE(fx->complete.empty());
+  const Oid para = fx->complete.begin()->first;
+  const std::string key = para.ToString();
+  const size_t shard = fx->irs_coll->ShardOfKey(key);
+  ASSERT_TRUE(
+      fx->sys->db->SetAttribute(para, "TEXT", oodb::Value("walrus prose"))
+          .ok());
+  ASSERT_EQ(fx->coll->pending_updates(), 1u);
+  RemoteShardChannel* ch = fx->coll->remote_shard_channel(shard);
+  ASSERT_NE(ch, nullptr);
+  const RemoteShardChannelStats before = ch->stats();
+
+  // The router's staged apply faults: its shard keeps the old
+  // document, and no op reaches the server.
+  fault::FaultRule rule;
+  rule.kind = fault::FaultKind::kIoError;
+  rule.max_fires = 1;
+  fault::FaultRegistry::Instance().Arm("irs.apply", rule);
+  EXPECT_FALSE(fx->coll->PropagateUpdates().ok());
+  EXPECT_EQ(fx->coll->pending_updates(), 1u);
+  EXPECT_TRUE(fx->irs_coll->HasDocument(key));
+  auto local_hits = fx->irs_coll->Search("www");
+  ASSERT_TRUE(local_hits.ok());
+  EXPECT_TRUE(std::any_of(local_hits->begin(), local_hits->end(),
+                          [&](const irs::SearchHit& h) { return h.key == key; }))
+      << "the old document left the router's index";
+  fx->coll->buffer().Clear();
+  auto remote_old = fx->coll->GetIrsResult("www");
+  ASSERT_TRUE(remote_old.ok()) << remote_old.status().ToString();
+  for (const ShardStatusEntry& e : fx->coll->last_shard_report()) {
+    ASSERT_EQ(e.state, ShardState::kOk) << "shard " << e.shard;
+  }
+  EXPECT_EQ(**remote_old, fx->complete)
+      << "the old document left the shard server";
+
+  // The replay applies the update on both sides with no catch-up.
+  ASSERT_TRUE(fx->coll->PropagateUpdates().ok());
+  fx->coll->buffer().Clear();
+  auto remote_www = fx->coll->GetIrsResult("www");
+  ASSERT_TRUE(remote_www.ok()) << remote_www.status().ToString();
+  OidScoreMap remote_www_answer = **remote_www;
+  fx->coll->buffer().Clear();
+  auto remote_walrus = fx->coll->GetIrsResult("walrus");
+  ASSERT_TRUE(remote_walrus.ok()) << remote_walrus.status().ToString();
+  OidScoreMap remote_walrus_answer = **remote_walrus;
+  for (const ShardStatusEntry& e : fx->coll->last_shard_report()) {
+    ASSERT_EQ(e.state, ShardState::kOk) << "shard " << e.shard;
+  }
+  const RemoteShardChannelStats after = ch->stats();
+  EXPECT_EQ(after.push_failures, before.push_failures);
+  EXPECT_EQ(after.catchup_installs, before.catchup_installs);
+  EXPECT_EQ(fx->servers[shard]->doc_count(),
+            fx->irs_coll->shard(shard).doc_count());
+
+  fx->coll->DetachRemoteShards();
+  fx->coll->buffer().Clear();
+  auto local_www = fx->coll->GetIrsResult("www");
+  ASSERT_TRUE(local_www.ok());
+  fx->coll->buffer().Clear();
+  auto local_walrus = fx->coll->GetIrsResult("walrus");
+  ASSERT_TRUE(local_walrus.ok());
+  EXPECT_EQ(remote_www_answer, **local_www);
+  EXPECT_EQ(remote_walrus_answer, **local_walrus);
+  EXPECT_EQ(remote_walrus_answer.count(para), 1u);
+  EXPECT_EQ(remote_www_answer.count(para), 0u);
 }
 
 TEST_F(RemoteCouplingTest, NetworkFaultMatrixDegradesOneShardOnly) {

@@ -246,8 +246,8 @@ TEST_F(PropagationFaultTest, InsertBatchFailureRequeuesInserts) {
   Oid b = AddParagraph(*sys, sys->roots[0], "gadfly two");
   ASSERT_EQ(coll->pending_updates(), 2u);
 
-  // The batch add fails without side effects; both inserts requeue.
-  ArmIoError("irs.batch_add", 1);
+  // The apply fails without side effects; both inserts requeue.
+  ArmIoError("irs.apply", 1);
   EXPECT_FALSE(coll->PropagateUpdates().ok());
   EXPECT_EQ(coll->pending_updates(), 2u);
   EXPECT_FALSE(coll->Represents(a));
@@ -261,33 +261,37 @@ TEST_F(PropagationFaultTest, InsertBatchFailureRequeuesInserts) {
   EXPECT_EQ((*result)->size(), 2u);
 }
 
-TEST_F(PropagationFaultTest, MidBatchFailureKeepsUnappliedOpsOnly) {
+TEST_F(PropagationFaultTest, FailedSubBatchRequeuesWholeAndAppliesNothing) {
   auto sys = MakeFigure4System(NoRetryOptions());
   auto coll = *sys->coupling->GetCollectionByName("paras");
+  auto irs_coll = *sys->irs_engine->GetCollection("paras");
   coll->set_propagation_policy(PropagationPolicy::kManual);
-  // Two deletes: the first applies, the second faults and requeues.
+  // Two deletes in one shard's sub-batch: one apply, which faults.
   auto it = coll->represented().begin();
   Oid first = *it++;
   Oid second = *it;
+  ASSERT_EQ(irs_coll->ShardOfKey(first.ToString()),
+            irs_coll->ShardOfKey(second.ToString()));
   ASSERT_TRUE(sys->coupling->DeleteSubtree(first).ok());
   ASSERT_TRUE(sys->coupling->DeleteSubtree(second).ok());
   ASSERT_EQ(coll->pending_updates(), 2u);
+  const std::string digest_before = irs_coll->CanonicalDigest();
+  const uint64_t removed_before = irs_coll->stats().docs_removed;
 
-  fault::FaultRule rule;
-  rule.kind = fault::FaultKind::kIoError;
-  rule.skip = 1;  // first guarded call succeeds, second faults
-  rule.max_fires = 1;
-  fault::FaultRegistry::Instance().Arm("coupling.irs_call", rule);
+  ArmIoError("coupling.irs_call", 1);
   EXPECT_FALSE(coll->PropagateUpdates().ok());
-  // Exactly the unapplied delete remains; the applied one is gone for
-  // good (exactly-once, not at-least-once-with-duplicates).
-  EXPECT_EQ(coll->pending_updates(), 1u);
-  EXPECT_FALSE(coll->Represents(first));
+  // Nothing applied, everything requeued.
+  EXPECT_EQ(coll->pending_updates(), 2u);
+  EXPECT_TRUE(coll->Represents(first));
   EXPECT_TRUE(coll->Represents(second));
+  EXPECT_EQ(irs_coll->CanonicalDigest(), digest_before);
 
+  // The replay removes each document exactly once.
   ASSERT_TRUE(coll->PropagateUpdates().ok());
+  EXPECT_FALSE(coll->Represents(first));
   EXPECT_FALSE(coll->Represents(second));
   EXPECT_EQ(coll->pending_updates(), 0u);
+  EXPECT_EQ(irs_coll->stats().docs_removed - removed_before, 2u);
 }
 
 // --- Duplicate delivery ------------------------------------------------
@@ -357,9 +361,9 @@ TEST(DuplicateDeliveryTest, ReplayedModifyConvergesToSameIndex) {
   EXPECT_EQ((*result)->count(para), 1u);
 }
 
-TEST_F(PropagationFaultTest, FailedBatchKeepsTheAppliedUpdateApplied) {
+TEST_F(PropagationFaultTest, FailedBatchAppliesTheUpdateOnce) {
   // A re-delivered insert of a represented paragraph (applied as an
-  // update) and a fresh insert (a batch add) on one shard. Returns the
+  // update) and a fresh insert (an add) on one shard. Returns the
   // documents the IRS collection removed while propagating them, and
   // the index digest afterwards.
   auto run = [](bool fail_batch) -> std::pair<uint64_t, std::string> {
@@ -374,10 +378,11 @@ TEST_F(PropagationFaultTest, FailedBatchKeepsTheAppliedUpdateApplied) {
     EXPECT_EQ(coll->pending_updates(), 2u);
     const uint64_t removed_before = irs_coll->stats().docs_removed;
     if (fail_batch) {
-      // The update applies, the batch add fails: only the add requeues.
-      ArmIoError("irs.batch_add", 1);
+      // The staged apply fails before touching the index: the update
+      // and the add both requeue.
+      ArmIoError("irs.apply", 1);
       EXPECT_FALSE(coll->PropagateUpdates().ok());
-      EXPECT_EQ(coll->pending_updates(), 1u);
+      EXPECT_EQ(coll->pending_updates(), 2u);
     }
     EXPECT_TRUE(coll->PropagateUpdates().ok());
     EXPECT_EQ(coll->pending_updates(), 0u);
@@ -387,45 +392,54 @@ TEST_F(PropagationFaultTest, FailedBatchKeepsTheAppliedUpdateApplied) {
   const auto [removed_clean, digest_clean] = run(false);
   const auto [removed_faulted, digest_faulted] = run(true);
   EXPECT_EQ(removed_clean, 1u);
-  EXPECT_EQ(removed_faulted, 1u) << "the update was applied again";
+  EXPECT_EQ(removed_faulted, 1u) << "the update was applied twice";
   EXPECT_EQ(digest_faulted, digest_clean);
 }
 
 TEST_F(PropagationFaultTest, FaultedModifyThenDeleteReconciles) {
   auto sys = MakeFigure4System(NoRetryOptions());
   auto coll = *sys->coupling->GetCollectionByName("paras");
+  auto irs_coll = *sys->irs_engine->GetCollection("paras");
   Oid para = *coll->represented().begin();
+  const std::string digest_before = irs_coll->CanonicalDigest();
   ASSERT_TRUE(
       sys->db->SetAttribute(para, "TEXT", oodb::Value("doomed text")).ok());
 
-  // The update's re-add faults after its remove: the document is gone
-  // from the index while the object still counts as represented.
-  ArmIoError("irs.add", 1);
+  // The update's apply faults while staging: the old document survives
+  // untouched and the object stays represented.
+  ArmIoError("irs.apply", 1);
   EXPECT_FALSE(coll->PropagateUpdates().ok());
+  EXPECT_TRUE(irs_coll->HasDocument(para.ToString()));
+  EXPECT_TRUE(coll->Represents(para));
+  EXPECT_EQ(irs_coll->CanonicalDigest(), digest_before);
 
   // The object is then deleted; the requeued modify folds into the
-  // delete, whose replay must treat the already-missing document as
-  // its goal state instead of failing with NotFound.
+  // delete, whose replay removes the old document.
   ASSERT_TRUE(sys->coupling->DeleteSubtree(para).ok());
   ASSERT_TRUE(coll->PropagateUpdates().ok());
   EXPECT_FALSE(coll->Represents(para));
+  EXPECT_FALSE(irs_coll->HasDocument(para.ToString()));
   EXPECT_EQ(coll->pending_updates(), 0u);
 }
 
-TEST_F(PropagationFaultTest, FaultedModifyRecoversViaAddFallback) {
+TEST_F(PropagationFaultTest, FaultedModifyKeepsTheOldDocument) {
   auto sys = MakeFigure4System(NoRetryOptions());
   auto coll = *sys->coupling->GetCollectionByName("paras");
+  auto irs_coll = *sys->irs_engine->GetCollection("paras");
   Oid para = *coll->represented().begin();
+  const std::string digest_before = irs_coll->CanonicalDigest();
   ASSERT_TRUE(
       sys->db->SetAttribute(para, "TEXT", oodb::Value("phoenix text")).ok());
 
-  // The update's internal re-add faults after its remove succeeded:
-  // the document is momentarily gone from the index.
-  ArmIoError("irs.add", 1);
+  // The update's apply faults: the index keeps the old document, so
+  // the object never drops out of search results.
+  ArmIoError("irs.apply", 1);
   EXPECT_FALSE(coll->PropagateUpdates().ok());
   EXPECT_EQ(coll->pending_updates(), 1u);
+  EXPECT_TRUE(irs_coll->HasDocument(para.ToString()));
+  EXPECT_EQ(irs_coll->CanonicalDigest(), digest_before);
 
-  // The replayed modify degenerates to a plain add and recovers.
+  // The replayed modify applies as an update.
   ASSERT_TRUE(coll->PropagateUpdates().ok());
   auto result = coll->GetIrsResult("phoenix");
   ASSERT_TRUE(result.ok());

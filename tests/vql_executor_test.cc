@@ -162,13 +162,14 @@ TEST_F(VqlExecutorTest, BindingReorderPrefersSmallExtent) {
   EXPECT_LE(with_reorder, without);
 }
 
-TEST_F(VqlExecutorTest, CandidateOverrideRestrictsScan) {
-  engine_->SetCandidateOverride("d", {docs_[1]});
-  auto r = engine_->Run("ACCESS d FROM d IN DOC");
+TEST_F(VqlExecutorTest, CandidateSetsRestrictScan) {
+  auto q = ParseQuery("ACCESS d FROM d IN DOC");
+  ASSERT_TRUE(q.ok());
+  auto r = engine_->Run(*q, {{"d", {docs_[1]}}});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 1u);
-  // Override is consumed by the run.
-  r = engine_->Run("ACCESS d FROM d IN DOC");
+  // The restriction belongs to that Run alone.
+  r = engine_->Run(*q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 3u);
 }
