@@ -15,6 +15,10 @@
 // volume. Every query in the stream is distinct, so the persistent
 // result buffer provides only its *intra-query* batching (one IRS call
 // per query) and no arm benefits from inter-query reuse.
+//
+// The bench exits non-zero when the deterministic shape drifts: the
+// three arms' row counts (identical answers) and each arm's IRS-call,
+// file and byte counts. Timings are never gated.
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -32,6 +36,33 @@ struct ArmResult {
   size_t rows = 0;
 };
 
+/// An arm's expected deterministic counts.
+struct ArmShape {
+  const char* name;
+  uint64_t irs_calls;
+  uint64_t files;
+  uint64_t bytes;
+  size_t rows;
+};
+
+/// Prints a gate failure per count of `got` that differs from `want`;
+/// returns whether all matched.
+bool ShapeMatches(const ArmShape& want, const ArmResult& got) {
+  bool ok = true;
+  auto check = [&](const char* what, uint64_t value, uint64_t expected) {
+    if (value == expected) return;
+    std::fprintf(stderr, "FAIL: %s %s is %llu, expected %llu\n", want.name,
+                 what, static_cast<unsigned long long>(value),
+                 static_cast<unsigned long long>(expected));
+    ok = false;
+  };
+  check("IRS calls", got.irs_calls, want.irs_calls);
+  check("files", got.files, want.files);
+  check("bytes", got.bytes, want.bytes);
+  check("rows", got.rows, want.rows);
+  return ok;
+}
+
 constexpr int kQueries = 60;
 constexpr double kThreshold = 0.45;
 
@@ -46,7 +77,8 @@ std::vector<std::string> QueryTerms() {
   return terms;
 }
 
-void Run() {
+/// Returns false when an arm's counts drift from the expected shape.
+bool Run() {
   sgml::CorpusOptions copts;
   copts.num_docs = 150;
   copts.seed = 31;
@@ -131,13 +163,24 @@ void Run() {
       "in-process arm avoids all file interchange and is fastest; the\n"
       "control-module arm pays file writes/parses plus a full structure-\n"
       "query evaluation per mixed query.\n");
+
+  // Every arm answers the same 5297 rows. File exchange writes and
+  // parses one result file per query; the in-process API moves none.
+  constexpr size_t kRows = 5297;
+  const bool ctrl_ok = ShapeMatches(
+      {"control module", kQueries, kQueries, 573786, kRows}, arm_ctrl);
+  const bool file_ok = ShapeMatches(
+      {"file exchange", kQueries, kQueries, 573786, kRows}, arm_file);
+  const bool api_ok =
+      ShapeMatches({"in-process API", kQueries, 0, 0, kRows}, arm_api);
+  return ctrl_ok && file_ok && api_ok;
 }
 
 }  // namespace
 }  // namespace sdms::bench
 
 int main() {
-  sdms::bench::Run();
+  const bool shape_holds = sdms::bench::Run();
   sdms::bench::EmitMetricsJson("e1_architectures");
-  return 0;
+  return shape_holds ? 0 : 1;
 }

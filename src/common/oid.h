@@ -1,9 +1,13 @@
 #ifndef SDMS_COMMON_OID_H_
 #define SDMS_COMMON_OID_H_
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+
+#include "common/status.h"
 
 namespace sdms {
 
@@ -35,6 +39,19 @@ class Oid {
 
 /// The invalid OID constant.
 inline constexpr Oid kNullOid{};
+
+/// Parses an IRS document key "oid:<n>", where <n> is the whole rest of
+/// the key in decimal digits and fits 64 bits. kCorruption otherwise.
+inline StatusOr<Oid> ParseOidKey(std::string_view key) {
+  constexpr std::string_view kPrefix = "oid:";
+  if (key.starts_with(kPrefix)) {
+    const char* last = key.data() + key.size();
+    uint64_t raw = 0;
+    auto [end, ec] = std::from_chars(key.data() + kPrefix.size(), last, raw);
+    if (ec == std::errc() && end == last) return Oid(raw);
+  }
+  return Status::Corruption("malformed OID key: " + std::string(key));
+}
 
 }  // namespace sdms
 

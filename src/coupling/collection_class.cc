@@ -308,15 +308,19 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
     irs::IrsCollection* coll, const std::string& irs_query, bool* partial) {
   // Parse once and snapshot the corpus-wide statistics every shard
   // scores against — this is what keeps an N-shard merged result
-  // bit-identical to the single-shard one. Unbounded (k = 0): the
-  // result is keyed by OID, so no ranking is ever needed here.
-  SDMS_ASSIGN_OR_RETURN(irs::IrsCollection::SearchPlan plan,
-                        coll->PrepareSearch(irs_query, 0));
+  // bit-identical to the single-shard one. The result is keyed by OID,
+  // so no ranking is ever needed here: each shard answers in OID order
+  // and one linear merge builds the map.
+  irs::IrsCollection::SearchPlan plan;
+  {
+    obs::ProfileStageScope prepare_stage("irs_prepare");
+    SDMS_ASSIGN_OR_RETURN(plan, coll->PrepareSearch(irs_query));
+  }
   const size_t n = coll->num_shards();
   EnsureShardGuards(n);
 
   struct ShardRun {
-    std::vector<irs::SearchHit> hits;
+    irs::OidHits hits;
     Status status = Status::OK();
     bool breaker_rejected = false;
     int64_t micros = 0;
@@ -376,7 +380,7 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
   }
 
   std::vector<ShardStatusEntry> report(n);
-  std::vector<std::vector<irs::SearchHit>> per_shard;
+  std::vector<irs::OidHits> per_shard;
   per_shard.reserve(n);
   size_t ok_shards = 0;
   Status first_failure = Status::OK();
@@ -423,7 +427,8 @@ StatusOr<OidScoreMap> Collection::RunIrsQuerySharded(
                    << failed_names << " failed (" << ok_shards << "/" << n
                    << " shards answered): " << first_failure.ToString();
   }
-  return OidScoreMapFromHits(per_shard);
+  obs::ProfileStageScope merge_stage("irs_merge");
+  return MergeShardOidHits(per_shard);
 }
 
 StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
@@ -475,7 +480,7 @@ StatusOr<OidScoreMap> Collection::RunIrsQuery(const std::string& irs_query,
     ++stats_.files_exchanged;
     if (RemoveFile(path).ok()) Metrics().exchange_cleaned.Increment();
     SDMS_ASSIGN_OR_RETURN(hits, std::move(hits_or));
-    SDMS_ASSIGN_OR_RETURN(out, OidScoreMapFromHits({&hits, 1}));
+    SDMS_ASSIGN_OR_RETURN(out, OidScoreMapFromHits(hits));
     return Status::OK();
   });
   SDMS_RETURN_IF_ERROR(submit);

@@ -380,7 +380,7 @@ Status RemoteShardChannel::EnsureSynced(irs::IrsCollection* local) {
   return EnsureSyncedLocked(local);
 }
 
-StatusOr<std::vector<irs::SearchHit>> RemoteShardChannel::Search(
+StatusOr<irs::OidHits> RemoteShardChannel::Search(
     const std::string& query, const irs::IrsCollection::SearchPlan& plan,
     irs::IrsCollection* local) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -395,7 +395,6 @@ StatusOr<std::vector<irs::SearchHit>> RemoteShardChannel::Search(
   ShardSearchRequest req;
   req.request_id = ++next_request_id_;
   req.query = query;
-  req.k = plan.k;
   req.stats = irs::IrsCollection::EncodePlanStats(plan);
   int64_t wait_ms = options_.search_deadline_ms;
   QueryContext* ctx = QueryContext::Current();
@@ -436,12 +435,7 @@ StatusOr<std::vector<irs::SearchHit>> RemoteShardChannel::Search(
                               " does not match request " +
                               std::to_string(req.request_id));
   }
-  std::vector<irs::SearchHit> hits;
-  hits.reserve(resp.value().hits.size());
-  for (ShardHit& h : resp.value().hits) {
-    hits.push_back(irs::SearchHit{std::move(h.key), h.score});
-  }
-  return hits;
+  return std::move(resp.value().hits);
 }
 
 Status RemoteShardChannel::PushOps(const std::vector<ShardOp>& ops,

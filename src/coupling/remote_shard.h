@@ -125,10 +125,11 @@ class RemoteShardChannel {
 
   /// Ensures the server is connected and synced, then executes one
   /// shard search: ships the router-prepared plan's query + global
-  /// statistics (EncodePlanStats), returns the shard's ranked hits —
-  /// bit-identical to `local->SearchShard(plan, shard)` on a healthy
-  /// channel.
-  StatusOr<std::vector<irs::SearchHit>> Search(
+  /// statistics (EncodePlanStats), returns the shard's OID-ordered
+  /// hits — bit-identical to `local->SearchShard(plan, shard)` on a
+  /// healthy channel. The order is the server's claim; the router's
+  /// merge (MergeShardOidHits) checks it.
+  StatusOr<irs::OidHits> Search(
       const std::string& query, const irs::IrsCollection::SearchPlan& plan,
       irs::IrsCollection* local);
 

@@ -16,6 +16,9 @@ StatusCode CodeFromWire(uint8_t raw) {
   return static_cast<StatusCode>(raw);
 }
 
+/// Wire size of one ShardSearchResponse hit: u64 OID + 8-byte double.
+constexpr uint64_t kWireShardHitBytes = 16;
+
 Status RejectTrailing(const Decoder& dec) {
   if (!dec.AtEnd()) {
     return Status::Corruption("trailing bytes after shard message");
@@ -80,7 +83,6 @@ std::string EncodeShardSearchRequest(const ShardSearchRequest& r) {
   Encoder enc;
   enc.PutU64(r.request_id);
   enc.PutString(r.query);
-  enc.PutU64(r.k);
   enc.PutI64(r.deadline_ms);
   enc.PutString(r.stats);
   return enc.Release();
@@ -92,7 +94,6 @@ StatusOr<ShardSearchRequest> DecodeShardSearchRequest(
   ShardSearchRequest r;
   SDMS_ASSIGN_OR_RETURN(r.request_id, dec.GetU64());
   SDMS_ASSIGN_OR_RETURN(r.query, dec.GetString());
-  SDMS_ASSIGN_OR_RETURN(r.k, dec.GetU64());
   SDMS_ASSIGN_OR_RETURN(r.deadline_ms, dec.GetI64());
   SDMS_ASSIGN_OR_RETURN(r.stats, dec.GetString());
   SDMS_RETURN_IF_ERROR(RejectTrailing(dec));
@@ -103,9 +104,9 @@ std::string EncodeShardSearchResponse(const ShardSearchResponse& r) {
   Encoder enc;
   enc.PutU64(r.request_id);
   enc.PutU64(r.hits.size());
-  for (const ShardHit& h : r.hits) {
-    enc.PutString(h.key);
-    enc.PutDouble(h.score);
+  for (const auto& [oid, score] : r.hits) {
+    enc.PutFixed64(oid.raw());
+    enc.PutDouble(score);
   }
   return enc.Release();
 }
@@ -120,12 +121,17 @@ StatusOr<ShardSearchResponse> DecodeShardSearchResponse(
     return Status::Corruption("shard hit count " + std::to_string(n) +
                               " exceeds cap");
   }
+  // Fixed-width hits: a count the payload cannot hold is refused before
+  // anything is allocated.
+  if (n * kWireShardHitBytes > dec.remaining()) {
+    return Status::Corruption("shard hit count " + std::to_string(n) +
+                              " exceeds the payload");
+  }
   r.hits.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
-    ShardHit h;
-    SDMS_ASSIGN_OR_RETURN(h.key, dec.GetString());
-    SDMS_ASSIGN_OR_RETURN(h.score, dec.GetDouble());
-    r.hits.push_back(std::move(h));
+    SDMS_ASSIGN_OR_RETURN(uint64_t oid, dec.GetFixed64());
+    SDMS_ASSIGN_OR_RETURN(double score, dec.GetDouble());
+    r.hits.emplace_back(Oid(oid), score);
   }
   SDMS_RETURN_IF_ERROR(RejectTrailing(dec));
   return r;

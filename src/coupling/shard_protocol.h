@@ -27,7 +27,7 @@ namespace sdms::coupling {
 /// Mirror of server::kProtocolVersion, re-declared here so the channel
 /// (coupling layer) does not depend on the server library. A static
 /// assert in shard_service.cc keeps them in lock step.
-inline constexpr uint32_t kShardProtocolVersion = 3;
+inline constexpr uint32_t kShardProtocolVersion = 4;
 
 /// Caps mirroring the main protocol's hardening: a decoder refuses
 /// counts beyond these before allocating.
@@ -81,11 +81,10 @@ StatusOr<ShardStatusMsg> DecodeShardStatusMsg(const std::string& payload);
 /// corpus statistics (IrsCollection::EncodePlanStats). The shard
 /// re-parses the query with its (identical) analyzer and scores its
 /// local documents against the injected statistics, which is exactly
-/// what keeps remote rankings bit-identical to local SearchShard.
+/// what keeps remote answers bit-identical to local SearchShard.
 struct ShardSearchRequest {
   uint64_t request_id = 0;
   std::string query;
-  uint64_t k = 0;
   /// Relative deadline for the shard-side execution; 0 = none.
   int64_t deadline_ms = 0;
   /// Opaque stats blob (decoded by IrsCollection::PrepareSearchWithStats).
@@ -96,16 +95,12 @@ std::string EncodeShardSearchRequest(const ShardSearchRequest& r);
 StatusOr<ShardSearchRequest> DecodeShardSearchRequest(
     const std::string& payload);
 
-/// The shard's ranked hits. Scores are raw 8-byte doubles — the merge
-/// on the router is bit-identical to an in-process merge.
-struct ShardHit {
-  std::string key;
-  double score = 0.0;
-};
-
+/// The shard's hits in OID order (IrsCollection::SearchShard). Each
+/// travels as a fixed-width u64 OID plus a raw 8-byte double, so the
+/// merge on the router is bit-identical to an in-process merge.
 struct ShardSearchResponse {
   uint64_t request_id = 0;
-  std::vector<ShardHit> hits;
+  irs::OidHits hits;
 };
 
 std::string EncodeShardSearchResponse(const ShardSearchResponse& r);

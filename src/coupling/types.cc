@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <stdexcept>
 #include <string>
 
@@ -101,29 +100,47 @@ uint64_t OidBitSet::NextFrom(uint64_t pos) const {
   return EndPos();
 }
 
-StatusOr<Oid> ParseOidKey(std::string_view key) {
-  // Keys are "oid:<n>" (the OID stored as IRS document meta data).
-  constexpr std::string_view kPrefix = "oid:";
-  if (key.starts_with(kPrefix)) {
-    const char* last = key.data() + key.size();
-    uint64_t raw = 0;
-    auto [end, ec] = std::from_chars(key.data() + kPrefix.size(), last, raw);
-    if (ec == std::errc() && end == last) return Oid(raw);
+StatusOr<OidScoreMap> MergeShardOidHits(
+    std::span<const std::vector<OidScoreMap::value_type>> parts) {
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<OidScoreMap::value_type> pairs;
+  pairs.reserve(total);
+  std::vector<size_t> next(parts.size(), 0);
+  while (pairs.size() < total) {
+    // The part whose next pair has the smallest OID; the first such
+    // part on a tie, so the repeat surfaces on the following step.
+    size_t best = parts.size();
+    for (size_t p = 0; p < parts.size(); ++p) {
+      if (next[p] == parts[p].size()) continue;
+      if (best == parts.size() ||
+          parts[p][next[p]].first < parts[best][next[best]].first) {
+        best = p;
+      }
+    }
+    const OidScoreMap::value_type& pair = parts[best][next[best]++];
+    // Output strictly increasing <=> every part strictly increasing
+    // and no OID in two parts.
+    if (!pairs.empty() && !(pairs.back().first < pair.first)) {
+      if (pairs.back().first == pair.first) {
+        return Status::Corruption("IRS result names " +
+                                  pair.first.ToString() + " twice");
+      }
+      return Status::Corruption("shard hits out of OID order at " +
+                                pair.first.ToString());
+    }
+    pairs.push_back(pair);
   }
-  return Status::Corruption("malformed OID key: " + std::string(key));
+  return OidScoreMap::FromSorted(std::move(pairs));
 }
 
 StatusOr<OidScoreMap> OidScoreMapFromHits(
-    std::span<const std::vector<irs::SearchHit>> parts) {
-  size_t total = 0;
-  for (const auto& hits : parts) total += hits.size();
+    std::span<const irs::SearchHit> hits) {
   std::vector<OidScoreMap::value_type> pairs;
-  pairs.reserve(total);
-  for (const auto& hits : parts) {
-    for (const irs::SearchHit& h : hits) {
-      SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(h.key));
-      pairs.emplace_back(oid, h.score);
-    }
+  pairs.reserve(hits.size());
+  for (const irs::SearchHit& h : hits) {
+    SDMS_ASSIGN_OR_RETURN(Oid oid, ParseOidKey(h.key));
+    pairs.emplace_back(oid, h.score);
   }
   return OidScoreMap::FromUnsorted(std::move(pairs));
 }

@@ -139,15 +139,19 @@ class OidBitSet {
   size_t size_ = 0;
 };
 
-/// Parses an IRS document key "oid:<n>", where <n> is the whole rest of
-/// the key in decimal digits and fits 64 bits. kCorruption otherwise.
-StatusOr<Oid> ParseOidKey(std::string_view key);
+/// Merges per-shard fan-out answers (IrsCollection::SearchShard), each
+/// in strictly increasing OID order, into one OidScoreMap in a single
+/// linear k-way pass. Shards partition the documents, so an OID that
+/// repeats, within a part or across parts, or a part out of OID order
+/// is kCorruption, never a wrong map.
+StatusOr<OidScoreMap> MergeShardOidHits(
+    std::span<const std::vector<OidScoreMap::value_type>> parts);
 
-/// Maps IRS hits, in any order and split into any number of parts (one
-/// per shard), to an OidScoreMap: every key through ParseOidKey, one
-/// sort by OID. A repeated OID is kCorruption.
+/// Maps ranked IRS hits (file exchange, whose result file carries text
+/// keys) to an OidScoreMap: every key through ParseOidKey, one sort by
+/// OID. A repeated OID is kCorruption.
 StatusOr<OidScoreMap> OidScoreMapFromHits(
-    std::span<const std::vector<irs::SearchHit>> parts);
+    std::span<const irs::SearchHit> hits);
 
 /// Counters describing coupling behaviour; read by tests and benches.
 struct CouplingStats {

@@ -255,11 +255,10 @@ Status IrsCollection::RemoveDocument(const std::string& key) {
 }
 
 StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearch(
-    const std::string& query, size_t k) {
+    const std::string& query) {
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());
   Metrics().searches.Increment();
   SearchPlan plan;
-  plan.k = k;
   SDMS_ASSIGN_OR_RETURN(plan.tree, ParseIrsQuery(query, analyzer_));
 
   // Global corpus statistics: integer sums over shards, so every shard
@@ -298,17 +297,16 @@ StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearch(
   return plan;
 }
 
-StatusOr<std::vector<SearchHit>> IrsCollection::SearchShard(
-    const SearchPlan& plan, size_t shard) {
+StatusOr<ScoreMap> IrsCollection::ScoreShard(const SearchPlan& plan,
+                                             size_t shard, size_t k) {
   SDMS_RETURN_IF_ERROR(fault::InjectFault("irs.search"));
   SDMS_RETURN_IF_ERROR(fault::InjectFault(ShardSearchFaultPoint(shard)));
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());
-  obs::TraceSpan span("irs.search");
   const InvertedIndex& index = *shards_[shard];
-  const size_t k = plan.k;
   // k > 0 lets the model prune: ScoreTopK returns a map guaranteed to
   // contain every live doc that can appear in the final top k, with
-  // scores bit-identical to Score() — the selection below is unchanged.
+  // scores bit-identical to Score() — the caller's selection is
+  // unchanged.
   SDMS_ASSIGN_OR_RETURN(
       ScoreMap scores,
       k > 0 ? model_->ScoreTopK(index, *plan.tree, k, &plan.corpus)
@@ -317,7 +315,39 @@ StatusOr<std::vector<SearchHit>> IrsCollection::SearchShard(
   // The kernels exit early (with partial output) on cancellation; make
   // that an authoritative error before hits are materialized.
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());
+  return scores;
+}
 
+StatusOr<OidHits> IrsCollection::SearchShard(const SearchPlan& plan,
+                                             size_t shard) {
+  obs::TraceSpan span("irs.search");
+  SDMS_ASSIGN_OR_RETURN(ScoreMap scores, ScoreShard(plan, shard, 0));
+  const InvertedIndex& index = *shards_[shard];
+  OidHits hits;
+  hits.reserve(scores.size());
+  // Doc ids ascend with OIDs until an update re-adds a document under
+  // a fresh doc id; only then is a sort needed.
+  bool in_order = true;
+  for (const auto& [doc, score] : scores) {
+    auto info = index.GetDoc(doc);
+    if (!info.ok() || !(*info)->alive) continue;
+    if (!(*info)->oid_key) return ParseOidKey((*info)->key).status();
+    Oid oid = (*info)->oid;
+    if (!hits.empty() && oid < hits.back().first) in_order = false;
+    hits.emplace_back(oid, score);
+  }
+  if (!in_order) {
+    std::sort(hits.begin(), hits.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  return hits;
+}
+
+StatusOr<std::vector<SearchHit>> IrsCollection::RankShard(
+    const SearchPlan& plan, size_t shard, size_t k) {
+  obs::TraceSpan span("irs.search");
+  SDMS_ASSIGN_OR_RETURN(ScoreMap scores, ScoreShard(plan, shard, k));
+  const InvertedIndex& index = *shards_[shard];
   std::vector<SearchHit> hits;
   if (k > 0 && scores.size() > k) {
     // Bounded top-k: a k-sized min-heap whose root is the weakest
@@ -375,7 +405,7 @@ StatusOr<std::vector<SearchHit>> IrsCollection::Search(
     const std::string& query, size_t k) {
   obs::TraceSpan span("irs.search");
   obs::ProfileStageScope stage("irs_search");
-  SDMS_ASSIGN_OR_RETURN(SearchPlan plan, PrepareSearch(query, k));
+  SDMS_ASSIGN_OR_RETURN(SearchPlan plan, PrepareSearch(query));
 
   const size_t n = shards_.size();
   std::vector<StatusOr<std::vector<SearchHit>>> results;
@@ -384,7 +414,7 @@ StatusOr<std::vector<SearchHit>> IrsCollection::Search(
   auto run_range = [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       obs::ProfileStageScope shard_stage(ShardSearchStageName(s));
-      results[s] = SearchShard(plan, s);
+      results[s] = RankShard(plan, s, k);
     }
   };
   ThreadPool* pool = n > 1 ? DefaultThreadPool() : nullptr;
@@ -532,11 +562,10 @@ std::string IrsCollection::EncodePlanStats(const SearchPlan& plan) {
 }
 
 StatusOr<IrsCollection::SearchPlan> IrsCollection::PrepareSearchWithStats(
-    const std::string& query, size_t k, std::string_view stats) {
+    const std::string& query, std::string_view stats) {
   SDMS_RETURN_IF_ERROR(CurrentQueryStatus());
   Metrics().searches.Increment();
   SearchPlan plan;
-  plan.k = k;
   SDMS_ASSIGN_OR_RETURN(plan.tree, ParseIrsQuery(query, analyzer_));
   oodb::Decoder dec(stats);
   SDMS_ASSIGN_OR_RETURN(plan.corpus.doc_count, dec.GetU64());

@@ -34,6 +34,10 @@ struct SearchHit {
   double score = 0.0;
 };
 
+/// One shard's fan-out answer: the OID (DocInfo::oid) and IRS value of
+/// every live matching document, in strictly increasing OID order.
+using OidHits = std::vector<std::pair<Oid, double>>;
+
 /// Usage counters of a collection (benches read these).
 struct CollectionStats {
   uint64_t docs_indexed = 0;
@@ -164,21 +168,21 @@ class IrsCollection {
   struct SearchPlan {
     std::unique_ptr<QueryNode> tree;
     CorpusStats corpus;
-    size_t k = 0;  // 0 = unbounded
   };
 
   /// Parses `query` and snapshots corpus-wide statistics (document
   /// count, token count, per-term df, per-window-node df). Counts the
   /// query in stats()/metrics.
-  StatusOr<SearchPlan> PrepareSearch(const std::string& query, size_t k);
+  StatusOr<SearchPlan> PrepareSearch(const std::string& query);
 
-  /// Evaluates the plan on one shard, returning that shard's hits
-  /// ranked by (score desc, key asc), truncated to plan.k when k > 0.
-  /// Checks the "irs.search" and "irs.search.shard<i>" fault points
-  /// and the current QueryContext. Safe to call concurrently for
-  /// *different* shards of the same plan.
-  StatusOr<std::vector<SearchHit>> SearchShard(const SearchPlan& plan,
-                                               size_t shard);
+  /// The coupling's fan-out search of one shard: every live document
+  /// the plan scores, as (OID, score) in OID order — one pass over the
+  /// model's doc-ordered scores and the shard's OID column, no key
+  /// copied, no score sort, no top-k. A matching document whose key is
+  /// not an OID key is kCorruption. Checks the "irs.search" and
+  /// "irs.search.shard<i>" fault points and the current QueryContext.
+  /// Safe to call concurrently for *different* shards of the same plan.
+  StatusOr<OidHits> SearchShard(const SearchPlan& plan, size_t shard);
 
   /// Merges per-shard ranked hit lists into one ranking — (score desc,
   /// key asc), truncated to `k` when k > 0. Keys are disjoint across
@@ -201,7 +205,6 @@ class IrsCollection {
   /// statistics don't decode or don't match the parsed tree's shape
   /// (window count) — the two sides must share query and analyzer.
   StatusOr<SearchPlan> PrepareSearchWithStats(const std::string& query,
-                                              size_t k,
                                               std::string_view stats);
 
   /// Serialized image of one shard's index (pair it with
@@ -224,7 +227,8 @@ class IrsCollection {
   Status Reshard(uint32_t m);
 
   /// Evaluates an IRS query, returning hits ranked by descending score
-  /// (ties broken by key for determinism). Fans out across all shards
+  /// (ties broken by key for determinism): the ranked interface file
+  /// exchange and the control module use. Fans out across all shards
   /// (through the default thread pool) and merges; any shard failure
   /// fails the whole search — per-shard degradation is the coupling
   /// layer's job (it drives SearchShard itself, one guard per shard).
@@ -284,6 +288,17 @@ class IrsCollection {
   /// drives compaction globally (MaybeCompactShards) so corpus
   /// statistics stay identical across shard layouts.
   std::unique_ptr<InvertedIndex> NewShard() const;
+
+  /// Scores the plan on one shard (top-k-pruned when k > 0, see
+  /// RetrievalModel::ScoreTopK) after the shard's fault points and
+  /// query-status checks; SearchShard and RankShard share it.
+  StatusOr<ScoreMap> ScoreShard(const SearchPlan& plan, size_t shard,
+                                size_t k);
+
+  /// One shard's hits ranked by (score desc, key asc), truncated to k
+  /// when k > 0 — Search's per-shard step.
+  StatusOr<std::vector<SearchHit>> RankShard(const SearchPlan& plan,
+                                             size_t shard, size_t k);
 
   /// CanonicalDigest over an arbitrary shard vector (Reshard verifies
   /// the rebuilt layout before swapping it in).

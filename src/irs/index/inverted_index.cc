@@ -46,6 +46,13 @@ obs::Gauge& IndexMemoryBytes() {
   return g;
 }
 
+/// Fills the OID column of `info` from its key.
+void ParseOidColumn(DocInfo& info) {
+  StatusOr<Oid> oid = ParseOidKey(info.key);
+  info.oid_key = oid.ok();
+  if (oid.ok()) info.oid = *oid;
+}
+
 }  // namespace
 
 InvertedIndex::InvertedIndex() = default;
@@ -106,6 +113,7 @@ DocId InvertedIndex::AddDocument(const std::string& key,
   DocId id = static_cast<DocId>(docs_.size());
   DocInfo info;
   info.key = key;
+  ParseOidColumn(info);
   info.length = static_cast<uint32_t>(tokens.size());
   info.alive = true;
   docs_.push_back(std::move(info));
@@ -141,6 +149,7 @@ StatusOr<std::vector<DocId>> InvertedIndex::AddDocumentsBatch(
   for (const DocTokens& d : docs) {
     DocInfo info;
     info.key = d.key;
+    ParseOidColumn(info);
     info.length = static_cast<uint32_t>(d.tokens.size());
     info.alive = true;
     docs_.push_back(std::move(info));
@@ -381,6 +390,7 @@ StatusOr<InvertedIndex> InvertedIndex::Deserialize(std::string_view data) {
   for (uint64_t i = 0; i < ndocs; ++i) {
     DocInfo d;
     SDMS_ASSIGN_OR_RETURN(d.key, dec.GetString());
+    ParseOidColumn(d);
     SDMS_ASSIGN_OR_RETURN(d.length, dec.GetU32());
     SDMS_ASSIGN_OR_RETURN(uint8_t alive, dec.GetU8());
     d.alive = alive != 0;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/oid.h"
 #include "common/status.h"
 #include "irs/index/block_postings.h"
 
@@ -22,9 +23,16 @@ struct DocInfo {
   /// External key — the OODBMS object identifier string ("oid:n"). The
   /// paper stores the OID as IRS-document meta data (Section 4.3).
   std::string key;
+  /// The OID `key` names, parsed once when the document enters the
+  /// index (ParseOidKey); meaningful only when `oid_key`. The coupling's
+  /// fan-out reads this column instead of the key, so it never copies
+  /// or re-parses a string. Snapshots store only the key.
+  Oid oid;
   /// Document length in analyzed tokens.
   uint32_t length = 0;
   bool alive = false;
+  /// Whether `key` is an OID key ("oid:<n>").
+  bool oid_key = false;
 };
 
 /// One document of a batch insert: external key plus analyzed tokens.

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 
 #include "common/query_context.h"
 #include "irs/model/retrieval_model.h"
@@ -34,7 +35,7 @@ class Bm25Model : public RetrievalModel {
     const double avgdl = std::max(corpus != nullptr ? corpus->avg_doc_length()
                                                     : index.avg_doc_length(),
                                   1e-9);
-    ScoreMap scores;
+    std::unordered_map<DocId, double> scores;
     for (const auto& [term, tf_q] : qtf) {
       uint64_t df =
           corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
@@ -48,7 +49,7 @@ class Bm25Model : public RetrievalModel {
             scores[doc] += Contribution(tf_q, idf, tf, dl, avgdl);
           }));
     }
-    return scores;
+    return SortedByDoc(scores);
   }
 
   /// Document-at-a-time MaxScore over the block cursors, tightened by
@@ -218,7 +219,7 @@ class Bm25Model : public RetrievalModel {
                                 avgdl);
         }
         if (complete) {
-          scores[cand] = score;
+          scores.emplace_back(cand, score);  // candidates ascend
           if (index.IsAlive(cand)) offer(score);
         }
       }

@@ -27,7 +27,7 @@ class BooleanModel : public RetrievalModel {
     SDMS_ASSIGN_OR_RETURN(std::vector<DocId> docs, EvalSet(index, query));
     ScoreMap out;
     for (DocId d : docs) {
-      if (index.IsAlive(d)) out[d] = 1.0;
+      if (index.IsAlive(d)) out.emplace_back(d, 1.0);
     }
     return out;
   }

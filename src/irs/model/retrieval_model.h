@@ -1,10 +1,13 @@
 #ifndef SDMS_IRS_MODEL_RETRIEVAL_MODEL_H_
 #define SDMS_IRS_MODEL_RETRIEVAL_MODEL_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "irs/index/inverted_index.h"
@@ -12,8 +15,19 @@
 
 namespace sdms::irs {
 
-/// Scores of matching documents: internal doc id -> IRS value.
-using ScoreMap = std::unordered_map<DocId, double>;
+/// Scores of matching documents: (internal doc id, IRS value) pairs in
+/// strictly ascending doc id order, the order a doc-at-a-time walk
+/// produces. Held flat, so a shard's hits are built in one pass with no
+/// re-keying or sort.
+using ScoreMap = std::vector<std::pair<DocId, double>>;
+
+/// The ScoreMap of a term-at-a-time accumulator (BM25 and the vector
+/// space model sum into one, then emit it once).
+inline ScoreMap SortedByDoc(const std::unordered_map<DocId, double>& acc) {
+  ScoreMap out(acc.begin(), acc.end());
+  std::sort(out.begin(), out.end());  // Doc ids are unique.
+  return out;
+}
 
 /// Corpus-wide statistics injected into a model when it scores one
 /// shard of a sharded collection. Scores are otherwise a function of

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <map>
+#include <unordered_map>
 
 #include "irs/model/retrieval_model.h"
 
@@ -25,7 +26,7 @@ class VectorSpaceModel : public RetrievalModel {
 
     const double n = std::max<double>(
         corpus != nullptr ? corpus->doc_count : index.doc_count(), 1.0);
-    ScoreMap scores;
+    std::unordered_map<DocId, double> scores;
     double query_norm_sq = 0.0;
     for (const auto& [term, tf_q] : qtf) {
       // Under sharded scoring the query norm must accumulate over every
@@ -43,15 +44,15 @@ class VectorSpaceModel : public RetrievalModel {
             scores[doc] += wq * wd;
           }));
     }
-    if (scores.empty()) return scores;
     // Cosine: normalize by query norm and document length proxy.
     double qn = std::sqrt(std::max(query_norm_sq, 1e-12));
-    for (auto& [doc, score] : scores) {
+    ScoreMap out = SortedByDoc(scores);
+    for (auto& [doc, score] : out) {
       auto info = index.GetDoc(doc);
       double dl = info.ok() ? std::max<double>((*info)->length, 1.0) : 1.0;
       score /= qn * std::sqrt(dl);
     }
-    return scores;
+    return out;
   }
 };
 

@@ -34,13 +34,16 @@ void Encoder::PutI64(int64_t v) {
   PutU64(zz);
 }
 
+void Encoder::PutFixed64(uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
 void Encoder::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  // Fixed 8 bytes little-endian.
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
+  PutFixed64(bits);
 }
 
 void Encoder::PutString(std::string_view s) {
@@ -133,14 +136,20 @@ StatusOr<int64_t> Decoder::GetI64() {
   return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
 }
 
-StatusOr<double> Decoder::GetDouble() {
-  if (pos_ + 8 > data_.size()) return Status::Corruption("truncated double");
-  uint64_t bits = 0;
+StatusOr<uint64_t> Decoder::GetFixed64() {
+  if (pos_ + 8 > data_.size()) return Status::Corruption("truncated fixed64");
+  uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
+         << (8 * i);
   }
   pos_ += 8;
+  return v;
+}
+
+StatusOr<double> Decoder::GetDouble() {
+  if (pos_ + 8 > data_.size()) return Status::Corruption("truncated double");
+  SDMS_ASSIGN_OR_RETURN(uint64_t bits, GetFixed64());
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;

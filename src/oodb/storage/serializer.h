@@ -21,6 +21,8 @@ class Encoder {
   void PutU64(uint64_t v);
   /// Zigzag-encoded signed varint.
   void PutI64(int64_t v);
+  /// Fixed 8 bytes little-endian (a varint's width depends on the value).
+  void PutFixed64(uint64_t v);
   void PutDouble(double v);
   void PutString(std::string_view s);
   void PutValue(const Value& v);
@@ -44,6 +46,7 @@ class Decoder {
   StatusOr<uint32_t> GetU32();
   StatusOr<uint64_t> GetU64();
   StatusOr<int64_t> GetI64();
+  StatusOr<uint64_t> GetFixed64();
   StatusOr<double> GetDouble();
   StatusOr<std::string> GetString();
   StatusOr<Value> GetValue();
@@ -51,6 +54,7 @@ class Decoder {
 
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;

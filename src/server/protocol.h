@@ -31,7 +31,10 @@ namespace sdms::server {
 /// router-computed global corpus statistics so remote rankings stay
 /// bit-identical to local ones. A version mismatch in either direction
 /// is answered with a typed kFailedPrecondition, never a parse crash.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: kShardSearch drops its top-k field (the fan-out never ranks) and
+/// kShardHits carries each hit as a fixed-width u64 OID plus a raw
+/// double, in OID order, instead of a key string.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 // --- Hello ----------------------------------------------------------------
 

@@ -305,8 +305,7 @@ Status ShardServer::HandleSearch(int fd, const std::string& payload) {
     QueryContext ctx;
     if (req->deadline_ms > 0) ctx.SetDeadlineAfterMs(req->deadline_ms);
     QueryContext::Scope scope(&ctx);
-    auto plan = collection_->PrepareSearchWithStats(
-        req->query, static_cast<size_t>(req->k), req->stats);
+    auto plan = collection_->PrepareSearchWithStats(req->query, req->stats);
     if (!plan.ok()) {
       result = plan.status();
     } else {
@@ -314,10 +313,7 @@ Status ShardServer::HandleSearch(int fd, const std::string& payload) {
       if (!hits.ok()) {
         result = hits.status();
       } else {
-        resp.hits.reserve(hits->size());
-        for (irs::SearchHit& h : *hits) {
-          resp.hits.push_back(coupling::ShardHit{std::move(h.key), h.score});
-        }
+        resp.hits = std::move(*hits);
       }
     }
   }

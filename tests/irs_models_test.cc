@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "irs/analysis/analyzer.h"
 
 namespace sdms::irs {
@@ -27,10 +29,19 @@ class ModelTest : public testing::Test {
     index_.AddDocument(key, analyzer_->Analyze(text));
   }
 
-  StatusOr<ScoreMap> Score(const RetrievalModel& model, const std::string& q) {
+  /// The model's scores keyed by doc id, after checking that its flat
+  /// ScoreMap ascends strictly by doc id.
+  StatusOr<std::map<DocId, double>> Score(const RetrievalModel& model,
+                                          const std::string& q) {
     auto tree = ParseIrsQuery(q, *analyzer_);
     EXPECT_TRUE(tree.ok());
-    return model.Score(index_, **tree);
+    SDMS_ASSIGN_OR_RETURN(ScoreMap flat, model.Score(index_, **tree));
+    std::map<DocId, double> scores;
+    for (const auto& [doc, score] : flat) {
+      EXPECT_TRUE(scores.empty() || scores.rbegin()->first < doc) << q;
+      scores[doc] = score;
+    }
+    return scores;
   }
 
   InvertedIndex index_;

@@ -175,6 +175,9 @@ TEST(PostingsOracleTest, CursorKernelsMatchFlatKernels) {
 // matcher is shared, the term evidence and candidate merge are not.
 // ---------------------------------------------------------------------------
 
+/// A reference model's scores, keyed by doc id.
+using RefScores = std::map<DocId, double>;
+
 std::map<std::string, uint32_t> QueryTermFreqs(const QueryNode& query) {
   std::vector<std::string> terms;
   query.CollectTerms(terms);
@@ -189,12 +192,12 @@ double DocLength(const InvertedIndex& index, DocId doc) {
   return info.ok() ? static_cast<double>((*info)->length) : 0.0;
 }
 
-ScoreMap ReferenceBm25(const InvertedIndex& index, const QueryNode& query) {
+RefScores ReferenceBm25(const InvertedIndex& index, const QueryNode& query) {
   const double k1 = 1.2;
   const double b = 0.75;
   const double n = std::max<double>(index.doc_count(), 1.0);
   const double avgdl = std::max(index.avg_doc_length(), 1e-9);
-  ScoreMap scores;
+  RefScores scores;
   for (const auto& [term, tf_q] : QueryTermFreqs(query)) {
     double df = static_cast<double>(index.DocFreq(term));
     if (df == 0) continue;
@@ -209,9 +212,9 @@ ScoreMap ReferenceBm25(const InvertedIndex& index, const QueryNode& query) {
   return scores;
 }
 
-ScoreMap ReferenceVsm(const InvertedIndex& index, const QueryNode& query) {
+RefScores ReferenceVsm(const InvertedIndex& index, const QueryNode& query) {
   const double n = std::max<double>(index.doc_count(), 1.0);
-  ScoreMap scores;
+  RefScores scores;
   double query_norm_sq = 0.0;
   for (const auto& [term, tf_q] : QueryTermFreqs(query)) {
     uint64_t df = index.DocFreq(term);
@@ -284,8 +287,8 @@ std::set<DocId> ReferenceBooleanSet(const InvertedIndex& index,
   }
 }
 
-ScoreMap ReferenceBoolean(const InvertedIndex& index, const QueryNode& query) {
-  ScoreMap out;
+RefScores ReferenceBoolean(const InvertedIndex& index, const QueryNode& query) {
+  RefScores out;
   for (DocId d : ReferenceBooleanSet(index, query)) {
     if (index.IsAlive(d)) out[d] = 1.0;
   }
@@ -303,7 +306,7 @@ class ReferenceInquery {
     Collect(query);
   }
 
-  ScoreMap Score(const QueryNode& query) const {
+  RefScores Score(const QueryNode& query) const {
     std::set<DocId> candidates;
     for (const auto& [term, tfs] : tf_) {
       for (const auto& [doc, tf] : tfs) candidates.insert(doc);
@@ -311,7 +314,7 @@ class ReferenceInquery {
     for (const auto& [node, matches] : windows_) {
       for (const auto& [doc, tf] : matches) candidates.insert(doc);
     }
-    ScoreMap out;
+    RefScores out;
     for (DocId d : candidates) {
       if (!index_.IsAlive(d)) continue;
       out[d] = Belief(query, d, DocLength(index_, d));
@@ -405,7 +408,7 @@ class ReferenceInquery {
   std::map<const QueryNode*, std::map<DocId, uint32_t>> windows_;
 };
 
-ScoreMap ReferenceScore(const std::string& model, const InvertedIndex& index,
+RefScores ReferenceScore(const std::string& model, const InvertedIndex& index,
                         const QueryNode& query) {
   if (model == "bm25") return ReferenceBm25(index, query);
   if (model == "vsm") return ReferenceVsm(index, query);
@@ -430,13 +433,16 @@ void ExpectScoresMatchReference(const std::string& model_name,
       const InvertedIndex& index = coll.shard(s);
       auto scores = (*model)->Score(index, **tree);
       ASSERT_TRUE(scores.ok()) << q << ": " << scores.status().ToString();
-      ScoreMap expected = ReferenceScore(model_name, index, **tree);
+      RefScores expected = ReferenceScore(model_name, index, **tree);
       ASSERT_EQ(scores->size(), expected.size()) << q << " shard " << s;
+      // The model's flat map ascends by doc id, so it lists exactly the
+      // reference's pairs in the reference's order.
+      auto it = scores->begin();
       for (const auto& [doc, score] : expected) {
-        auto it = scores->find(doc);
-        ASSERT_NE(it, scores->end()) << q << " doc " << doc;
+        ASSERT_EQ(it->first, doc) << q;
         // Exact equality: same formula, same summation order.
         EXPECT_EQ(it->second, score) << q << " doc " << doc;
+        ++it;
       }
     }
   }

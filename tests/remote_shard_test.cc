@@ -2,7 +2,7 @@
 // collections.
 //
 //   1. Oracle: a shard served by a remote `sdms_server --shard`
-//      process ranks BIT-identically to the in-process SearchShard of
+//      process answers BIT-identically to the in-process SearchShard of
 //      the same plan — across shard counts, through tombstones, and
 //      after a shard-server crash/restart or a healed partition (both
 //      caught up by a full install, exactly-once with respect to the
@@ -20,13 +20,19 @@
 //      typed "result unknown" error instead of silently re-sending.
 //   5. Rebalancing: Reshard(N->M) preserves the canonical digest and
 //      the rankings; it is refused while remote channels are attached.
+//   6. Wire form of a shard's hits: fixed-width OIDs and raw doubles
+//      round-trip bit-identically, malformed payloads are kCorruption,
+//      and a shard answering out of OID order or with another shard's
+//      OID fails the fan-out with kCorruption, never a wrong map.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +47,7 @@
 #include "coupling/shard_protocol.h"
 #include "coupling_test_util.h"
 #include "irs/collection.h"
+#include "oodb/storage/serializer.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -117,9 +124,18 @@ void ExpectHitsBitIdentical(const std::vector<irs::SearchHit>& want,
   ASSERT_EQ(got.size(), want.size()) << where;
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].key, want[i].key) << where << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << where << " rank " << i;
+  }
+}
+
+void ExpectHitsBitIdentical(const irs::OidHits& want, const irs::OidHits& got,
+                            const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << where << " hit " << i;
     // Bit-identical, not approximately-equal: the wire carries raw
     // 8-byte doubles precisely so this holds.
-    EXPECT_EQ(got[i].score, want[i].score) << where << " rank " << i;
+    EXPECT_EQ(got[i].second, want[i].second) << where << " hit " << i;
   }
 }
 
@@ -153,20 +169,17 @@ TEST_F(RemoteShardTest, RemoteSearchBitIdenticalAcrossShardCounts) {
       EXPECT_TRUE(channels[s]->synced());
     }
     for (const std::string& query : kOracleQueries) {
-      for (size_t k : {size_t{0}, size_t{5}}) {
-        auto plan = local->PrepareSearch(query, k);
-        ASSERT_TRUE(plan.ok()) << query;
-        for (uint32_t s = 0; s < shards; ++s) {
-          auto want = local->SearchShard(*plan, s);
-          ASSERT_TRUE(want.ok());
-          auto got = channels[s]->Search(query, *plan, local.get());
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectHitsBitIdentical(*want, *got,
-                                 "shards=" + std::to_string(shards) +
-                                     " shard=" + std::to_string(s) +
-                                     " query '" + query + "' k=" +
-                                     std::to_string(k));
-        }
+      auto plan = local->PrepareSearch(query);
+      ASSERT_TRUE(plan.ok()) << query;
+      for (uint32_t s = 0; s < shards; ++s) {
+        auto want = local->SearchShard(*plan, s);
+        ASSERT_TRUE(want.ok());
+        auto got = channels[s]->Search(query, *plan, local.get());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectHitsBitIdentical(*want, *got,
+                               "shards=" + std::to_string(shards) +
+                                   " shard=" + std::to_string(s) +
+                                   " query '" + query + "'");
       }
     }
     // Tombstones: deletes must reach the remote side before the next
@@ -181,7 +194,7 @@ TEST_F(RemoteShardTest, RemoteSearchBitIdenticalAcrossShardCounts) {
       ASSERT_TRUE(channels[s]->PushOps({op}, 0, local.get()).ok()) << key;
     }
     for (const std::string& query : kOracleQueries) {
-      auto plan = local->PrepareSearch(query, 0);
+      auto plan = local->PrepareSearch(query);
       ASSERT_TRUE(plan.ok());
       for (uint32_t s = 0; s < shards; ++s) {
         auto want = local->SearchShard(*plan, s);
@@ -216,7 +229,7 @@ TEST_F(RemoteShardTest, CrashRestartCatchesUpByInstall) {
   // The channel still believes in its old connection — the first call
   // fails in the transport class (the per-shard CallGuard owns the
   // retry at the coupling layer)...
-  auto plan = local->PrepareSearch("omega", 0);
+  auto plan = local->PrepareSearch("omega");
   ASSERT_TRUE(plan.ok());
   auto first = channel.Search("omega", *plan, local.get());
   ASSERT_FALSE(first.ok());
@@ -255,7 +268,7 @@ TEST_F(RemoteShardTest, FailedPushCatchesUpByInstallExactlyOnce) {
   std::vector<ShardOp> ops;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     ShardOp op;
-    op.key = "late:" + std::to_string(seq);
+    op.key = "oid:" + std::to_string(1000 + seq);
     op.text = "omega nu xi seq" + std::to_string(seq);
     op.seq = seq;
     ASSERT_TRUE(local->AddDocument(op.key, op.text).ok());
@@ -271,7 +284,7 @@ TEST_F(RemoteShardTest, FailedPushCatchesUpByInstallExactlyOnce) {
   // catches it up by a second full install — the only catch-up path —
   // and the shard answers the post-update ranking.
   fault::FaultRegistry::Instance().Clear();
-  auto plan = local->PrepareSearch("omega", 0);
+  auto plan = local->PrepareSearch("omega");
   ASSERT_TRUE(plan.ok());
   auto hits = channel.Search("omega", *plan, local.get());
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
@@ -319,7 +332,7 @@ TEST_F(RemoteShardTest, DocTableMismatchWithEqualDocCountIsInstalled) {
   // The next search re-hellos, sees the table differ, and installs.
   channel.MarkUnsynced();
   for (const std::string& q : kOracleQueries) {
-    auto plan = local->PrepareSearch(q, 0);
+    auto plan = local->PrepareSearch(q);
     ASSERT_TRUE(plan.ok());
     auto got = channel.Search(q, *plan, local.get());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -334,6 +347,72 @@ TEST_F(RemoteShardTest, DocTableMismatchWithEqualDocCountIsInstalled) {
   ASSERT_TRUE(channel.EnsureSynced(local.get()).ok());
   EXPECT_EQ(channel.stats().catchup_installs, 2u);
   server->Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Wire form of a shard's hits: fixed-width u64 OIDs + raw doubles
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+TEST(ShardWireTest, SearchResponseRoundTripsBitIdentically) {
+  ShardSearchResponse resp;
+  resp.request_id = 77;
+  resp.hits = {{Oid(0), 0.0},
+               {Oid(1), -0.0},
+               {Oid(300), 0.1 + 0.2},
+               {Oid(UINT64_MAX - 1), std::numeric_limits<double>::denorm_min()},
+               {Oid(UINT64_MAX), 1.0 - 1e-16}};
+  const std::string payload = EncodeShardSearchResponse(resp);
+  // Two varints (request id, count), then 16 fixed bytes per hit.
+  EXPECT_EQ(payload.size(), 2 + 16 * resp.hits.size());
+  auto back = DecodeShardSearchResponse(payload);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->request_id, 77u);
+  ASSERT_EQ(back->hits.size(), resp.hits.size());
+  for (size_t i = 0; i < resp.hits.size(); ++i) {
+    EXPECT_EQ(back->hits[i].first, resp.hits[i].first) << i;
+    EXPECT_EQ(Bits(back->hits[i].second), Bits(resp.hits[i].second)) << i;
+  }
+  ShardSearchRequest req;
+  req.request_id = 5;
+  req.query = "#od2(www nii)";
+  req.deadline_ms = 250;
+  req.stats = std::string("\0\x01stats", 7);
+  auto req_back = DecodeShardSearchRequest(EncodeShardSearchRequest(req));
+  ASSERT_TRUE(req_back.ok()) << req_back.status().ToString();
+  EXPECT_EQ(req_back->request_id, 5u);
+  EXPECT_EQ(req_back->query, req.query);
+  EXPECT_EQ(req_back->deadline_ms, 250);
+  EXPECT_EQ(req_back->stats, req.stats);
+}
+
+TEST(ShardWireTest, MalformedSearchResponsesAreCorruption) {
+  ShardSearchResponse resp;
+  resp.request_id = 3;
+  resp.hits = {{Oid(10), 0.5}, {Oid(11), 0.25}};
+  const std::string payload = EncodeShardSearchResponse(resp);
+  // Every truncation, including mid-OID and mid-score cuts.
+  for (size_t len = 0; len < payload.size(); ++len) {
+    auto cut = DecodeShardSearchResponse(payload.substr(0, len));
+    ASSERT_FALSE(cut.ok()) << len;
+    EXPECT_EQ(cut.status().code(), StatusCode::kCorruption) << len;
+  }
+  auto trailing = DecodeShardSearchResponse(payload + "x");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().code(), StatusCode::kCorruption);
+  // A count over the cap, and one the payload cannot hold, are refused
+  // before anything is allocated.
+  for (uint64_t count : {kMaxWireShardHits + 1, uint64_t{1000}}) {
+    oodb::Encoder enc;
+    enc.PutU64(3);
+    enc.PutU64(count);
+    enc.PutFixed64(10);
+    enc.PutDouble(0.5);
+    auto over = DecodeShardSearchResponse(enc.Release());
+    ASSERT_FALSE(over.ok()) << count;
+    EXPECT_EQ(over.status().code(), StatusCode::kCorruption) << count;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -716,6 +795,115 @@ TEST_F(RemoteCouplingTest, ShardServerKillAndRestartHealsViaCatchUp) {
   EXPECT_EQ(fx->servers[1]->doc_count(), fx->irs_coll->shard(1).doc_count());
   EXPECT_EQ(fx->servers[1]->applied_seq(),
             fx->irs_coll->shard_applied_seq(1));
+}
+
+/// A shard server that answers every handshake, install and push with
+/// a fixed status and every search with fixed hits — the misbehaving
+/// peer whose answers the router must refuse rather than merge.
+class LyingShardServer {
+ public:
+  LyingShardServer(ShardStatusMsg status, irs::OidHits hits)
+      : status_(status), hits_(std::move(hits)) {
+    auto lfd = net::ListenTcp("127.0.0.1", 0);
+    EXPECT_TRUE(lfd.ok());
+    listen_fd_ = *lfd;
+    auto port = net::LocalPort(listen_fd_);
+    EXPECT_TRUE(port.ok());
+    port_ = *port;
+    thread_ = std::thread([this] { Loop(); });
+  }
+  ~LyingShardServer() {
+    stop_.store(true);
+    net::ShutdownFd(listen_fd_);
+    thread_.join();
+    net::CloseFd(listen_fd_);
+  }
+  uint16_t port() const { return port_; }
+
+ private:
+  void Loop() {
+    while (!stop_.load()) {
+      auto fd = net::AcceptConn(listen_fd_, 100);
+      if (!fd.ok()) continue;
+      while (!stop_.load()) {
+        auto frame = net::ReadFrame(*fd, 100, 1000,
+                                    net::kDefaultMaxFrameBytes);
+        if (!frame.ok()) {
+          if (frame.status().IsDeadlineExceeded()) continue;  // idle
+          break;
+        }
+        Status sent;
+        if (frame->type == net::FrameType::kShardSearch) {
+          auto req = DecodeShardSearchRequest(frame->payload);
+          ShardSearchResponse resp;
+          resp.request_id = req.ok() ? req->request_id : 0;
+          resp.hits = hits_;
+          sent = net::WriteFrame(*fd, net::FrameType::kShardHits,
+                                 EncodeShardSearchResponse(resp), 1000,
+                                 net::kDefaultMaxFrameBytes);
+        } else {
+          sent = net::WriteFrame(*fd, net::FrameType::kShardStatus,
+                                 EncodeShardStatusMsg(status_), 1000,
+                                 net::kDefaultMaxFrameBytes);
+        }
+        if (!sent.ok()) break;
+      }
+      net::CloseFd(*fd);
+    }
+  }
+
+  const ShardStatusMsg status_;
+  const irs::OidHits hits_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+// A shard whose answer is out of OID order, or names an OID another
+// shard also returned, fails the fan-out with kCorruption: the router's
+// one-pass merge checks the order it relies on instead of trusting it.
+TEST_F(RemoteCouplingTest, MisorderedOrDuplicateShardHitsAreCorruption) {
+  auto sys = MakeFigure4System(FastGuardOptions());
+  Collection* coll = *sys->coupling->GetCollectionByName("paras");
+  irs::IrsCollection* irs_coll = *sys->irs_engine->GetCollection("paras");
+  ASSERT_EQ(irs_coll->num_shards(), 3u);
+  auto complete = coll->GetIrsResult("www");
+  ASSERT_TRUE(complete.ok());
+  // An OID that shard 0 or 1 answers for "www".
+  Oid elsewhere;
+  for (const auto& [oid, score] : **complete) {
+    if (irs_coll->ShardOfKey(oid.ToString()) != 2) elsewhere = oid;
+  }
+  ASSERT_TRUE(elsewhere.valid());
+  ShardStatusMsg status;
+  status.applied_seq = irs_coll->shard_applied_seq(2);
+  status.doc_count = irs_coll->shard(2).doc_count();
+  status.doc_table_size = irs_coll->shard(2).doc_table_size();
+
+  const std::vector<std::pair<std::string, irs::OidHits>> lies = {
+      {"out of OID order", {{Oid(1u << 30), 0.5}, {Oid(1u << 29), 0.5}}},
+      {"OID of another shard", {{elsewhere, 0.5}}},
+  };
+  for (const auto& [what, hits] : lies) {
+    SCOPED_TRACE(what);
+    std::vector<std::unique_ptr<server::ShardServer>> honest;
+    honest.push_back(StartShardServer());
+    honest.push_back(StartShardServer());
+    LyingShardServer liar(status, hits);
+    std::string endpoints =
+        "127.0.0.1:" + std::to_string(honest[0]->port()) + ",127.0.0.1:" +
+        std::to_string(honest[1]->port()) + ",127.0.0.1:" +
+        std::to_string(liar.port());
+    ASSERT_TRUE(sys->coupling->ConnectRemoteShards("paras", endpoints).ok());
+    coll->buffer().Clear();
+    auto got = coll->GetIrsResult("www");
+    ASSERT_FALSE(got.ok()) << "merged a wrong map of " << (*got)->size();
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
+        << got.status().ToString();
+    coll->DetachRemoteShards();
+    for (auto& srv : honest) srv->Shutdown();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -190,14 +190,13 @@ TEST(ResultBufferTest, LruEvictionOrderFollowsHits) {
 }
 
 // ---------------------------------------------------------------------------
-// OidScoreMap and the IRS-hit builder
+// OidScoreMap, the shard-hit merge and the ranked-hit builder
 // ---------------------------------------------------------------------------
 
-TEST(OidScoreMapTest, BuiltSortedFromUnsortedHits) {
-  std::vector<irs::SearchHit> shard0 = {{"oid:42", 0.5}, {"oid:7", 0.9}};
-  std::vector<irs::SearchHit> shard1 = {{"oid:19", 0.1}, {"oid:3", 0.7}};
-  const std::vector<irs::SearchHit> parts[] = {shard0, shard1};
-  auto map = OidScoreMapFromHits(parts);
+TEST(OidScoreMapTest, BuiltSortedFromRankedHits) {
+  const std::vector<irs::SearchHit> ranked = {
+      {"oid:7", 0.9}, {"oid:3", 0.7}, {"oid:42", 0.5}, {"oid:19", 0.1}};
+  auto map = OidScoreMapFromHits(ranked);
   ASSERT_TRUE(map.ok()) << map.status().ToString();
   std::vector<uint64_t> order;
   for (const auto& [oid, score] : *map) order.push_back(oid.raw());
@@ -206,6 +205,22 @@ TEST(OidScoreMapTest, BuiltSortedFromUnsortedHits) {
                                {Oid(7), 0.9},
                                {Oid(19), 0.1},
                                {Oid(3), 0.7}}));
+}
+
+TEST(OidScoreMapTest, MergesOidOrderedShardParts) {
+  const irs::OidHits parts[] = {{{Oid(7), 0.9}, {Oid(42), 0.5}},
+                                {},
+                                {{Oid(3), 0.7}, {Oid(19), 0.1}, {Oid(50), 0.2}}};
+  auto map = MergeShardOidHits(parts);
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  EXPECT_EQ(*map, (OidScoreMap{{Oid(3), 0.7},
+                               {Oid(7), 0.9},
+                               {Oid(19), 0.1},
+                               {Oid(42), 0.5},
+                               {Oid(50), 0.2}}));
+  auto none = MergeShardOidHits({});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
 }
 
 TEST(OidScoreMapTest, FindPresentAndAbsent) {
@@ -241,19 +256,33 @@ TEST(OidScoreMapTest, MalformedKeysAreCorruption) {
     ASSERT_FALSE(oid.ok()) << key;
     EXPECT_EQ(oid.status().code(), StatusCode::kCorruption) << key;
   }
-  const std::vector<irs::SearchHit> bad[] = {{{"oid:1", 0.5}, {"oid:2x", 0.5}}};
+  const std::vector<irs::SearchHit> bad = {{"oid:1", 0.5}, {"oid:2x", 0.5}};
   auto map = OidScoreMapFromHits(bad);
   ASSERT_FALSE(map.ok());
   EXPECT_EQ(map.status().code(), StatusCode::kCorruption);
 }
 
 TEST(OidScoreMapTest, DuplicateOidIsCorruption) {
-  // The same document reported by two shards.
-  const std::vector<irs::SearchHit> parts[] = {{{"oid:5", 0.5}},
-                                               {{"oid:6", 0.1}, {"oid:5", 0.5}}};
-  auto map = OidScoreMapFromHits(parts);
+  // The same document named twice in a result file.
+  const std::vector<irs::SearchHit> ranked = {
+      {"oid:5", 0.5}, {"oid:6", 0.1}, {"oid:5", 0.5}};
+  auto map = OidScoreMapFromHits(ranked);
   ASSERT_FALSE(map.ok());
   EXPECT_EQ(map.status().code(), StatusCode::kCorruption);
+  // The same document reported by two shards, or twice by one.
+  for (const auto& parts :
+       {std::vector<irs::OidHits>{{{Oid(5), 0.5}}, {{Oid(5), 0.5}, {Oid(6), 0.1}}},
+        std::vector<irs::OidHits>{{{Oid(5), 0.5}, {Oid(5), 0.5}}}}) {
+    auto merged = MergeShardOidHits(parts);
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), StatusCode::kCorruption);
+  }
+  // A shard answering out of OID order.
+  const irs::OidHits unordered[] = {{{Oid(9), 0.5}, {Oid(4), 0.5}},
+                                    {{Oid(6), 0.1}}};
+  auto merged = MergeShardOidHits(unordered);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kCorruption);
   auto direct = OidScoreMap::FromUnsorted({{Oid(2), 0.1}, {Oid(2), 0.2}});
   ASSERT_FALSE(direct.ok());
   EXPECT_EQ(direct.status().code(), StatusCode::kCorruption);

@@ -11,11 +11,16 @@
 //      still answers from the survivors, the per-shard report names
 //      the failed shard, and a transient fault inside the shard's
 //      CallGuard retry budget still gives the complete answer.
-// Plus the per-guard observability that makes a failing shard
+// Plus the OID fan-out oracle — the router's merge of the shards'
+// OID-ordered answers equals the map built from the ranked search, for
+// every model, through updates, tombstones, compaction and installs —
+// and the per-guard observability that makes a failing shard
 // attributable: `coupling.callguard.*.<name>` counters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -25,6 +30,7 @@
 #include "common/obs/metrics.h"
 #include "coupling/call_guard.h"
 #include "coupling_test_util.h"
+#include "coupling/types.h"
 #include "irs/collection.h"
 
 namespace sdms::coupling {
@@ -36,8 +42,9 @@ using testutil::MakeFigure4System;
 // Healthy-path oracle: N shards vs one shard, bit for bit
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<irs::IrsCollection> MakeShardedCollection(uint32_t shards) {
-  auto model = irs::MakeModel("inquery");
+std::unique_ptr<irs::IrsCollection> MakeShardedCollection(
+    uint32_t shards, const std::string& model_name = "inquery") {
+  auto model = irs::MakeModel(model_name);
   EXPECT_TRUE(model.ok());
   auto coll = std::make_unique<irs::IrsCollection>(
       "oracle", irs::AnalyzerOptions{}, std::move(*model), 1);
@@ -152,6 +159,140 @@ TEST_F(ShardOracleTest, ShardMapFixedOnceDocumentsExist) {
   EXPECT_EQ(coll->doc_count(), 0u);
   EXPECT_TRUE(coll->SetNumShards(4).ok());
   EXPECT_EQ(coll->num_shards(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// OID fan-out oracle: the router's merged map vs the ranked search
+// ---------------------------------------------------------------------------
+
+/// What Collection::RunIrsQuerySharded builds on a healthy collection:
+/// each shard's OID-ordered answer, merged in one pass.
+StatusOr<OidScoreMap> FanOutMap(irs::IrsCollection& coll,
+                                const std::string& query) {
+  SDMS_ASSIGN_OR_RETURN(irs::IrsCollection::SearchPlan plan,
+                        coll.PrepareSearch(query));
+  std::vector<irs::OidHits> parts;
+  for (size_t s = 0; s < coll.num_shards(); ++s) {
+    SDMS_ASSIGN_OR_RETURN(irs::OidHits hits, coll.SearchShard(plan, s));
+    parts.push_back(std::move(hits));
+  }
+  return MergeShardOidHits(parts);
+}
+
+/// Leaves, windows and every operator, #not/#wsum/#max included.
+const std::vector<std::string> kFanOutQueries = {
+    "omega",
+    "unicorn",
+    "#or(alpha beta)",
+    "#and(alpha omega)",
+    "#sum(gamma delta omega)",
+    "#od2(alpha beta)",
+    "#uw4(gamma omega)",
+    "#and(omega #not(beta))",
+    "#not(alpha)",
+    "#wsum(2 alpha 1 #od2(alpha beta) 1 zeta)",
+    "#max(alpha zeta #uw4(gamma omega))",
+    "nosuchterm"};
+
+/// The fan-out's map equals OidScoreMapFromHits over the ranked
+/// Search, pair for pair and bit for bit.
+void ExpectFanOutMatchesRanked(irs::IrsCollection& coll,
+                               const std::string& where) {
+  for (const std::string& query : kFanOutQueries) {
+    auto ranked = coll.Search(query);
+    ASSERT_TRUE(ranked.ok()) << where << " '" << query << "'";
+    auto want = OidScoreMapFromHits(*ranked);
+    ASSERT_TRUE(want.ok()) << where << " '" << query << "'";
+    auto got = FanOutMap(coll, query);
+    ASSERT_TRUE(got.ok()) << where << " '" << query
+                          << "': " << got.status().ToString();
+    ASSERT_EQ(got->size(), want->size()) << where << " '" << query << "'";
+    for (auto g = got->begin(), w = want->begin(); g != got->end(); ++g, ++w) {
+      ASSERT_EQ(g->first, w->first) << where << " '" << query << "'";
+      EXPECT_EQ(std::bit_cast<uint64_t>(g->second),
+                std::bit_cast<uint64_t>(w->second))
+          << where << " '" << query << "' " << g->first.ToString();
+    }
+  }
+}
+
+/// True when some shard holds a live document whose OID is below that
+/// of a live document with a smaller doc id — the order a shard must
+/// sort before answering.
+bool SomeShardOutOfOidOrder(const irs::IrsCollection& coll) {
+  for (size_t s = 0; s < coll.num_shards(); ++s) {
+    Oid high;
+    bool out_of_order = false;
+    coll.shard(s).ForEachDoc([&](irs::DocId, const irs::DocInfo& info) {
+      out_of_order = out_of_order || info.oid < high;
+      high = std::max(high, info.oid);
+    });
+    if (out_of_order) return true;
+  }
+  return false;
+}
+
+TEST_F(ShardOracleTest, OidFanOutMatchesRankedSearchForEveryModel) {
+  for (const char* model : {"boolean", "vsm", "bm25", "inquery"}) {
+    for (uint32_t shards : {1u, 2u, 4u}) {
+      std::string tag =
+          std::string(model) + " shards=" + std::to_string(shards);
+      auto coll = MakeShardedCollection(shards, model);
+      FillCorpus(*coll);
+      ExpectFanOutMatchesRanked(*coll, tag + " fresh");
+
+      // Updates re-add documents under fresh doc ids, out of OID order.
+      std::vector<irs::DocOp> updates;
+      for (int i : {3, 10, 41, 77}) {
+        updates.push_back(irs::DocOp{"oid:" + std::to_string(i),
+                                     "alpha beta unicorn omega gamma"});
+      }
+      ASSERT_TRUE(coll->Apply(updates).ok()) << tag;
+      ASSERT_TRUE(SomeShardOutOfOidOrder(*coll)) << tag;
+      ExpectFanOutMatchesRanked(*coll, tag + " updated");
+
+      for (int i = 0; i < 120; i += 9) {
+        ASSERT_TRUE(coll->RemoveDocument("oid:" + std::to_string(i)).ok());
+      }
+      size_t tombstones = 0;
+      for (size_t s = 0; s < coll->num_shards(); ++s) {
+        tombstones += coll->shard(s).tombstone_count();
+      }
+      ASSERT_GT(tombstones, 0u) << tag;
+      ExpectFanOutMatchesRanked(*coll, tag + " tombstoned");
+      coll->CompactIndex();
+      ExpectFanOutMatchesRanked(*coll, tag + " compacted");
+
+      // A full install rebuilds the OID column from the shipped keys.
+      auto installed = MakeShardedCollection(shards, model);
+      for (size_t s = 0; s < shards; ++s) {
+        auto image = coll->SerializeShard(s);
+        ASSERT_TRUE(image.ok()) << tag;
+        ASSERT_TRUE(installed->InstallShard(s, *image, 0).ok()) << tag;
+      }
+      ExpectFanOutMatchesRanked(*installed, tag + " installed");
+      for (const std::string& query : kFanOutQueries) {
+        auto before = FanOutMap(*coll, query);
+        auto after = FanOutMap(*installed, query);
+        ASSERT_TRUE(before.ok() && after.ok()) << tag << " '" << query << "'";
+        EXPECT_EQ(*after, *before) << tag << " '" << query << "'";
+      }
+    }
+  }
+}
+
+// A document whose key names no OID cannot be mapped back to an object:
+// the fan-out refuses the shard's answer rather than dropping the hit.
+TEST_F(ShardOracleTest, NonOidKeyInFanOutIsCorruption) {
+  auto coll = MakeShardedCollection(1);
+  ASSERT_TRUE(coll->AddDocument("oid:1", "alpha omega").ok());
+  ASSERT_TRUE(coll->AddDocument("doc-2", "alpha").ok());
+  auto got = FanOutMap(*coll, "alpha");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  auto unaffected = FanOutMap(*coll, "omega");
+  ASSERT_TRUE(unaffected.ok()) << unaffected.status().ToString();
+  EXPECT_EQ(*unaffected, (OidScoreMap{{Oid(1), unaffected->at(Oid(1))}}));
 }
 
 // ---------------------------------------------------------------------------
